@@ -4,9 +4,12 @@ Fields are sampled on tensor grids t_j = -T/2 + j T/N per axis (N a power
 of two).  Fourier letters use the centered FFT calibrated to the
 continuous transform (spacing factor and half-period phase ramps), so the
 discrete operator approximates the continuous unitary rather than the raw
-DFT.  1-D dilations act by band-limited (spectral) resampling; in higher
-dimension only monomial matrices (permutation x diagonal) are resampled,
-everything else is left to the Gaussian oracle path.
+DFT.  1-D dilations act by band-limited (spectral) resampling, evaluated
+as a Bluestein chirp-z transform of the centered spectrum in O(N log N)
+per line; in higher dimension only monomial matrices (permutation x
+diagonal) are resampled, axis by axis, and everything else is left to the
+Gaussian oracle path.  A partial STFT slice is one batched FFT over the
+window shifted to every grid point.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ChirpAliasingWarning,
@@ -150,18 +154,27 @@ def _centered_ifft_axis(values: np.ndarray, axis: int, freq_extent: float):
 
 
 def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
-    """Band-limited evaluation of f(x/scale) |scale|^{-1/2} on the same grid."""
+    """Band-limited evaluation of f(x/scale) |scale|^{-1/2} on the same grid.
+
+    With the centered spectrum F_p (p, q in [-N/2, N/2)), the value at
+    x_q / scale is (1/T) sum_p F_p e^{2 pi i pq / (N scale)}.  Bluestein's
+    identity pq = (p^2 + q^2 - (q - p)^2) / 2 turns that sum into the
+    chirp-z form e^{i a q^2} sum_p (F_p e^{i a p^2}) e^{-i a (q - p)^2},
+    a = pi / (N scale): one linear convolution, done by FFTs of length 2N,
+    so the cost is O(N log N) per line along the axis.
+    """
     npts = values.shape[axis]
-    dx = extent / npts
-    x = (np.arange(npts) - npts // 2) * dx
-    freqs = (np.arange(npts) - npts // 2) / extent
-    # spectrum F_m = dx * sum_j v_j e^{-2 pi i x_j w_m}
-    dft = np.exp(-2j * np.pi * np.outer(freqs, x)) * dx
-    # evaluation at x_j / scale: f(y) = dw * sum_m F_m e^{2 pi i w_m y}
-    ev = np.exp(2j * np.pi * np.outer(x / scale, freqs)) / extent
-    kernel = (ev @ dft) / np.sqrt(abs(scale))
-    moved = np.moveaxis(values, axis, -1)
-    out = moved @ kernel.T
+    spec, _ = _centered_fft_axis(values, axis, extent)
+    alpha = np.pi / (npts * scale)
+    p = np.arange(npts) - npts // 2
+    chirp = np.exp(1j * alpha * p**2)
+    # e^{-i a m^2} for m in [-N, N), laid out circularly; q - p never
+    # reaches m = -N
+    m = np.fft.fftfreq(2 * npts, 1.0 / (2 * npts))
+    kernel = np.fft.fft(np.exp(-1j * alpha * m**2))
+    moved = np.moveaxis(spec, axis, -1)
+    conv = np.fft.ifft(np.fft.fft(moved * chirp, n=2 * npts) * kernel)
+    out = conv[..., :npts] * (chirp / (extent * np.sqrt(abs(scale))))
     return np.moveaxis(out, -1, axis)
 
 
@@ -284,7 +297,8 @@ def partial_stft_slice(
 
     Computes the FFT over t of f(t, x2) conj(g(t - x1, -omega2)) for every
     grid shift x1; x2 and omega2 are grid multi-indices into the trailing
-    d-k axes (omega2 is negated internally).
+    d-k axes (omega2 is negated internally).  Raises GridTooLarge before
+    allocating when the slice would hold more than MAX_ELEMENTS values.
     """
     d = f.n
     if g.n != d or f.points != g.points or f.extents != g.extents:
@@ -293,28 +307,22 @@ def partial_stft_slice(
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
     if len(x2_idx) != d - k or len(w2_idx) != d - k:
         raise DimensionMismatch("slice indices must cover the trailing d-k axes")
+    shape_k = f.points[:k]
+    size = int(np.prod(shape_k)) ** 2
+    if size > MAX_ELEMENTS:
+        raise GridTooLarge(f"slice would hold {size} elements")
     fs, gs = _window_slices(f.values, x2_idx, g.values, w2_idx, k)
-    shape_k = fs.shape
-    spacings = [f.spacing(a) for a in range(k)]
-    if k == 1:
-        npts = shape_k[0]
-        idx = np.arange(npts)[None, :] - np.arange(npts)[:, None] + npts // 2
-        valid = (idx >= 0) & (idx < npts)
-        win = np.where(valid, gs[np.clip(idx, 0, npts - 1)], 0.0)
-        integrand = fs[None, :] * np.conj(win)
-        out, wext = _centered_fft_axis(integrand, 1, f.extents[0])
-        return SampledField(out, (f.extents[0], wext))
-    out = np.empty(shape_k + shape_k, dtype=complex)
-    for l_idx in np.ndindex(*shape_k):
-        win = _shifted_window(gs, l_idx)
-        spectrum = fs * np.conj(win)
-        for a in range(k):
-            spectrum, _ = _centered_fft_axis(spectrum, a, f.extents[a])
-        out[l_idx] = spectrum
-    extents = tuple(f.extents[:k]) + tuple(
-        f.points[a] / f.extents[a] for a in range(k)
-    )
-    return SampledField(out, extents)
+    # integrand[l, t] = fs[t] conj(gs[t - l + N/2]), zero outside the grid:
+    # with gs padded by N/2 zeros per side, the window at shift l is the view
+    # starting at padded index N - l, so reversing the window-start axes of
+    # a sliding-window view lists every shift without a copy
+    padded = np.pad(np.conj(gs), [(npts // 2, npts // 2) for npts in shape_k])
+    windows = sliding_window_view(padded, shape_k)[(slice(None, 0, -1),) * k]
+    integrand = windows * fs
+    extents = list(f.extents[:k]) * 2
+    for a in range(k):
+        integrand, extents[k + a] = _centered_fft_axis(integrand, k + a, f.extents[a])
+    return SampledField(integrand, tuple(extents))
 
 
 def partial_stft_grid(

@@ -24,7 +24,9 @@ from mtfr.gaussian import (
     tensor,
 )
 from mtfr.grid import (
+    MAX_ELEMENTS,
     SampledField,
+    _resample_axis,
     apply_letter_grid,
     apply_word_grid,
     field_l2,
@@ -49,6 +51,22 @@ from mtfr.symplectic import (
 )
 
 N, T = 256, 16.0
+
+
+def dense_resample_axis(values, axis, extent, scale):
+    """Reference for the dilation letter: the explicit O(N^3) N x N kernel."""
+    npts = values.shape[axis]
+    dx = extent / npts
+    x = (np.arange(npts) - npts // 2) * dx
+    freqs = (np.arange(npts) - npts // 2) / extent
+    # spectrum F_m = dx * sum_j v_j e^{-2 pi i x_j w_m}
+    dft = np.exp(-2j * np.pi * np.outer(freqs, x)) * dx
+    # evaluation at x_j / scale: f(y) = dw * sum_m F_m e^{2 pi i w_m y}
+    ev = np.exp(2j * np.pi * np.outer(x / scale, freqs)) / extent
+    kernel = (ev @ dft) / np.sqrt(abs(scale))
+    moved = np.moveaxis(values, axis, -1)
+    out = moved @ kernel.T
+    return np.moveaxis(out, -1, axis)
 
 
 @pytest.fixture
@@ -109,6 +127,29 @@ class TestLetters:
             np.testing.assert_allclose(
                 np.abs(out.values[idx]), np.abs(oracle.values[idx]), rtol=1e-8
             )
+
+    @pytest.mark.parametrize("scale", [2.0, 0.618, -1.3, 1.0])
+    @pytest.mark.parametrize("npts", [8, 64, 256, 1024])
+    def test_resample_matches_dense_kernel(self, rng, npts, scale):
+        for axis, shape in ((0, (npts, 3)), (1, (3, npts))):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            ref = dense_resample_axis(v, axis, T, scale)
+            got = _resample_axis(v, axis, T, scale)
+            bound = 1e-12 * np.abs(ref).max()
+            assert np.abs(got - ref).max() <= bound
+            if scale == 1.0:
+                assert np.abs(got - v).max() <= bound
+
+    def test_dilation_1d_large_grid_vs_oracle(self, rng):
+        # N = T^2 keeps the band limit and the extent equal (128 each)
+        g = random_gaussian(1, rng)
+        grid = ((2**14,), (128.0,))
+        f = sample(g, *grid)
+        for s in (2.0, 0.618, -1.3):
+            out = apply_letter_grid(f, Dilation(np.array([[s]])))
+            oracle = sample(apply_dilation(g, np.array([[s]])), *grid)
+            idx = np.abs(oracle.values) > 1e-6
+            np.testing.assert_allclose(out.values[idx], oracle.values[idx], rtol=1e-8)
 
     def test_dilation_monomial_2d(self, rng):
         # 256 points at extent 16 resolve the compressed axis (Nyquist 8)
@@ -195,6 +236,36 @@ class TestPartialStftGrid:
         f = sample(random_gaussian(2, rng), (N, N), (T, T))
         with pytest.raises(GridTooLarge):
             partial_stft_grid(f, f, 1)
+
+    def test_slice_memory_guard(self):
+        npts = 2**14
+        assert npts**2 > MAX_ELEMENTS
+        f = SampledField(np.zeros(npts, dtype=complex), (128.0,))
+        with pytest.raises(GridTooLarge):
+            partial_stft_slice(f, f, 1)
+
+    @pytest.mark.parametrize(
+        "points,k", [((32,), 1), ((16, 16), 2), ((8, 8, 8), 3), ((8, 8, 8), 2)]
+    )
+    def test_slice_matches_riemann_sum(self, rng, points, k):
+        d = len(points)
+        f, g = (
+            SampledField(
+                rng.standard_normal(points) + 1j * rng.standard_normal(points),
+                (8.0,) * d,
+            )
+            for _ in range(2)
+        )
+        x2 = tuple(int(i) for i in rng.integers(0, points[k:], size=d - k))
+        w2 = tuple(int(i) for i in rng.integers(0, points[k:], size=d - k))
+        sl = partial_stft_slice(f, g, k, x2, w2)
+        scale = np.abs(sl.values).max()
+        for _ in range(20):
+            l_idx = tuple(int(i) for i in rng.integers(0, points[:k]))
+            m_idx = tuple(int(i) for i in rng.integers(0, points[:k]))
+            w1 = [sl.coords(k + a)[m_idx[a]] for a in range(k)]
+            want = partial_stft_at(f, g, k, l_idx, x2, w1, w2)
+            assert abs(sl.values[l_idx + m_idx] - want) <= 1e-12 * scale
 
     def test_at_point_matches_oracle_k2(self, rng):
         fg, gg = random_gaussian(2, rng), random_gaussian(2, rng)
