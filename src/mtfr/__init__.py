@@ -4,91 +4,23 @@ Symplectic factorizations and generator words, an exact calculus of
 generalized Gaussians under metaplectic letters, an FFT grid engine,
 Alternative I/II certificates for doubled-phase-space representations,
 and numerical checkers for Beurling / Hardy / Gelfand-Shilov / Nazarov
-conditions.
+conditions.  Names live in their modules (``mtfr.certify.certify``); the
+package only loads the modules.
 """
 
-from .symplectic import (
-    Chirp,
-    Dilation,
-    GeneratorWord,
-    PartialFourier,
-    PreIwasawa,
-    SymplecticMatrix,
-    factor_to_word,
-    free_factorize,
-    invert_word,
-    make_chirp,
-    make_dilation,
-    make_rotation,
-    pre_iwasawa,
-    random_symplectic,
-    select_tau,
-    select_tau_balanced,
-    standard_j,
-    symplectic_defect,
-)
-from .unitary import (
-    ODOFactorization,
-    block_diag_test,
-    odo_svd,
-    sort_by_imag,
-    takagi_symmetric_unitary,
-)
-from .gaussian import (
-    GeneralizedGaussian,
-    apply_chirp,
-    apply_dilation,
-    apply_partial_fourier,
-    apply_word,
-    conjugate,
-    evaluate,
-    log_l2_norm,
-    modulus,
-    partial_stft_point,
-    random_gaussian,
-    standard_gaussian,
-    tensor,
-)
-from .grid import (
-    SampledField,
-    apply_letter_grid,
-    apply_word_grid,
-    field_l2,
-    intertwining_check,
-    mass_outside,
-    partial_stft_at,
-    partial_stft_grid,
-    partial_stft_slice,
-    sample,
-    sample_function,
-    tfr_grid,
-    weighted_truncated_integral,
-)
-from .certify import (
-    Certificate,
-    PairCertificate,
-    alt1_decompose,
-    alt2_certificate,
-    certify,
-    classify,
-    counterexample_alt1,
-    pair_to_partial,
-    quadratic_reduce,
-    verify_identity,
-    verify_pair_identity,
-)
-from .checks import (
-    Ball,
-    Box,
-    LinearImage,
-    UPReport,
-    beurling_sweep,
-    cross_section_sweep,
-    gelfand_shilov_sweep,
-    hardy_fit,
-    hardy_fit_field,
-    mean_width,
-    nazarov_bound,
-)
+
+def _cap_threads():
+    """Copy MTFR_THREADS into the BLAS/OpenMP caps; must run before numpy loads."""
+    import os
+
+    cap = os.environ.get("MTFR_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+
+
+_cap_threads()
+
+from . import certify, checks, errors, gaussian, grid, serialize, symplectic, unitary  # noqa: E402
 
 __version__ = "0.1.0"

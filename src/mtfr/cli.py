@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 input/parameter error, 3 internal assertion
 failure, 4 verification failure.  Structured output is canonical JSON
 (17 significant digits, byte-identical across reruns); sweeps also write
-CSV, fields write the MTFR binary format.  MTFR_THREADS caps the BLAS/FFT
-thread pools when set before start-up.
+CSV, fields write the MTFR binary format.  MTFR_THREADS caps the BLAS/OpenMP
+thread pools; ``import mtfr`` applies it, before numpy loads.
 """
 
 from __future__ import annotations
@@ -13,33 +13,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
-
-
-def _cap_threads():
-    cap = os.environ.get("MTFR_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-def _atomic_write(path: str, data):
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _emit(obj, out_dir, name, to_stdout=True):
-    from .serialize import canonical_json
+    from .serialize import _atomic_write, canonical_json
 
     text = canonical_json(obj)
     if out_dir:
@@ -68,8 +45,6 @@ def _parse_grid(spec: str):
 
 
 def _load_symplectic(path: str):
-    import numpy as np
-
     from .errors import MtfrError
     from .serialize import matrix_from_obj
     from .symplectic import SymplecticMatrix, symplectic_defect
@@ -90,11 +65,29 @@ def _load_symplectic(path: str):
         raise SystemExit(2)
 
 
+def _load_certificate(path: str, alternative: str, command: str):
+    from .errors import MtfrError
+    from .serialize import certificate_from_obj
+
+    try:
+        cert = certificate_from_obj(_load_json(path))
+    except MtfrError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    if cert.alternative != alternative:
+        print(f"error: {command} needs an Alternative {alternative} certificate",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_factor(args) -> int:
+    import numpy as np
+
     from .serialize import (
         complex_matrix_to_obj,
         matrix_to_obj,
@@ -113,9 +106,7 @@ def cmd_factor(args) -> int:
             "U": complex_matrix_to_obj(pre.u),
         },
         "word": word_to_obj(word),
-        "reconstruction_error": float(
-            __import__("numpy").linalg.norm(word.matrix() - m.entries)
-        ),
+        "reconstruction_error": float(np.linalg.norm(word.matrix() - m.entries)),
     }
     _emit(obj, args.out, "factor.json")
     return 0
@@ -148,127 +139,29 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _cert_from_obj(obj):
-    import numpy as np
-
-    from .certify import AltIData, AltIIData, Certificate
-    from .serialize import (
-        complex_matrix_from_obj,
-        matrix_from_obj,
-        word_from_obj,
-    )
-    from .symplectic import PreIwasawa, SymplecticMatrix
-
-    inter = obj["intermediates"]
-    bold = SymplecticMatrix.from_array(matrix_from_obj(inter["bold_matrix"]))
-    d = int(obj["d"])
-    pre = PreIwasawa(
-        matrix_from_obj(inter["pre_iwasawa"]["Q"]),
-        matrix_from_obj(inter["pre_iwasawa"]["L"]),
-        complex_matrix_from_obj(inter["pre_iwasawa"]["U"]),
-    )
-    word_bold = word_from_obj(2 * d, inter["word_bold"])
-    if obj["alternative"] == "I":
-        alt1 = AltIData(
-            w=matrix_from_obj(obj["W"]),
-            v1=complex_matrix_from_obj(obj["V1"]),
-            v2=complex_matrix_from_obj(obj["V2"]),
-        )
-        return Certificate(
-            alternative="I",
-            d=d,
-            offdiag_norm=float(obj["offdiag_norm"]),
-            pre=pre,
-            bold=bold,
-            word_bold=word_bold,
-            alt1=alt1,
-            warnings=tuple(obj.get("warnings", ())),
-        )
-    alt2 = AltIIData(
-        tau=complex(obj["tau"]["re"], obj["tau"]["im"]),
-        k=int(obj["k"]),
-        p=matrix_from_obj(inter["P"]),
-        w1=matrix_from_obj(inter["W1"]),
-        gamma1=np.asarray(inter["Gamma1"], dtype=float),
-        w2=matrix_from_obj(inter["W2"]),
-        pi=matrix_from_obj(inter["Pi"]),
-        omega=matrix_from_obj(obj["Omega"]),
-        word_a=word_from_obj(d, obj["word_A"]),
-        word_b=word_from_obj(d, obj["word_B"]),
-        chirp_sign=str(inter.get("chirp_sign", "-P22")),
-    )
-    return Certificate(
-        alternative="II",
-        d=d,
-        offdiag_norm=float(obj["offdiag_norm"]),
-        pre=pre,
-        bold=bold,
-        word_bold=word_bold,
-        alt2=alt2,
-        warnings=tuple(obj.get("warnings", ())),
-    )
-
-
 def cmd_verify(args) -> int:
     import numpy as np
 
-    from .certify import verify_identity, verify_pair_identity
+    from .certify import verify_identity
     from .gaussian import random_gaussian
-    from .serialize import gaussian_from_obj, pair_certificate_from_obj
+    from .serialize import gaussian_from_obj
 
     if args.points <= 0:
         print("error: --points must be positive", file=sys.stderr)
         return 2
-    obj = _load_json(args.certificate)
+    cert = _load_certificate(args.certificate, "II", "verify")
     rng = np.random.default_rng(args.seed)
-
-    if obj.get("kind") == "pair":
-        cert = pair_certificate_from_obj(obj)
-        d = cert.d
-        if args.gaussians is not None:
-            f = gaussian_from_obj(_load_json(args.gaussians[0]))
-        else:
-            f = random_gaussian(d, rng)
-        pts = rng.uniform(-args.box, args.box, size=(args.points, 2 * d))
-        errs = [
-            verify_pair_identity(cert, f, pts[i : i + 1]) for i in range(args.points)
-        ]
-        err = max(errs)
-        if err > args.tol:
-            worst = pts[int(np.argmax(errs))]
-            print(f"FAIL max relative error {err:.3e} at lambda = {worst.tolist()}")
-            return 4
+    if args.gaussians is not None:
+        f, g = (gaussian_from_obj(_load_json(path)) for path in args.gaussians)
     else:
-        if obj.get("alternative") != "II":
-            print("error: verification needs an Alternative II or pair certificate",
-                  file=sys.stderr)
-            return 2
-        cert = _cert_from_obj(obj)
-        d = cert.d
-        if args.gaussians is not None:
-            f = gaussian_from_obj(_load_json(args.gaussians[0]))
-            g = gaussian_from_obj(_load_json(args.gaussians[1]))
-        else:
-            f = random_gaussian(d, rng)
-            g = random_gaussian(d, rng)
-        pts = rng.uniform(-args.box, args.box, size=(args.points, 2 * d))
-        errs = [
-            verify_identity(cert, f, g, pts[i : i + 1]) for i in range(args.points)
-        ]
-        err = max(errs)
-        worst = pts[int(np.argmax(errs))]
-        if err > args.tol:
-            print(
-                f"FAIL max relative error {err:.3e} at lambda = {worst.tolist()}",
-            )
-            return 4
-        print(f"PASS max relative error {err:.3e} over {args.points} points")
-        _emit({"max_relative_error": err, "points": args.points, "tol": args.tol},
-              args.out, "verify.json", to_stdout=False)
-        return 0
-
+        f = random_gaussian(cert.d, rng)
+        g = random_gaussian(cert.d, rng)
+    pts = rng.uniform(-args.box, args.box, size=(args.points, 2 * cert.d))
+    errs = [verify_identity(cert, f, g, pts[i : i + 1]) for i in range(args.points)]
+    err = max(errs)
     if err > args.tol:
-        print(f"FAIL max relative error {err:.3e}")
+        worst = pts[int(np.argmax(errs))]
+        print(f"FAIL max relative error {err:.3e} at lambda = {worst.tolist()}")
         return 4
     print(f"PASS max relative error {err:.3e} over {args.points} points")
     _emit({"max_relative_error": err, "points": args.points, "tol": args.tol},
@@ -298,21 +191,24 @@ def cmd_check(args) -> int:
         nazarov_bound,
     )
     from .errors import MtfrError
-    from .serialize import read_field, sweep_to_csv
+    from .serialize import _atomic_write, read_field, sweep_to_csv
 
     grid_spec = _parse_grid(args.grid)
-    radii = tuple(float(r) for r in args.radii.split(","))
+    try:
+        radii = tuple(float(r) for r in args.radii.split(","))
+        if not all(0.0 < r < np.inf for r in radii):
+            raise ValueError
+    except ValueError:
+        print(f"error: bad radii {args.radii!r} (expected e.g. 1,2,4,8)", file=sys.stderr)
+        return 2
     try:
         if args.field:
             field = read_field(args.field)
         else:
             field = _default_stft_field(grid_spec)
-    except MtfrError as exc:
+    except (OSError, MtfrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    pts_flat = field.mesh().reshape(-1, field.n)
-    vals_flat = np.abs(field.values).ravel()
 
     def evaluator(pts):
         # nearest-grid lookup for field-backed evaluators
@@ -354,7 +250,6 @@ def cmd_check(args) -> int:
         elif args.kind == "nazarov":
             from .gaussian import apply_partial_fourier, standard_gaussian
             from .grid import sample
-            from .symplectic import standard_j
 
             points, extent = grid_spec
             im_u = np.eye(1)
@@ -419,12 +314,7 @@ def cmd_counterexample(args) -> int:
     from .grid import field_l2, mass_outside
     from .serialize import write_field
 
-    obj = _load_json(args.certificate)
-    if obj.get("alternative") != "I":
-        print("error: counterexamples need an Alternative I certificate",
-              file=sys.stderr)
-        return 2
-    cert = _cert_from_obj(obj)
+    cert = _load_certificate(args.certificate, "I", "counterexample")
     points, extent = _parse_grid(args.grid)
     if points[0] < 128:
         print(f"warning: {points[0]} points per axis is coarse; "
@@ -485,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the reduction identity of a certificate")
     p.add_argument("certificate", help="certificate JSON")
-    p.add_argument("--gaussians", nargs="+", default=None,
-                   help="Gaussian JSON inputs (f [g]); default random")
+    p.add_argument("--gaussians", nargs=2, default=None, metavar=("F", "G"),
+                   help="Gaussian JSON inputs f and g; default random")
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", type=float, default=3.0, help="sample box half-width")
@@ -527,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -3,23 +3,28 @@
 JSON output is rendered by a small canonical writer with floats fixed to
 17 significant digits, so identical inputs produce byte-identical files.
 Fields travel as little-endian binary: magic "MTFR", version u32, n u32,
-per-axis (points u64, extent f64), then interleaved (re, im) f64.
+per-axis (points u64, extent f64), then interleaved (re, im) f64.  Files
+are written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .grid import SampledField
+from .certify import AltIData, AltIIData, Certificate
+from .errors import DimensionMismatch, GridTooLarge, MtfrError
+from .grid import MAX_ELEMENTS, SampledField
 from .gaussian import GeneralizedGaussian
 from .symplectic import (
     Chirp,
     Dilation,
     GeneratorWord,
     PartialFourier,
+    PreIwasawa,
     SymplecticMatrix,
 )
 
@@ -37,11 +42,9 @@ __all__ = [
     "gaussian_to_obj",
     "gaussian_from_obj",
     "certificate_to_obj",
-    "pair_certificate_to_obj",
-    "pair_certificate_from_obj",
+    "certificate_from_obj",
     "write_field",
     "read_field",
-    "field_to_csv",
     "sweep_to_csv",
 ]
 
@@ -214,98 +217,119 @@ def certificate_to_obj(cert) -> dict:
     return obj
 
 
-def pair_certificate_to_obj(pc) -> dict:
-    return {
-        "kind": "pair",
-        "d": pc.d,
-        "k": pc.k,
-        "V": complex_matrix_to_obj(pc.v),
-        "Omega": matrix_to_obj(pc.omega),
-        "word_B": word_to_obj(pc.word_b),
-        "sigma": {
-            "re": list(map(float, pc.sigma.real)),
-            "im": list(map(float, pc.sigma.imag)),
-        },
-        "W1": matrix_to_obj(pc.w1),
-        "W2": matrix_to_obj(pc.w2),
-    }
-
-
-def pair_certificate_from_obj(obj):
-    from .certify import PairCertificate
-
-    d = int(obj["d"])
-    sigma = np.asarray(obj["sigma"]["re"], dtype=float) + 1j * np.asarray(
-        obj["sigma"]["im"], dtype=float
-    )
-    return PairCertificate(
-        v=complex_matrix_from_obj(obj["V"]),
-        d=d,
-        k=int(obj["k"]),
-        omega=matrix_from_obj({"rows": obj["Omega"]["rows"]}),
-        word_b=word_from_obj(d, obj["word_B"]),
-        sigma=sigma,
-        w1=matrix_from_obj(obj["W1"]),
-        w2=matrix_from_obj(obj["W2"]),
-    )
+def certificate_from_obj(obj) -> Certificate:
+    """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`."""
+    try:
+        inter = obj["intermediates"]
+        d = int(obj["d"])
+        alternative = obj["alternative"]
+        alt1 = alt2 = None
+        if alternative == "I":
+            alt1 = AltIData(
+                w=matrix_from_obj(obj["W"]),
+                v1=complex_matrix_from_obj(obj["V1"]),
+                v2=complex_matrix_from_obj(obj["V2"]),
+            )
+        elif alternative == "II":
+            alt2 = AltIIData(
+                tau=complex(obj["tau"]["re"], obj["tau"]["im"]),
+                k=int(obj["k"]),
+                p=matrix_from_obj(inter["P"]),
+                w1=matrix_from_obj(inter["W1"]),
+                gamma1=np.asarray(inter["Gamma1"], dtype=float),
+                w2=matrix_from_obj(inter["W2"]),
+                pi=matrix_from_obj(inter["Pi"]),
+                omega=matrix_from_obj(obj["Omega"]),
+                word_a=word_from_obj(d, obj["word_A"]),
+                word_b=word_from_obj(d, obj["word_B"]),
+                chirp_sign=str(inter.get("chirp_sign", "-P22")),
+            )
+        else:
+            raise MtfrError(f"unknown certificate alternative {alternative!r}")
+        pre = inter["pre_iwasawa"]
+        return Certificate(
+            alternative=alternative,
+            d=d,
+            offdiag_norm=float(obj["offdiag_norm"]),
+            pre=PreIwasawa(
+                matrix_from_obj(pre["Q"]),
+                matrix_from_obj(pre["L"]),
+                complex_matrix_from_obj(pre["U"]),
+            ),
+            bold=SymplecticMatrix.from_array(matrix_from_obj(inter["bold_matrix"])),
+            word_bold=word_from_obj(2 * d, inter["word_bold"]),
+            alt1=alt1,
+            alt2=alt2,
+            warnings=tuple(obj.get("warnings", ())),
+        )
+    except KeyError as exc:
+        raise MtfrError(f"malformed certificate: missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise MtfrError(f"malformed certificate: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# binary fields and CSV
+# files, binary fields and CSV
+
+
+def _atomic_write(path, *chunks):
+    """Write str or bytes chunks to a temporary file, then rename it over path.
+
+    The temporary file is created by plain ``open`` next to path, so the
+    result gets the usual umask permissions.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    mode = "w" if isinstance(chunks[0], str) else "wb"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_field(field: SampledField, path):
-    with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(struct.pack("<II", FIELD_VERSION, field.n))
-        for a in range(field.n):
-            fh.write(struct.pack("<Qd", field.points[a], field.extents[a]))
-        inter = np.empty(field.values.size * 2, dtype="<f8")
-        inter[0::2] = field.values.real.ravel()
-        inter[1::2] = field.values.imag.ravel()
-        fh.write(inter.tobytes())
+    header = [FIELD_MAGIC, struct.pack("<II", FIELD_VERSION, field.n)]
+    for a in range(field.n):
+        header.append(struct.pack("<Qd", field.points[a], field.extents[a]))
+    inter = np.empty(field.values.size * 2, dtype="<f8")
+    inter[0::2] = field.values.real.ravel()
+    inter[1::2] = field.values.imag.ravel()
+    _atomic_write(path, b"".join(header), inter)
 
 
 def read_field(path) -> SampledField:
+    """Read an MTFR field, checking the header against the file size before allocating."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != FIELD_MAGIC:
-            raise DimensionMismatch(f"bad field magic {magic!r}")
-        version, n = struct.unpack("<II", fh.read(8))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != FIELD_MAGIC:
+            raise DimensionMismatch(f"bad field magic {head[:4]!r}")
+        version, n = struct.unpack("<II", head[4:])
         if version != FIELD_VERSION:
             raise DimensionMismatch(f"unsupported field version {version}")
+        payload = size - 12 - 16 * n  # each axis header and each value take 16 bytes
+        if payload < 0:
+            raise DimensionMismatch(f"field header for {n} axes is truncated")
         points, extents = [], []
         for _ in range(n):
             p, t = struct.unpack("<Qd", fh.read(16))
             points.append(int(p))
             extents.append(float(t))
-        count = int(np.prod(points)) * 2
-        inter = np.frombuffer(fh.read(count * 8), dtype="<f8")
+        count = math.prod(points)
+        if count > MAX_ELEMENTS:
+            raise GridTooLarge(f"field of {count} values exceeds {MAX_ELEMENTS}")
+        if payload != 16 * count:
+            raise DimensionMismatch(
+                f"field payload is {payload} bytes; its header needs {16 * count}"
+            )
+        inter = np.frombuffer(fh.read(payload), dtype="<f8")
         values = (inter[0::2] + 1j * inter[1::2]).reshape(points)
     return SampledField(values, tuple(extents))
-
-
-def field_to_csv(field: SampledField) -> str:
-    """CSV export for 1-D and 2-D fields: coordinates, re, im."""
-    if field.n == 1:
-        lines = ["t,re,im"]
-        t = field.coords(0)
-        for j in range(field.points[0]):
-            v = field.values[j]
-            lines.append(f"{_fmt_float(t[j])},{_fmt_float(v.real)},{_fmt_float(v.imag)}")
-        return "\n".join(lines) + "\n"
-    if field.n == 2:
-        lines = ["t0,t1,re,im"]
-        t0, t1 = field.coords(0), field.coords(1)
-        for j in range(field.points[0]):
-            for k in range(field.points[1]):
-                v = field.values[j, k]
-                lines.append(
-                    f"{_fmt_float(t0[j])},{_fmt_float(t1[k])},"
-                    f"{_fmt_float(v.real)},{_fmt_float(v.imag)}"
-                )
-        return "\n".join(lines) + "\n"
-    raise DimensionMismatch("CSV export supports 1-D and 2-D fields")
 
 
 def sweep_to_csv(report) -> str:

@@ -34,7 +34,6 @@ TOL_SYMPL = 1e-10
 TOL_SYM = 1e-12
 TOL_UNIT = 1e-10
 TOL_INV = 1e-8
-TOL_RECON = 1e-9
 
 __all__ = [
     "Chirp",
@@ -50,7 +49,6 @@ __all__ = [
     "make_rotation",
     "pre_iwasawa",
     "free_factorize",
-    "select_tau",
     "select_tau_balanced",
     "rotation_word",
     "factor_to_word",
@@ -394,26 +392,6 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
         Chirp(q_right),
     )
     return GeneratorWord(n, letters)
-
-
-def select_tau(u: np.ndarray, m: int = 64) -> complex:
-    """Unit-modulus tau maximizing the smallest singular value of Im(tau U).
-
-    Scans tau = exp(i pi j / m); only finitely many tau give a singular
-    imaginary part, so the scan succeeds generically.  The resolution is
-    doubled once before giving up.
-    """
-    u = assert_unitary(u, what="select_tau")
-    for resolution in (m, 2 * m):
-        best_tau, best_val = None, -np.inf
-        for j in range(resolution):
-            tau = np.exp(1j * np.pi * j / resolution)
-            smin = np.linalg.svd((tau * u).imag, compute_uv=False)[-1]
-            if smin > best_val:
-                best_tau, best_val = tau, smin
-        if best_val > TOL_INV:
-            return best_tau
-    raise NoTauFound("no tau with invertible Im(tau U) found in the scan")
 
 
 def select_tau_balanced(u: np.ndarray, m: int = 64) -> complex:

@@ -21,9 +21,8 @@ from .errors import (
     RealnessFailure,
     TrailingNotReal,
 )
-from .symplectic import assert_unitary
+from .symplectic import TOL_UNIT, assert_unitary
 
-TOL_UNIT = 1e-10
 TOL_RECON = 1e-9
 CLUSTER_TOL = 1e-8
 

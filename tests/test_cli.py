@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import types
 
 import numpy as np
 import pytest
 
+import mtfr
 from mtfr.cli import main
-from mtfr.serialize import canonical_json, matrix_to_obj
+from mtfr.gaussian import standard_gaussian
+from mtfr.grid import sample
+from mtfr.serialize import canonical_json, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
 
@@ -75,13 +83,29 @@ class TestClassify:
     def test_odd_half_dimension_exit_2(self, j_matrix):
         assert main(["classify", j_matrix]) == 2
 
-    def test_deterministic_bytes(self, alt2_matrix, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["classify", alt2_matrix, "--out", str(out1)])
-        main(["classify", alt2_matrix, "--out", str(out2)])
-        assert (out1 / "certificate.json").read_bytes() == (
-            out2 / "certificate.json"
-        ).read_bytes()
+    def test_deterministic_bytes(self, alt1_matrix, alt2_matrix, tmp_path, capsys):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            for argv in (
+                ["factor", alt2_matrix, "--out", str(out / "f")],
+                ["classify", alt2_matrix, "--out", str(out / "c2")],
+                ["classify", alt1_matrix, "--out", str(out / "c1")],
+                ["verify", str(out / "c2" / "certificate.json"), "--points", "20",
+                 "--seed", "7", "--out", str(out / "v")],
+                ["counterexample", str(out / "c1" / "certificate.json"),
+                 "--out", str(out / "cx")],
+                ["check", "beurling", "--field", str(out / "cx" / "tfr.bin"),
+                 "--resolution", "128", "--out", str(out / "chb")],
+                ["check", "hardy", "--out", str(out / "chh")],
+            ):
+                assert main(argv) == 0, argv
+            runs.append({
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()
+            })
+        assert len(runs[0]) == 11
+        assert runs[0] == runs[1]
 
 
 class TestVerify:
@@ -112,16 +136,6 @@ class TestVerify:
         out = tmp_path / "c1"
         main(["classify", alt1_matrix, "--out", str(out)])
         assert main(["verify", str(out / "certificate.json")]) == 2
-
-    def test_pair_certificate(self, tmp_path, capsys):
-        from mtfr.certify import pair_to_partial
-        from mtfr.serialize import pair_certificate_to_obj
-
-        pc = pair_to_partial(np.array([[np.exp(1j * np.pi / 3)]]))
-        path = tmp_path / "pair.json"
-        path.write_text(canonical_json(pair_certificate_to_obj(pc)))
-        assert main(["verify", str(path), "--points", "20", "--tol", "1e-8"]) == 0
-        assert "PASS" in capsys.readouterr().out
 
 
 class TestCheck:
@@ -187,3 +201,77 @@ class TestCounterexample:
         captured = capsys.readouterr()
         assert "coarse" in captured.err
         assert code in (0, 4)  # coarse grids may exceed the mass budget
+
+
+def _run_python(argv, env=None):
+    """Run a fresh interpreter on argv, with this checkout's mtfr importable."""
+    src = os.path.dirname(os.path.dirname(mtfr.__file__))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        field = tmp_path / "field.bin"
+        write_field(sample(standard_gaussian(1), (64,), (8.0,)), field)
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(field.read_bytes()[:-16])
+        paths = {"truncated": str(truncated), "missing": str(tmp_path / "missing.bin")}
+        for alt in ("I", "II"):
+            cert = tmp_path / f"cert{alt}.json"
+            cert.write_text(f'{{"alternative": "{alt}", "d": 1}}')
+            paths[f"cert{alt}"] = str(cert)
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "hardy", "--field", "{truncated}"],
+            ["check", "beurling", "--radii", "1,x"],
+            ["check", "beurling", "--radii", "1,nan"],
+            ["check", "hardy", "--field", "{missing}"],
+            ["verify", "{certII}"],
+            ["counterexample", "{certI}"],
+        ],
+        ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
+             "verify-cert", "cx-cert"],
+    )
+    def test_exit_2_with_one_line(self, inputs, argv):
+        proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
+class TestPackage:
+    THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_thread_cap_is_set_before_numpy_loads(self):
+        # a meta-path finder records the caps at the moment numpy is first imported
+        probe = textwrap.dedent(f"""
+            import json, os, sys
+            seen = []
+            class Spy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append({{v: os.environ.get(v) for v in {self.THREAD_VARS!r}}})
+            sys.meta_path.insert(0, Spy())
+            import mtfr.cli
+            print(json.dumps(seen[0]))
+        """)
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        env["MTFR_THREADS"] = "1"
+        proc = _run_python(["-c", probe], env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {v: "1" for v in self.THREAD_VARS}
+
+    def test_submodules_are_not_shadowed(self):
+        import mtfr.certify as C
+
+        assert isinstance(C, types.ModuleType)
+        assert callable(C.certify)

@@ -1,13 +1,17 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from mtfr.certify import alt2_certificate, certify, pair_to_partial
+from mtfr.certify import alt2_certificate, certify
+from mtfr.errors import DimensionMismatch, GridTooLarge, MtfrError
 from mtfr.gaussian import random_gaussian
 from mtfr.grid import SampledField, sample
 from mtfr.serialize import (
     canonical_json,
+    certificate_from_obj,
     certificate_to_obj,
     complex_matrix_from_obj,
     complex_matrix_to_obj,
@@ -15,8 +19,6 @@ from mtfr.serialize import (
     gaussian_to_obj,
     matrix_from_obj,
     matrix_to_obj,
-    pair_certificate_from_obj,
-    pair_certificate_to_obj,
     read_field,
     sweep_to_csv,
     word_from_obj,
@@ -83,12 +85,35 @@ def test_certificate_objects(rng):
     assert "V1" in obj1
 
 
-def test_pair_certificate_round_trip(rng):
-    pc = pair_to_partial(haar_unitary(2, rng))
-    obj = json.loads(canonical_json(pair_certificate_to_obj(pc)))
-    back = pair_certificate_from_obj(obj)
-    np.testing.assert_allclose(back.omega, pc.omega, atol=1e-15)
-    assert back.k == pc.k
+@pytest.mark.parametrize(
+    "bold",
+    [
+        make_rotation(1j * np.eye(2)),
+        make_rotation((1.0 / np.sqrt(2.0)) * np.array([[1.0, 1j], [1j, 1.0]])),
+        random_symplectic(4, 6, seed=11),
+    ],
+    ids=["alt1", "alt2", "alt2-d2-random"],
+)
+def test_certificate_round_trip_bytes(bold):
+    obj = json.loads(canonical_json(certificate_to_obj(certify(bold))))
+    # the reference is the parsed object re-rendered: JSON reads "-0" as the integer 0
+    text = canonical_json(obj)
+    back = certificate_from_obj(obj)
+    assert canonical_json(certificate_to_obj(back)) == text
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"alternative": "II", "d": 1},
+        {"alternative": "III", "d": 1, "intermediates": {}},
+        [1, 2],
+        "certificate",
+    ],
+)
+def test_certificate_from_obj_malformed(obj):
+    with pytest.raises(MtfrError):
+        certificate_from_obj(obj)
 
 
 def test_field_binary_round_trip(tmp_path, rng):
@@ -101,19 +126,25 @@ def test_field_binary_round_trip(tmp_path, rng):
     assert back.extents == f.extents
     header = path.read_bytes()[:4]
     assert header == b"MTFR"
+    assert [p.name for p in tmp_path.iterdir()] == ["field.bin"]  # no temp file left
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
-def test_field_csv_export(rng):
-    from mtfr.serialize import field_to_csv
-
-    f1 = sample(random_gaussian(1, rng), (16,), (8.0,))
-    text = field_to_csv(f1)
-    assert text.startswith("t,re,im")
-    assert len(text.strip().split("\n")) == 17
-    f2 = sample(random_gaussian(2, rng), (8, 8), (8.0, 8.0))
-    text2 = field_to_csv(f2)
-    assert text2.startswith("t0,t1,re,im")
-    assert len(text2.strip().split("\n")) == 65
+def test_field_binary_is_checked_before_use(tmp_path, rng):
+    path = tmp_path / "field.bin"
+    write_field(sample(random_gaussian(1, rng), (16,), (8.0,)), path)
+    data = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in (data[:-8], data + b"\0" * 16, data[:10], b"XXXX" + data[4:]):
+        bad.write_bytes(cut)
+        with pytest.raises(DimensionMismatch):
+            read_field(bad)
+    # 2^27 points per axis in the header: refused without allocating
+    bad.write_bytes(data[:12] + (2**27).to_bytes(8, "little") + data[20:])
+    with pytest.raises(GridTooLarge):
+        read_field(bad)
 
 
 def test_sweep_csv():

@@ -20,7 +20,6 @@ from mtfr.symplectic import (
     random_symplectic,
     random_word,
     rotation_word,
-    select_tau,
     select_tau_balanced,
     standard_j,
     symplectic_defect,
@@ -200,26 +199,9 @@ class TestFreeFactorize:
 
 
 class TestSelectTau:
-    def test_identity_input(self):
-        tau = select_tau(np.eye(2))
-        assert abs(abs(tau) - 1.0) < 1e-14
-        smin = np.linalg.svd((tau * np.eye(2)).imag, compute_uv=False)[-1]
-        np.testing.assert_allclose(smin, 1.0, atol=1e-12)
-
     def test_i_identity_input(self):
         tau = select_tau_balanced(1j * np.eye(3))
         assert abs(tau - 1.0) < 1e-14
-
-    def test_beats_median_of_scan(self, rng):
-        u = haar_unitary(3, rng)
-        tau = select_tau(u)
-        chosen = np.linalg.svd((tau * u).imag, compute_uv=False)[-1]
-        scan = [
-            np.linalg.svd((np.exp(1j * np.pi * j / 64) * u).imag, compute_uv=False)[-1]
-            for j in range(64)
-        ]
-        assert chosen >= np.median(scan)
-        assert chosen >= max(scan) - 1e-12
 
 
 class TestFactorToWord:
