@@ -1,18 +1,28 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input/parameter error, 3 internal assertion
-failure, 4 verification failure.  Structured output is canonical JSON
-(17 significant digits, byte-identical across reruns); sweeps also write
-CSV, fields write the MTFR binary format.  MTFR_THREADS caps the BLAS/OpenMP
-thread pools; ``import mtfr`` applies it, before numpy loads.
+failure, 4 verification failure.  The parser and the codecs check input
+and raise `MtfrError`; commands only raise, and `main` alone maps an
+error to its exit code and one stderr line.  Structured output is
+canonical JSON (17 significant digits, byte-identical across reruns);
+sweeps also write CSV, fields write the MTFR binary format.  MTFR_THREADS
+caps the BLAS/OpenMP thread pools; ``import mtfr`` applies it, before
+numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+from .certify import TOL_BLK
+from .errors import MtfrError, NotSymplectic, NumericalFailure, RankZero, RealnessFailure
+
+# library failures of a numerical assertion, not of the input: exit 3
+_ASSERTION_ERRORS = (NumericalFailure, RankZero, RealnessFailure, AssertionError)
 
 
 def _emit(obj, out_dir, name, to_stdout=True):
@@ -29,55 +39,29 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _parse_grid(spec: str):
-    try:
-        pts, extent = spec.split("@")
-        points = tuple(int(p) for p in pts.replace("×", "x").split("x"))
-        return points, float(extent)
-    except ValueError:
-        print(f"error: bad grid spec {spec!r} (expected e.g. 256x256@16)", file=sys.stderr)
-        raise SystemExit(2)
+    except (OSError, ValueError) as exc:
+        raise MtfrError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_symplectic(path: str):
-    from .errors import MtfrError
     from .serialize import matrix_from_obj
     from .symplectic import SymplecticMatrix, symplectic_defect
 
-    obj = _load_json(path)
-    try:
-        rows = matrix_from_obj(obj)
-    except (KeyError, ValueError, MtfrError) as exc:
-        print(f"error: malformed matrix JSON: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    rows = matrix_from_obj(_load_json(path))
     try:
         return SymplecticMatrix.from_array(rows)
-    except MtfrError:
-        print(
-            f"error: input is not symplectic (residual {symplectic_defect(rows):.3e})",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    except NotSymplectic as exc:
+        raise MtfrError(
+            f"input is not symplectic (residual {symplectic_defect(rows):.3e})"
+        ) from exc
 
 
 def _load_certificate(path: str, alternative: str, command: str):
-    from .errors import MtfrError
     from .serialize import certificate_from_obj
 
-    try:
-        cert = certificate_from_obj(_load_json(path))
-    except MtfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    cert = certificate_from_obj(_load_json(path))
     if cert.alternative != alternative:
-        print(f"error: {command} needs an Alternative {alternative} certificate",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise MtfrError(f"{command} needs an Alternative {alternative} certificate")
     return cert
 
 
@@ -113,26 +97,10 @@ def cmd_factor(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .certify import TOL_BLK, certify
-    from .errors import MtfrError, NumericalFailure, RankZero, RealnessFailure
+    from .certify import certify
     from .serialize import certificate_to_obj
 
-    bold = _load_symplectic(args.matrix)
-    if bold.n % 2:
-        print("error: half-dimension must be even for classification", file=sys.stderr)
-        return 2
-    tol_blk = args.tol_blk if args.tol_blk is not None else TOL_BLK
-    if tol_blk <= 0:
-        print("error: --tol-blk must be positive", file=sys.stderr)
-        return 2
-    try:
-        cert = certify(bold, tol_blk=tol_blk)
-    except (NumericalFailure, RankZero, RealnessFailure) as exc:
-        print(f"certification assertion failed: {exc}", file=sys.stderr)
-        return 3
-    except MtfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cert = certify(_load_symplectic(args.matrix), tol_blk=args.tol_blk)
     for note in cert.warnings:
         print(f"warning: {note}", file=sys.stderr)
     _emit(certificate_to_obj(cert), args.out, "certificate.json")
@@ -146,9 +114,6 @@ def cmd_verify(args) -> int:
     from .gaussian import random_gaussian
     from .serialize import gaussian_from_obj
 
-    if args.points <= 0:
-        print("error: --points must be positive", file=sys.stderr)
-        return 2
     cert = _load_certificate(args.certificate, "II", "verify")
     rng = np.random.default_rng(args.seed)
     if args.gaussians is not None:
@@ -190,25 +155,9 @@ def cmd_check(args) -> int:
         mean_width,
         nazarov_bound,
     )
-    from .errors import MtfrError
     from .serialize import _atomic_write, read_field, sweep_to_csv
 
-    grid_spec = _parse_grid(args.grid)
-    try:
-        radii = tuple(float(r) for r in args.radii.split(","))
-        if not all(0.0 < r < np.inf for r in radii):
-            raise ValueError
-    except ValueError:
-        print(f"error: bad radii {args.radii!r} (expected e.g. 1,2,4,8)", file=sys.stderr)
-        return 2
-    try:
-        if args.field:
-            field = read_field(args.field)
-        else:
-            field = _default_stft_field(grid_spec)
-    except (OSError, MtfrError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    field = read_field(args.field) if args.field else _default_stft_field(args.grid)
 
     def evaluator(pts):
         # nearest-grid lookup for field-backed evaluators
@@ -218,73 +167,58 @@ def cmd_check(args) -> int:
             idx.append(np.clip(j, 0, field.points[a] - 1))
         return np.abs(field.values[tuple(idx)])
 
-    try:
-        if args.kind == "hardy":
-            fit = hardy_fit_field(field, rmin=args.rmin, rmax=args.rmax)
-            obj = {
-                "condition": "hardy",
-                "alpha_hat": fit.alpha,
-                "N_hat": fit.n_hat,
-                "log_c": fit.log_c,
-                "residual": fit.residual,
-            }
-            _emit(obj, args.out, "report.json")
-            return 0
-        if args.kind == "beurling":
-            d = field.n // 2
-            m = np.zeros((field.n, field.n))
-            m[:d, d:] = 0.5 * np.eye(d)
-            m[d:, :d] = 0.5 * np.eye(d)
-            report = beurling_sweep(
-                evaluator, m, args.n_exponent, radii, dim=field.n,
-                resolution=args.resolution,
-            )
-        elif args.kind == "gs":
-            if args.p <= 1.0:
-                print("error: need p > 1", file=sys.stderr)
-                return 2
-            report = gelfand_shilov_sweep(
-                evaluator, args.p, args.alpha, args.beta, radii, dim=field.n,
-                resolution=args.resolution,
-            )
-        elif args.kind == "nazarov":
-            from .gaussian import apply_partial_fourier, standard_gaussian
-            from .grid import sample
+    if args.kind == "hardy":
+        fit = hardy_fit_field(field, rmin=args.rmin, rmax=args.rmax)
+        obj = {
+            "condition": "hardy",
+            "alpha_hat": fit.alpha,
+            "N_hat": fit.n_hat,
+            "log_c": fit.log_c,
+            "residual": fit.residual,
+        }
+        _emit(obj, args.out, "report.json")
+        return 0
+    if args.kind == "nazarov":
+        from .gaussian import apply_partial_fourier, standard_gaussian
+        from .grid import sample
 
-            points, extent = grid_spec
-            im_u = np.eye(1)
-            if abs(args.imu) <= 1e-12:
-                print("error: Im(U) singular: the Nazarov hypothesis fails",
-                      file=sys.stderr)
-                return 2
-            phi = standard_gaussian(1)
-            f1 = sample(phi, (points[0],), (extent,))
-            f2 = sample(apply_partial_fourier(phi, (0,)), (points[0],), (extent,))
-            s_shape = Box((0.0,), (args.s_halfwidth,))
-            t_shape = Box((0.0,), (args.t_halfwidth,))
-            rep = nazarov_bound(
-                f1, f2, s_shape, t_shape, np.eye(1), np.eye(1),
-                args.imu * im_u, c=args.constant,
-            )
-            obj = {
-                "condition": "nazarov",
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "ratio": rep.ratio,
-                "nc": rep.nc,
-                "calibration_c0": rep.calibration_c0,
-                "complement_s": rep.complement_s,
-                "complement_t": rep.complement_t,
-                "ball_width_check": mean_width(Ball((0.0,), 1.0))[0],
-            }
-            _emit(obj, args.out, "report.json")
-            return 0
-        else:
-            print(f"error: unknown check kind {args.kind}", file=sys.stderr)
-            return 2
-    except MtfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        points, extent = args.grid
+        phi = standard_gaussian(1)
+        f1 = sample(phi, (points[0],), (extent,))
+        f2 = sample(apply_partial_fourier(phi, (0,)), (points[0],), (extent,))
+        s_shape = Box((0.0,), (args.s_halfwidth,))
+        t_shape = Box((0.0,), (args.t_halfwidth,))
+        rep = nazarov_bound(
+            f1, f2, s_shape, t_shape, np.eye(1), np.eye(1),
+            args.imu * np.eye(1), c=args.constant,
+        )
+        obj = {
+            "condition": "nazarov",
+            "lhs": rep.lhs,
+            "rhs": rep.rhs,
+            "ratio": rep.ratio,
+            "nc": rep.nc,
+            "calibration_c0": rep.calibration_c0,
+            "complement_s": rep.complement_s,
+            "complement_t": rep.complement_t,
+            "ball_width_check": mean_width(Ball((0.0,), 1.0))[0],
+        }
+        _emit(obj, args.out, "report.json")
+        return 0
+    if args.kind == "beurling":
+        d = field.n // 2
+        m = np.zeros((field.n, field.n))
+        m[:d, d:] = 0.5 * np.eye(d)
+        m[d:, :d] = 0.5 * np.eye(d)
+        report = beurling_sweep(
+            evaluator, m, args.n_exponent, args.radii, dim=field.n,
+            resolution=args.resolution,
+        )
+    else:
+        report = gelfand_shilov_sweep(
+            evaluator, args.p, args.alpha, args.beta, args.radii, dim=field.n,
+            resolution=args.resolution,
+        )
 
     obj = {
         "condition": report.condition,
@@ -310,24 +244,19 @@ def cmd_counterexample(args) -> int:
     import numpy as np
 
     from .certify import alt1_tfr_tensor, counterexample_alt1
-    from .errors import MtfrError
     from .grid import field_l2, mass_outside
     from .serialize import write_field
 
     cert = _load_certificate(args.certificate, "I", "counterexample")
-    points, extent = _parse_grid(args.grid)
+    points, extent = args.grid
     if points[0] < 128:
         print(f"warning: {points[0]} points per axis is coarse; "
               "expect larger discretization error", file=sys.stderr)
-    try:
-        cx = counterexample_alt1(
-            cert, bump_box=(-args.bump_halfwidth, args.bump_halfwidth),
-            points=points[0], extent=extent,
-        )
-        tfr = alt1_tfr_tensor(cx)
-    except MtfrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cx = counterexample_alt1(
+        cert, bump_box=(-args.bump_halfwidth, args.bump_halfwidth),
+        points=points[0], extent=extent,
+    )
+    tfr = alt1_tfr_tensor(cx)
     lo = np.full(2, -args.bump_halfwidth)
     hi = np.full(2, args.bump_halfwidth)
     mass = mass_outside(tfr, (lo, hi))
@@ -351,10 +280,54 @@ def cmd_counterexample(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# flag values, checked while parsing
+
+
+def _flag(parse, expected):
+    """An argparse ``type=`` that reports any ValueError of parse as one line."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+    return convert
+
+
+def _finite(value, low=-math.inf):
+    """value itself when it is finite and above low."""
+    if not low < value < math.inf:
+        raise ValueError(value)
+    return value
+
+
+def _grid_spec(spec):
+    pts, extent = spec.split("@")
+    points = tuple(_finite(int(p), 0) for p in pts.replace("×", "x").split("x"))
+    return points, _finite(float(extent), 0.0)
+
+
+_COUNT = _flag(lambda text: _finite(int(text), 0), "a positive integer")
+_SEED = _flag(lambda text: _finite(int(text), -1), "a non-negative integer")
+_FLOAT = _flag(lambda text: _finite(float(text)), "a finite number")
+_POSITIVE = _flag(lambda text: _finite(float(text), 0.0), "a finite positive number")
+_GRID = _flag(_grid_spec, "a grid spec such as 256x256@16")
+_RADII = _flag(
+    lambda text: tuple(_finite(float(r), 0.0) for r in text.split(",")),
+    "finite positive radii such as 1,2,4,8",
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as `MtfrError`, so `main` gives it exit 2."""
+
+    def error(self, message):
+        raise MtfrError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtfr",
         description="Symplectic factorizations, time-frequency representation "
         "certificates, and uncertainty-principle checks",
@@ -368,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="Alternative I/II certificate")
     p.add_argument("matrix", help="symplectic matrix JSON (doubled dimension)")
-    p.add_argument("--tol-blk", type=float, default=None,
+    p.add_argument("--tol-blk", type=_POSITIVE, default=TOL_BLK,
                    help="block-diagonality tolerance (default 1e-8)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_classify)
@@ -377,29 +350,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", help="certificate JSON")
     p.add_argument("--gaussians", nargs=2, default=None, metavar=("F", "G"),
                    help="Gaussian JSON inputs f and g; default random")
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--box", type=float, default=3.0, help="sample box half-width")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--points", type=_COUNT, default=100)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--box", type=_POSITIVE, default=3.0, help="sample box half-width")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="uncertainty-principle condition sweeps")
     p.add_argument("kind", choices=["beurling", "hardy", "gs", "nazarov"])
     p.add_argument("--field", default=None, help="MTFR binary field input")
-    p.add_argument("--grid", default="256@16", help="grid spec points[x...]@extent")
-    p.add_argument("--radii", default="1,2,4,8")
-    p.add_argument("--resolution", type=int, default=512)
-    p.add_argument("--n-exponent", type=float, default=0.0)
-    p.add_argument("--rmin", type=float, default=1.5)
-    p.add_argument("--rmax", type=float, default=4.0)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--beta", type=float, default=1.5)
-    p.add_argument("--s-halfwidth", type=float, default=2.0)
-    p.add_argument("--t-halfwidth", type=float, default=2.0)
-    p.add_argument("--imu", type=float, default=1.0, help="Im(U) scalar (d = 1)")
-    p.add_argument("--constant", type=float, default=1.0, help="Nazarov constant C")
+    p.add_argument("--grid", type=_GRID, default="256@16",
+                   help="grid spec points[x...]@extent")
+    p.add_argument("--radii", type=_RADII, default="1,2,4,8")
+    p.add_argument("--resolution", type=_COUNT, default=512)
+    p.add_argument("--n-exponent", type=_FLOAT, default=0.0)
+    p.add_argument("--rmin", type=_FLOAT, default=1.5)
+    p.add_argument("--rmax", type=_FLOAT, default=4.0)
+    p.add_argument("--p", type=_FLOAT, default=2.0)
+    p.add_argument("--alpha", type=_FLOAT, default=1.5)
+    p.add_argument("--beta", type=_FLOAT, default=1.5)
+    p.add_argument("--s-halfwidth", type=_FLOAT, default=2.0)
+    p.add_argument("--t-halfwidth", type=_FLOAT, default=2.0)
+    p.add_argument("--imu", type=_FLOAT, default=1.0, help="Im(U) scalar (d = 1)")
+    p.add_argument("--constant", type=_FLOAT, default=1.0, help="Nazarov constant C")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
@@ -407,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="compactly supported pair for an Alternative I certificate")
     p.add_argument("certificate")
-    p.add_argument("--grid", default="256@16")
-    p.add_argument("--bump-halfwidth", type=float, default=2.0)
+    p.add_argument("--grid", type=_GRID, default="256@16")
+    p.add_argument("--bump-halfwidth", type=_POSITIVE, default=2.0)
     p.add_argument("--format", choices=["json", "bin", "both"], default="both")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_counterexample)
@@ -417,14 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; every failure becomes an exit code and one stderr line."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except AssertionError as exc:
-        print(f"internal assertion: {exc}", file=sys.stderr)
+    except _ASSERTION_ERRORS as exc:
+        print(f"assertion failed: {exc}", file=sys.stderr)
         return 3
+    except (MtfrError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -230,9 +230,6 @@ def apply_letter_grid(field: SampledField, letter) -> SampledField:
     if isinstance(letter, Dilation):
         if letter.n != field.n:
             raise DimensionMismatch("dilation size does not match field")
-        if field.n == 1:
-            out = _resample_axis(field.values, 0, field.extents[0], float(letter.l[0, 0]))
-            return SampledField(out, field.extents)
         rows, diag = _monomial_decompose(letter.l)
         values = field.values
         for ax in range(field.n):
@@ -490,19 +487,12 @@ def weighted_truncated_integral(field: SampledField, weight, radius: float) -> f
 
 
 def mass_outside(field: SampledField, region) -> float:
-    """Fraction of the squared mass outside the region.
-
-    The region is anything with a `contains(points)` method returning a
-    boolean mask, or a (lows, highs) pair of per-axis bounds.
-    """
+    """Fraction of the squared mass outside region = (lows, highs), per-axis bounds."""
     pts = field.mesh().reshape(-1, field.n)
-    if hasattr(region, "contains"):
-        inside = np.asarray(region.contains(pts), dtype=bool)
-    else:
-        lows, highs = region
-        lows = np.asarray(lows, dtype=float)
-        highs = np.asarray(highs, dtype=float)
-        inside = np.all((pts >= lows) & (pts <= highs), axis=1)
+    lows, highs = region
+    lows = np.asarray(lows, dtype=float)
+    highs = np.asarray(highs, dtype=float)
+    inside = np.all((pts >= lows) & (pts <= highs), axis=1)
     dens = np.abs(field.values.ravel()) ** 2
     total = float(np.sum(dens))
     if total == 0.0:

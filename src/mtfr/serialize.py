@@ -9,6 +9,7 @@ are written to a temporary name and renamed into place.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -100,6 +101,17 @@ def canonical_json(obj) -> str:
 # matrices and words
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Re-raise a missing key, a bad value or a rejected object as `MtfrError`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise MtfrError(f"malformed {what}: missing key {exc}") from exc
+    except (MtfrError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise MtfrError(f"malformed {what}: {exc}") from exc
+
+
 def matrix_to_obj(m) -> dict:
     if isinstance(m, SymplecticMatrix):
         return {"n": m.n, "rows": [list(map(float, r)) for r in m.entries]}
@@ -109,9 +121,13 @@ def matrix_to_obj(m) -> dict:
 
 
 def matrix_from_obj(obj) -> np.ndarray:
-    rows = np.asarray(obj["rows"], dtype=float)
+    """Square real matrix; malformed or non-finite input raises `MtfrError`."""
+    with _malformed("matrix"):
+        rows = np.asarray(obj["rows"], dtype=float)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
         raise DimensionMismatch("matrix rows must be square")
+    if not np.isfinite(rows).all():
+        raise MtfrError("matrix entries must be finite")
     return rows
 
 
@@ -167,9 +183,15 @@ def gaussian_to_obj(g: GeneralizedGaussian) -> dict:
 
 
 def gaussian_from_obj(obj) -> GeneralizedGaussian:
-    m = np.asarray(obj["M_re"], dtype=float) + 1j * np.asarray(obj["M_im"], dtype=float)
-    b = np.asarray(obj["b_re"], dtype=float) + 1j * np.asarray(obj["b_im"], dtype=float)
-    return GeneralizedGaussian(m, b, float(obj["logamp"]))
+    """Inverse of `gaussian_to_obj`; malformed or non-finite input raises `MtfrError`."""
+    with _malformed("Gaussian"):
+        m_re, m_im, b_re, b_im = (
+            np.asarray(obj[key], dtype=float) for key in ("M_re", "M_im", "b_re", "b_im")
+        )
+        logamp = float(obj["logamp"])
+        if not all(np.isfinite(x).all() for x in (m_re, m_im, b_re, b_im, logamp)):
+            raise ValueError("entries must be finite")
+        return GeneralizedGaussian(m_re + 1j * m_im, b_re + 1j * b_im, logamp)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +241,7 @@ def certificate_to_obj(cert) -> dict:
 
 def certificate_from_obj(obj) -> Certificate:
     """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`."""
-    try:
+    with _malformed("certificate"):
         inter = obj["intermediates"]
         d = int(obj["d"])
         alternative = obj["alternative"]
@@ -262,10 +284,6 @@ def certificate_from_obj(obj) -> Certificate:
             alt2=alt2,
             warnings=tuple(obj.get("warnings", ())),
         )
-    except KeyError as exc:
-        raise MtfrError(f"malformed certificate: missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise MtfrError(f"malformed certificate: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -405,19 +405,15 @@ def select_tau_balanced(u: np.ndarray, m: int = 64) -> complex:
     letter of the resulting word well conditioned.
     """
     u = assert_unitary(u, what="select_tau_balanced")
+    base = np.linalg.svd(u.imag, compute_uv=False)[-1]
     for resolution in (m, 2 * m):
-        best_tau = None
-        best_val = np.linalg.svd(u.imag, compute_uv=False)[-1]
-        if best_val > TOL_INV:
-            best_tau = 1.0 + 0.0j
-        for j in range(1, resolution):
-            tau = np.exp(1j * np.pi * j / resolution)
-            smin = np.linalg.svd((tau * u).imag, compute_uv=False)[-1]
-            score = min(smin, abs(tau.imag))
-            if score > best_val:
-                best_tau, best_val = tau, score
-        if best_tau is not None and best_val > TOL_INV:
-            return best_tau
+        taus = np.array([np.exp(1j * np.pi * j / resolution) for j in range(1, resolution)])
+        smin = np.linalg.svd((taus[:, None, None] * u).imag, compute_uv=False)[:, -1]
+        scores = np.minimum(smin, np.abs(taus.imag))
+        best = int(np.argmax(scores))  # the first of equal scores wins
+        tau, val = (taus[best], scores[best]) if scores[best] > base else (1.0 + 0.0j, base)
+        if val > TOL_INV:
+            return tau
     raise NoTauFound("no tau with invertible Im(tau U) found in the scan")
 
 

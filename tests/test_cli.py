@@ -83,6 +83,18 @@ class TestClassify:
     def test_odd_half_dimension_exit_2(self, j_matrix):
         assert main(["classify", j_matrix]) == 2
 
+    def test_certification_assertion_exit_3(self, tmp_path, capsys):
+        # a generic Alternative I matrix: at tol-blk 1e-20 the rounding-level
+        # off-diagonal block counts as Alternative II, and its rank is zero
+        c, s = np.cos(0.7), np.sin(0.7)
+        u = np.array([[c, -s], [s, c]]) * np.exp(1j * np.array([1.3, 1.9]))
+        path = tmp_path / "alt1_generic.json"
+        path.write_text(canonical_json(matrix_to_obj(make_rotation(u))))
+        assert main(["classify", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["classify", str(path), "--tol-blk", "1e-20"]) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_deterministic_bytes(self, alt1_matrix, alt2_matrix, tmp_path, capsys):
         runs = []
         for name in ("a", "b"):
@@ -214,8 +226,20 @@ def _run_python(argv, env=None):
 
 
 class TestMalformedInput:
+    GAUSSIAN_1 = '"M_im": [[0]], "b_re": [0], "b_im": [0], "logamp": 0'
+    FILES = {
+        "nan_matrix": '{"n": 1, "rows": [[NaN, 0], [0, 1]]}',
+        "array": "[1, 2]",
+        "odd_matrix": '{"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+        "huge_matrix": '{"n": 1, "rows": [[1e308, 0], [0, 1e-308]]}',
+        "gauss_keys": '{"M_re": 1}',
+        "gauss_npd": '{"n": 1, "M_re": [[-1]], ' + GAUSSIAN_1 + "}",
+        "gauss_d2": '{"n": 2, "M_re": [[1, 0], [0, 1]], "M_im": [[0, 0], [0, 0]], '
+                    '"b_re": [0, 0], "b_im": [0, 0], "logamp": 0}',
+    }
+
     @pytest.fixture
-    def inputs(self, tmp_path):
+    def inputs(self, tmp_path, alt2_matrix):
         field = tmp_path / "field.bin"
         write_field(sample(standard_gaussian(1), (64,), (8.0,)), field)
         truncated = tmp_path / "truncated.bin"
@@ -225,6 +249,11 @@ class TestMalformedInput:
             cert = tmp_path / f"cert{alt}.json"
             cert.write_text(f'{{"alternative": "{alt}", "d": 1}}')
             paths[f"cert{alt}"] = str(cert)
+        for name, text in self.FILES.items():
+            (tmp_path / f"{name}.json").write_text(text)
+            paths[name] = str(tmp_path / f"{name}.json")
+        assert main(["classify", alt2_matrix, "--out", str(tmp_path / "c2")]) == 0
+        paths["alt2_cert"] = str(tmp_path / "c2" / "certificate.json")
         return paths
 
     @pytest.mark.parametrize(
@@ -236,9 +265,25 @@ class TestMalformedInput:
             ["check", "hardy", "--field", "{missing}"],
             ["verify", "{certII}"],
             ["counterexample", "{certI}"],
+            ["factor", "{nan_matrix}"],
+            ["factor", "{array}"],
+            ["factor", "{odd_matrix}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_keys}", "{gauss_keys}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_npd}", "{gauss_npd}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_d2}", "{gauss_d2}"],
+            ["verify", "{alt2_cert}", "--box", "nan"],
+            ["verify", "{alt2_cert}", "--tol", "nan"],
+            ["verify", "{alt2_cert}", "--seed", "-1"],
+            ["check", "beurling", "--resolution", "0"],
+            ["check", "beurling", "--resolution", "-3"],
+            ["check", "beurling", "--n-exponent", "nan"],
+            ["factor", "--bogus", "x"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
-             "verify-cert", "cx-cert"],
+             "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
+             "gaussian-keys", "gaussian-not-pd", "gaussian-dimension", "nan-box",
+             "nan-tol", "negative-seed", "zero-resolution", "negative-resolution",
+             "nan-exponent", "bad-flag"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
@@ -246,6 +291,13 @@ class TestMalformedInput:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    def test_overflowing_matrix_exit_2(self, inputs):
+        # numpy may warn about the overflow first; the error is still one line
+        proc = _run_python(["-m", "mtfr.cli", "factor", inputs["huge_matrix"]])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
 
 
 class TestPackage:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mtfr.certify import alt2_certificate, certify
 from mtfr.errors import DimensionMismatch, GridTooLarge, MtfrError
@@ -27,7 +29,7 @@ from mtfr.serialize import (
 )
 from mtfr.symplectic import make_rotation, random_symplectic, factor_to_word
 
-from conftest import haar_unitary
+from conftest import gaussians, generator_words, haar_unitary
 
 
 def test_canonical_json_is_valid_and_deterministic():
@@ -62,6 +64,29 @@ def test_word_round_trip():
     obj = json.loads(canonical_json(word_to_obj(word)))
     back = word_from_obj(2, obj)
     np.testing.assert_allclose(back.matrix(), word.matrix(), atol=1e-14)
+
+
+# round trips compare values, not bytes: JSON reads "-0" back as the integer 0
+
+
+@given(generator_words())
+@settings(max_examples=50, deadline=None)
+def test_word_round_trip_is_exact(word):
+    back = word_from_obj(word.n, json.loads(canonical_json(word_to_obj(word))))
+    assert len(back) == len(word)
+    for a, b in zip(back.letters, word.letters):
+        assert type(a) is type(b)
+        name = dataclasses.fields(a)[0].name  # q, l or axes
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+@given(gaussians())
+@settings(max_examples=50, deadline=None)
+def test_gaussian_round_trip_is_exact(g):
+    back = gaussian_from_obj(json.loads(canonical_json(gaussian_to_obj(g))))
+    np.testing.assert_array_equal(back.m, g.m)
+    np.testing.assert_array_equal(back.b, g.b)
+    assert back.logamp == g.logamp
 
 
 def test_gaussian_round_trip(rng):
@@ -114,6 +139,35 @@ def test_certificate_round_trip_bytes(bold):
 def test_certificate_from_obj_malformed(obj):
     with pytest.raises(MtfrError):
         certificate_from_obj(obj)
+
+
+GAUSSIAN_1 = {"n": 1, "M_re": [[1.0]], "M_im": [[0.0]], "b_re": [0.0], "b_im": [0.0],
+              "logamp": 0.0}
+
+
+@pytest.mark.parametrize(
+    "decode, obj",
+    [
+        (matrix_from_obj, [1, 2]),
+        (matrix_from_obj, {"n": 1}),
+        (matrix_from_obj, {"rows": [[1.0, "x"], [0.0, 1.0]]}),
+        (matrix_from_obj, {"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
+        (matrix_from_obj, {"rows": [[float("nan"), 0.0], [0.0, 1.0]]}),
+        (matrix_from_obj, {"rows": [[1.0, 0.0], [0.0, float("-inf")]]}),
+        (gaussian_from_obj, [1, 2]),
+        (gaussian_from_obj, {"M_re": 1}),
+        (gaussian_from_obj, {**GAUSSIAN_1, "M_re": [[-1.0]]}),  # Re M not positive definite
+        (gaussian_from_obj, {**GAUSSIAN_1, "b_re": [0.0, 0.0], "b_im": [0.0, 0.0]}),
+        (gaussian_from_obj, {**GAUSSIAN_1, "M_im": [[0.0, 1.0]]}),
+        (gaussian_from_obj, {**GAUSSIAN_1, "b_im": [float("nan")]}),
+        (gaussian_from_obj, {**GAUSSIAN_1, "M_im": [[float("inf")]]}),
+        (gaussian_from_obj, {**GAUSSIAN_1, "logamp": float("inf")}),
+        (gaussian_from_obj, {**GAUSSIAN_1, "logamp": "x"}),
+    ],
+)
+def test_decode_malformed_or_non_finite(decode, obj):
+    with pytest.raises(MtfrError):
+        decode(obj)
 
 
 def test_field_binary_round_trip(tmp_path, rng):

@@ -9,10 +9,12 @@ from mtfr.symplectic import (
     Dilation,
     GeneratorWord,
     PartialFourier,
+    TOL_INV,
     SymplecticMatrix,
     factor_to_word,
     free_factorize,
     invert_word,
+    letter_matrix,
     make_chirp,
     make_dilation,
     make_rotation,
@@ -25,7 +27,7 @@ from mtfr.symplectic import (
     symplectic_defect,
 )
 
-from conftest import haar_orthogonal, haar_unitary, random_spd
+from conftest import generator_words, haar_orthogonal, haar_unitary, random_spd
 
 
 def test_standard_j():
@@ -203,6 +205,32 @@ class TestSelectTau:
         tau = select_tau_balanced(1j * np.eye(3))
         assert abs(tau - 1.0) < 1e-14
 
+    @staticmethod
+    def _scan_loop(u, m=64):
+        """Reference: one SVD per candidate tau, first best kept."""
+        for resolution in (m, 2 * m):
+            best_tau = None
+            best_val = np.linalg.svd(u.imag, compute_uv=False)[-1]
+            if best_val > TOL_INV:
+                best_tau = 1.0 + 0.0j
+            for j in range(1, resolution):
+                tau = np.exp(1j * np.pi * j / resolution)
+                smin = np.linalg.svd((tau * u).imag, compute_uv=False)[-1]
+                score = min(smin, abs(tau.imag))
+                if score > best_val:
+                    best_tau, best_val = tau, score
+            if best_tau is not None and best_val > TOL_INV:
+                return best_tau
+        return None
+
+    @given(st.integers(1, 4), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_scan_equals_loop(self, n, seed):
+        u = pre_iwasawa(random_symplectic(n, 6, seed=seed)).u
+        tau = select_tau_balanced(u)
+        assert type(tau) is type(self._scan_loop(u))
+        assert tau == self._scan_loop(u)
+
 
 class TestFactorToWord:
     def test_identity_empty(self):
@@ -253,6 +281,19 @@ class TestInvertWord:
         inv = invert_word(GeneratorWord(2, word.letters))
         np.testing.assert_allclose(
             inv.matrix() @ word.matrix(), np.eye(4), atol=1e-11
+        )
+
+    @given(generator_words())
+    @settings(max_examples=50, deadline=None)
+    def test_inverse_composed_with_word_is_identity(self, word):
+        inv = invert_word(word)
+        # rounding grows with the product of the letter norms, not of the result
+        scale = np.prod([
+            np.linalg.norm(letter_matrix(letter, word.n), 2)
+            for letter in word.letters + inv.letters
+        ])
+        np.testing.assert_allclose(
+            inv.matrix() @ word.matrix(), np.eye(2 * word.n), rtol=0, atol=1e-14 * scale
         )
 
     def test_fourier_inverse_is_parity_composed(self):
