@@ -10,10 +10,10 @@ and mean widths stay computable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import (
     DegenerateFit,
@@ -132,7 +132,7 @@ def volume(shape) -> float:
         return float(np.prod([2.0 * h for h in shape.halfwidths]))
     if isinstance(shape, Ball):
         d = shape.dim
-        unit = np.pi ** (d / 2.0) / scipy.special.gamma(d / 2.0 + 1.0)
+        unit = np.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
         return float(unit * shape.radius**d)
     if isinstance(shape, LinearImage):
         return abs(np.linalg.det(shape.matrix)) * volume(shape.base)
@@ -155,13 +155,17 @@ def _support_function(shape, directions: np.ndarray) -> np.ndarray:
 def mean_width(shape, samples: int = 10**6, seed: int = 0):
     """Mean width and Monte Carlo standard error.
 
-    Balls without a linear map have width 2r in every direction, returned
-    exactly with zero error; everything else is a seeded Monte Carlo
-    average of h(u) + h(-u) over uniform directions.
+    Exact with zero error for balls without a linear map (width 2r in
+    every direction) and for every shape in one dimension, whose unit
+    sphere is {+1, -1}; otherwise a seeded Monte Carlo average of
+    h(u) + h(-u) over uniform directions.
     """
     if isinstance(shape, Ball):
         return 2.0 * shape.radius, 0.0
     d = shape.dim
+    if d == 1:
+        h = _support_function(shape, np.array([[1.0], [-1.0]]))
+        return float(h[0] + h[1]), 0.0
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(samples, d))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -527,8 +531,11 @@ def nazarov_bound(
     elif m <= 0.0:
         c0 = lhs / total
     else:
+        # imported here, not at the top: scipy would double a cold start
+        from scipy.special import lambertw
+
         # solve C0 e^{C0 m} = lhs/total
-        c0 = float(np.real(scipy.special.lambertw(m * lhs / total)) / m)
+        c0 = float(np.real(lambertw(m * lhs / total)) / m)
     return NazarovReport(
         lhs=lhs,
         rhs=float(rhs),

@@ -31,6 +31,7 @@ from .symplectic import (
 
 FIELD_MAGIC = b"MTFR"
 FIELD_VERSION = 1
+WORD_TOL = 1e-9  # word_bold must reproduce bold_matrix, relative to max(1, ||M||_F)
 
 __all__ = [
     "canonical_json",
@@ -120,15 +121,20 @@ def matrix_to_obj(m) -> dict:
     return {"n": n, "rows": [list(map(float, r)) for r in m]}
 
 
+def _finite(values, what: str):
+    """values itself when every entry is finite; otherwise `MtfrError`."""
+    if not np.isfinite(values).all():
+        raise MtfrError(f"{what} entries must be finite")
+    return values
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     """Square real matrix; malformed or non-finite input raises `MtfrError`."""
     with _malformed("matrix"):
         rows = np.asarray(obj["rows"], dtype=float)
     if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
         raise DimensionMismatch("matrix rows must be square")
-    if not np.isfinite(rows).all():
-        raise MtfrError("matrix entries must be finite")
-    return rows
+    return _finite(rows, "matrix")
 
 
 def complex_matrix_to_obj(m) -> dict:
@@ -141,7 +147,10 @@ def complex_matrix_to_obj(m) -> dict:
 
 
 def complex_matrix_from_obj(obj) -> np.ndarray:
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    """Complex matrix from its parts; malformed or non-finite input raises `MtfrError`."""
+    with _malformed("complex matrix"):
+        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    return _finite(m, "complex matrix")
 
 
 def word_to_obj(word: GeneratorWord) -> list:
@@ -161,9 +170,11 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
     for item in obj:
         kind = item["kind"]
         if kind == "chirp":
-            letters.append(Chirp(np.asarray(item["q"], dtype=float)))
+            letters.append(Chirp(_finite(np.asarray(item["q"], dtype=float), "chirp")))
         elif kind == "dilation":
-            letters.append(Dilation(np.asarray(item["l"], dtype=float)))
+            letters.append(
+                Dilation(_finite(np.asarray(item["l"], dtype=float), "dilation"))
+            )
         elif kind == "pfourier":
             letters.append(PartialFourier(tuple(item["axes"])))
         else:
@@ -240,7 +251,11 @@ def certificate_to_obj(cert) -> dict:
 
 
 def certificate_from_obj(obj) -> Certificate:
-    """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`."""
+    """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`.
+
+    Every number must be finite, and word_bold must reproduce bold_matrix
+    within WORD_TOL, the word gate of the factorization.
+    """
     with _malformed("certificate"):
         inter = obj["intermediates"]
         d = int(obj["d"])
@@ -254,11 +269,11 @@ def certificate_from_obj(obj) -> Certificate:
             )
         elif alternative == "II":
             alt2 = AltIIData(
-                tau=complex(obj["tau"]["re"], obj["tau"]["im"]),
+                tau=_finite(complex(obj["tau"]["re"], obj["tau"]["im"]), "tau"),
                 k=int(obj["k"]),
                 p=matrix_from_obj(inter["P"]),
                 w1=matrix_from_obj(inter["W1"]),
-                gamma1=np.asarray(inter["Gamma1"], dtype=float),
+                gamma1=_finite(np.asarray(inter["Gamma1"], dtype=float), "Gamma1"),
                 w2=matrix_from_obj(inter["W2"]),
                 pi=matrix_from_obj(inter["Pi"]),
                 omega=matrix_from_obj(obj["Omega"]),
@@ -269,17 +284,22 @@ def certificate_from_obj(obj) -> Certificate:
         else:
             raise MtfrError(f"unknown certificate alternative {alternative!r}")
         pre = inter["pre_iwasawa"]
+        bold = SymplecticMatrix.from_array(matrix_from_obj(inter["bold_matrix"]))
+        word_bold = word_from_obj(2 * d, inter["word_bold"])
+        defect = np.linalg.norm(word_bold.matrix() - bold.entries)
+        if not defect <= WORD_TOL * max(1.0, np.linalg.norm(bold.entries)):
+            raise MtfrError(f"word_bold is off bold_matrix by {defect:.3e}")
         return Certificate(
             alternative=alternative,
             d=d,
-            offdiag_norm=float(obj["offdiag_norm"]),
+            offdiag_norm=_finite(float(obj["offdiag_norm"]), "offdiag_norm"),
             pre=PreIwasawa(
                 matrix_from_obj(pre["Q"]),
                 matrix_from_obj(pre["L"]),
                 complex_matrix_from_obj(pre["U"]),
             ),
-            bold=SymplecticMatrix.from_array(matrix_from_obj(inter["bold_matrix"])),
-            word_bold=word_from_obj(2 * d, inter["word_bold"]),
+            bold=bold,
+            word_bold=word_bold,
             alt1=alt1,
             alt2=alt2,
             warnings=tuple(obj.get("warnings", ())),

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -468,6 +467,9 @@ def factor_to_word(m: SymplecticMatrix, tau: complex | None = None) -> Generator
 def random_word(n: int, word_length: int, rng: np.random.Generator) -> GeneratorWord:
     """Random generator word: Fourier letters with probability 1/3, else
     chirps (entries uniform in [-1, 1], symmetrized) or dilations exp(X)."""
+    # imported here, not at the top: scipy would double a cold start
+    from scipy.linalg import expm
+
     letters = []
     for _ in range(word_length):
         r = rng.random()
@@ -481,7 +483,7 @@ def random_word(n: int, word_length: int, rng: np.random.Generator) -> Generator
             letters.append(Chirp(0.5 * (q + q.T)))
         else:
             x = rng.uniform(-1.0, 1.0, size=(n, n))
-            letters.append(Dilation(scipy.linalg.expm(0.5 * x)))
+            letters.append(Dilation(expm(0.5 * x)))
     return GeneratorWord(n, tuple(letters))
 
 

@@ -11,6 +11,7 @@ from mtfr.certify import (
     classify,
     alt1_decompose,
     counterexample_alt1,
+    identity_errors,
     pair_to_partial,
     quadratic_reduce,
     verify_identity,
@@ -223,6 +224,19 @@ class TestGridTfrIdentity:
 
 
 class TestVerifyIdentity:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batched_errors_equal_point_loop(self, d, rng):
+        cert = certify(random_bold(d, rng, word_seed=d))
+        assert cert.alternative == "II"
+        f, g = random_gaussian(d, rng), random_gaussian(d, rng)
+        pts = rng.uniform(-3.0, 3.0, size=(60, 2 * d))
+        errs = identity_errors(cert, f, g, pts)
+        # reference: one oracle call per point
+        loop = [verify_identity(cert, f, g, pts[i : i + 1]) for i in range(len(pts))]
+        assert errs.shape == (len(pts),)
+        np.testing.assert_allclose(errs, loop, rtol=0.0, atol=1e-11)
+        assert verify_identity(cert, f, g, pts) == np.max(errs)
+
     def test_scaling_linearity(self, rng):
         bold = canonical_alt2_input()
         cert = alt2_certificate(bold)

@@ -184,8 +184,15 @@ class TestShapes:
         assert width == 3.0 and err == 0.0
 
     def test_interval_width(self):
-        width, _ = mean_width(Box((0.0,), (1.0,)), samples=1000)
-        assert width == pytest.approx(2.0, abs=1e-12)
+        # one dimension: the unit sphere is {+1, -1}, so the width is exact
+        for shape, expected in (
+            (Box((0.0,), (1.0,)), 2.0),
+            # h(+1) + h(-1) = (-0.51 + 3.4) + (0.51 + 3.4)
+            (LinearImage(Box((0.3,), (2.0,)), [[-1.7]]), 6.8),
+        ):
+            width, err = mean_width(shape, samples=1000)
+            assert abs(width - expected) <= np.spacing(expected), shape
+            assert err == 0.0
 
     def test_square_width_stable_across_seeds(self):
         w1 = mean_width(Box((0.0, 0.0), (1.0, 1.0)), samples=10**6, seed=1)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import mtfr
+from mtfr.certify import identity_errors
 from mtfr.cli import main
-from mtfr.gaussian import standard_gaussian
+from mtfr.gaussian import random_gaussian, standard_gaussian
 from mtfr.grid import sample
-from mtfr.serialize import canonical_json, matrix_to_obj, write_field
+from mtfr.serialize import canonical_json, certificate_from_obj, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
 
@@ -137,8 +138,26 @@ class TestVerify:
         obj["Omega"]["rows"][0][0] += 1e-2
         bad = tmp_path / "bad_cert.json"
         bad.write_text(canonical_json(obj))
-        assert main(["verify", str(bad), "--points", "20"]) == 4
-        assert "FAIL" in capsys.readouterr().out
+        capsys.readouterr()
+        assert main(["verify", str(bad), "--points", "20", "--seed", "5"]) == 4
+        # the same draws as cmd_verify: f, g, then the points
+        rng = np.random.default_rng(5)
+        f, g = random_gaussian(1, rng), random_gaussian(1, rng)
+        pts = rng.uniform(-3.0, 3.0, size=(20, 2))
+        errs = identity_errors(certificate_from_obj(obj), f, g, pts)
+        worst = pts[int(np.argmax(errs))].tolist()
+        assert capsys.readouterr().out == (
+            f"FAIL max relative error {np.max(errs):.3e} at lambda = {worst}\n"
+        )
+
+    def test_overflowing_points_fail(self, alt2_matrix, tmp_path, capsys):
+        # at |lambda| ~ 1e200 the oracle's log-moduli overflow to NaN
+        cert = self._cert(alt2_matrix, tmp_path)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main(["verify", cert, "--points", "5", "--box", "1e200"])
+        assert code == 4
+        assert capsys.readouterr().out.startswith("FAIL max relative error nan at lambda")
 
     def test_zero_points_exit_2(self, alt2_matrix, tmp_path):
         cert = self._cert(alt2_matrix, tmp_path)
@@ -238,6 +257,15 @@ class TestMalformedInput:
                     '"b_re": [0, 0], "b_im": [0, 0], "logamp": 0}',
     }
 
+    # (key path into the honest alt2 certificate, new value)
+    CERT_EDITS = {
+        "nan_u": (("intermediates", "pre_iwasawa", "U", "re", 0, 0), float("nan")),
+        "nan_gamma1": (("intermediates", "Gamma1", 0), float("nan")),
+        "nan_word_a": (("word_A", 2, "q", 0, 0), float("nan")),  # a chirp letter
+        # word_bold starts with the chirp [[0, 1], [1, 0]]
+        "edited_word": (("intermediates", "word_bold", 0, "q", 0, 0), 0.5),
+    }
+
     @pytest.fixture
     def inputs(self, tmp_path, alt2_matrix):
         field = tmp_path / "field.bin"
@@ -254,6 +282,14 @@ class TestMalformedInput:
             paths[name] = str(tmp_path / f"{name}.json")
         assert main(["classify", alt2_matrix, "--out", str(tmp_path / "c2")]) == 0
         paths["alt2_cert"] = str(tmp_path / "c2" / "certificate.json")
+        for name, (keys, value) in self.CERT_EDITS.items():
+            obj = json.loads(open(paths["alt2_cert"]).read())
+            inner = obj
+            for key in keys[:-1]:
+                inner = inner[key]
+            inner[keys[-1]] = value
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+            paths[name] = str(tmp_path / f"{name}.json")
         return paths
 
     @pytest.mark.parametrize(
@@ -278,12 +314,17 @@ class TestMalformedInput:
             ["check", "beurling", "--resolution", "-3"],
             ["check", "beurling", "--n-exponent", "nan"],
             ["factor", "--bogus", "x"],
+            ["verify", "{nan_u}"],
+            ["verify", "{nan_gamma1}"],
+            ["verify", "{nan_word_a}"],
+            ["verify", "{edited_word}"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
              "gaussian-keys", "gaussian-not-pd", "gaussian-dimension", "nan-box",
              "nan-tol", "negative-seed", "zero-resolution", "negative-resolution",
-             "nan-exponent", "bad-flag"],
+             "nan-exponent", "bad-flag", "nan-pre-iwasawa-u", "nan-gamma1",
+             "nan-word-a-letter", "edited-word-bold"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
@@ -321,6 +362,13 @@ class TestPackage:
         proc = _run_python(["-c", probe], env=env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {v: "1" for v in self.THREAD_VARS}
+
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs most of a cold start; only a few library calls import it
+        probe = "import sys, mtfr.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        proc = _run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_submodules_are_not_shadowed(self):
         import mtfr.certify as C

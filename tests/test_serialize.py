@@ -6,6 +6,7 @@ import stat
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtfr.certify import alt2_certificate, certify
 from mtfr.errors import DimensionMismatch, GridTooLarge, MtfrError
@@ -27,9 +28,16 @@ from mtfr.serialize import (
     word_to_obj,
     write_field,
 )
-from mtfr.symplectic import make_rotation, random_symplectic, factor_to_word
+from mtfr.symplectic import (
+    factor_to_word,
+    make_chirp,
+    make_dilation,
+    make_rotation,
+    pre_iwasawa,
+    random_symplectic,
+)
 
-from conftest import gaussians, generator_words, haar_unitary
+from conftest import gaussians, generator_words, haar_orthogonal, haar_unitary
 
 
 def test_canonical_json_is_valid_and_deterministic():
@@ -125,6 +133,43 @@ def test_certificate_round_trip_bytes(bold):
     text = canonical_json(obj)
     back = certificate_from_obj(obj)
     assert canonical_json(certificate_to_obj(back)) == text
+
+
+def _assert_same_values(a, b):
+    """Recursive equality of certificate data: dataclasses by field, tuples by item."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for field in dataclasses.fields(a):
+            _assert_same_values(getattr(a, field.name), getattr(b, field.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_values(x, y)
+    else:
+        np.testing.assert_array_equal(a, b)
+
+
+@given(
+    d=st.integers(1, 3),
+    alternative=st.sampled_from(["I", "II"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_certificate_round_trip_is_exact(d, alternative, seed):
+    rng = np.random.default_rng(seed)
+    word_m = random_symplectic(2 * d, 4, seed=seed)
+    if alternative == "II":
+        bold = word_m @ make_rotation(haar_unitary(2 * d, rng))
+    else:
+        # the chirp and dilation of a random matrix over R_U with U^t U diagonal
+        pre = pre_iwasawa(word_m)
+        phases = np.exp(1j * rng.uniform(np.pi / 4, 3 * np.pi / 4, size=2 * d))
+        u = haar_orthogonal(2 * d, rng) * phases
+        bold = make_chirp(pre.q) @ make_dilation(pre.l) @ make_rotation(u)
+    cert = certify(bold)
+    assert cert.alternative == alternative
+    back = certificate_from_obj(json.loads(canonical_json(certificate_to_obj(cert))))
+    _assert_same_values(back, cert)
 
 
 @pytest.mark.parametrize(
