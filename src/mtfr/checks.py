@@ -37,7 +37,6 @@ __all__ = [
     "nc_constant",
     "UPReport",
     "beurling_weight",
-    "gaussian_weight",
     "gelfand_shilov_weight",
     "beurling_sweep",
     "HardyFit",
@@ -173,7 +172,7 @@ def mean_width(shape, samples: int = 10**6, seed: int = 0):
     return float(np.mean(widths)), float(np.std(widths) / np.sqrt(samples))
 
 
-def nc_constant(s_shape, t_shape, c: float = 1.0, mc_seed: int = 0):
+def nc_constant(s_shape, t_shape, c: float = 1.0):
     """Nazarov constant C e^{C min(|S||T|, |S|^{1/d} w(T), |T|^{1/d} w(S))}.
 
     Returns (value, exponent_term, details); C is always explicit because
@@ -181,8 +180,8 @@ def nc_constant(s_shape, t_shape, c: float = 1.0, mc_seed: int = 0):
     """
     d = s_shape.dim
     vol_s, vol_t = volume(s_shape), volume(t_shape)
-    w_s, _ = mean_width(s_shape, seed=mc_seed)
-    w_t, _ = mean_width(t_shape, seed=mc_seed + 1)
+    w_s, _ = mean_width(s_shape, seed=0)
+    w_t, _ = mean_width(t_shape, seed=1)
     terms = (vol_s * vol_t, vol_s ** (1.0 / d) * w_t, vol_t ** (1.0 / d) * w_s)
     m = float(min(terms))
     details = {
@@ -212,19 +211,9 @@ class UPReport:
         radii = [r for r, _ in self.sweep]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DimensionMismatch("sweep radii must be strictly increasing")
-        if any(v < 0 for _, v in self.sweep):
-            raise DimensionMismatch("sweep values must be nonnegative")
-
-
-def _verdict_from_ratios(ratios, growth_tol: float = GROWTH_TOL):
-    last = ratios[-3:]
-    if len(last) < 1:
-        return "inconclusive"
-    if all(r >= 1.0 + growth_tol for r in last):
-        return "divergent-looking"
-    if all(r <= 1.0 + CONVERGENT_TOL for r in last):
-        return "convergent-looking"
-    return "inconclusive"
+        sweeps = (self.sweep, self.parameters.get("sweep_omega", ()))
+        if not all(0.0 <= v < math.inf for sweep in sweeps for _, v in sweep):
+            raise DimensionMismatch("sweep values must be finite and nonnegative")
 
 
 _RULE = (
@@ -253,17 +242,6 @@ def beurling_weight(m: np.ndarray, n_exponent: float):
     return weight
 
 
-def gaussian_weight(omega: np.ndarray, alpha: float):
-    """lambda -> e^{pi alpha ||Omega^-1 lambda||^2 / 2} (Hardy-type growth)."""
-    omega_inv = np.linalg.inv(np.asarray(omega, dtype=float))
-
-    def weight(pts: np.ndarray) -> np.ndarray:
-        scaled = pts @ omega_inv.T
-        return np.exp(0.5 * np.pi * alpha * np.einsum("...i,...i->...", scaled, scaled))
-
-    return weight
-
-
 def gelfand_shilov_weight(p: float, coeff: float, half: int, part: str):
     """Super-exponential weight on one phase-space half.
 
@@ -283,35 +261,68 @@ def gelfand_shilov_weight(p: float, coeff: float, half: int, part: str):
     return weight
 
 
-def _truncated_sweep(
-    evaluator,
-    weight,
-    radii,
-    dim: int,
-    resolution: int,
-    point_transform=None,
-):
+def _ball_sums(integrand, r2, radii, cell: float, jac: float = 1.0) -> np.ndarray:
+    """Midpoint sums of integrand over the balls r2 <= R^2, one row per radius.
+
+    The node axis is the last one; every leading index is a sweep of its
+    own, summed exactly as it would be alone.
+    """
+    return np.array(
+        [np.sum(integrand[..., r2 <= r * r], axis=-1) * cell * jac for r in radii]
+    )
+
+
+def _ratios(values: np.ndarray) -> np.ndarray:
+    """I(R_{j+1}) / I(R_j) down the first axis; 0/0 counts as 1 and b/0 as inf."""
+    a, b = values[:-1], values[1:]
+    with np.errstate(all="ignore"):
+        return np.where(a > 0.0, b / a, np.where(b == 0.0, 1.0, np.inf))
+
+
+def _verdicts(ratios: np.ndarray) -> np.ndarray:
+    """The _RULE verdict of each sweep from its last three ratios (first axis)."""
+    last = ratios[-3:]
+    some = len(last) > 0
+    divergent = np.all(last >= 1.0 + GROWTH_TOL, axis=0) & some
+    convergent = np.all(last <= 1.0 + CONVERGENT_TOL, axis=0) & some
+    return np.where(
+        divergent,
+        "divergent-looking",
+        np.where(convergent, "convergent-looking", "inconclusive"),
+    )
+
+
+def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transform=None):
+    """One (sweep, ratios, verdict) per weight from a single evaluator call.
+
+    The evaluator runs once, on the midpoint nodes of [-R, R]^dim inside
+    the ball of the largest radius R; each weight then takes the same
+    masked sums and ratio rule.
+    """
     radii = tuple(float(r) for r in radii)
     nodes, cell = _ball_nodes(dim, radii[-1], resolution)
-    jac = 1.0
-    pts = nodes
+    r2 = np.einsum("ij,ij->i", nodes, nodes)
+    # only nodes of the largest ball enter a sum; the sums keep their order
+    inside = r2 <= radii[-1] * radii[-1]
+    nodes, r2 = nodes[inside], r2[inside]
+    pts, jac = nodes, 1.0
     if point_transform is not None:
         t = np.asarray(point_transform, dtype=float)
         pts = nodes @ t.T
         jac = abs(np.linalg.det(t))
-    integrand = np.asarray(evaluator(pts), dtype=float) * np.asarray(
-        weight(pts), dtype=float
-    )
-    r2 = np.einsum("ij,ij->i", nodes, nodes)
-    values = []
-    for r in radii:
-        mask = r2 <= r * r
-        values.append(float(np.sum(integrand[mask]) * cell * jac))
-    ratios = tuple(
-        (b / a if a > 0.0 else (1.0 if b == 0.0 else np.inf))
-        for a, b in zip(values, values[1:])
-    )
-    return tuple(zip(radii, values)), ratios
+    modulus = np.asarray(evaluator(pts), dtype=float)
+    sweeps = []
+    for weight in weights:
+        # the weight's array is this call's own: multiplied in place and
+        # freed before the next weight runs, which keeps the peak memory down
+        integrand = np.asarray(weight(pts), dtype=float)
+        integrand *= modulus
+        values = _ball_sums(integrand, r2, radii, cell, jac)
+        del integrand
+        ratios = _ratios(values)
+        sweep = tuple(zip(radii, values.tolist()))
+        sweeps.append((sweep, tuple(ratios.tolist()), str(_verdicts(ratios))))
+    return sweeps
 
 
 def beurling_sweep(
@@ -322,7 +333,6 @@ def beurling_sweep(
     dim: int = 2,
     resolution: int = 512,
     point_transform=None,
-    growth_tol: float = GROWTH_TOL,
 ) -> UPReport:
     """Truncated integrals of |W| e^{pi |lambda.M lambda|} (1+||lambda||)^{-N}.
 
@@ -331,8 +341,8 @@ def beurling_sweep(
     T lambda and the |det T| Jacobian, which is how a linear change of
     variables is expressed without re-gridding.
     """
-    sweep, ratios = _truncated_sweep(
-        evaluator, beurling_weight(m, n_exponent), radii, dim, resolution,
+    ((sweep, ratios, verdict),) = _truncated_sweeps(
+        evaluator, (beurling_weight(m, n_exponent),), radii, dim, resolution,
         point_transform,
     )
     return UPReport(
@@ -340,7 +350,7 @@ def beurling_sweep(
         parameters={"N": float(n_exponent), "M": np.asarray(m).tolist()},
         sweep=sweep,
         ratios=ratios,
-        verdict=_verdict_from_ratios(ratios, growth_tol),
+        verdict=verdict,
         rule=_RULE,
     )
 
@@ -419,7 +429,6 @@ def gelfand_shilov_sweep(
     radii,
     dim: int = 2,
     resolution: int = 512,
-    growth_tol: float = GROWTH_TOL,
 ) -> UPReport:
     """Two super-exponential truncated integrals (x-weight and omega-weight).
 
@@ -437,12 +446,13 @@ def gelfand_shilov_sweep(
     if 2 * half != dim:
         raise DimensionMismatch("phase-space dimension must be even")
 
-    weight_x = gelfand_shilov_weight(p, alpha, half, "x")
-    weight_w = gelfand_shilov_weight(p, beta, half, "omega")
-    sweep_x, ratios_x = _truncated_sweep(evaluator, weight_x, radii, dim, resolution)
-    sweep_w, ratios_w = _truncated_sweep(evaluator, weight_w, radii, dim, resolution)
-    verdict_x = _verdict_from_ratios(ratios_x, growth_tol)
-    verdict_w = _verdict_from_ratios(ratios_w, growth_tol)
+    weights = (
+        gelfand_shilov_weight(p, alpha, half, "x"),
+        gelfand_shilov_weight(p, beta, half, "omega"),
+    )
+    (sweep_x, ratios_x, verdict_x), (sweep_w, _, verdict_w) = _truncated_sweeps(
+        evaluator, weights, radii, dim, resolution
+    )
     if "divergent-looking" in (verdict_x, verdict_w):
         verdict = "divergent-looking"
     elif verdict_x == verdict_w == "convergent-looking":
@@ -457,7 +467,7 @@ def gelfand_shilov_sweep(
             "alpha": alpha,
             "beta": beta,
             "alpha_beta_critical": bool(alpha * beta >= 1.0),
-            "sweep_omega": tuple(zip([r for r, _ in sweep_w], [v for _, v in sweep_w])),
+            "sweep_omega": sweep_w,
             "verdict_x": verdict_x,
             "verdict_omega": verdict_w,
         },
@@ -567,14 +577,15 @@ def cross_section_sweep(
     m: np.ndarray,
     n_exponent: float,
     radii,
-    growth_tol: float = GROWTH_TOL,
 ) -> CrossSectionReport:
     """Apply the 2k-dim truncated Beurling condition to every cross-section.
 
     The field must be a partial STFT laid out as (x1, x2, omega1, omega2);
-    each (x2, omega2) slice is integrated on its own (x1, omega1) grid.
-    A slice passes when its sweep does not look divergent; the exception
-    measure weights failing slices by the (x2, omega2) cell area.
+    each (x2, omega2) slice is a sweep of its own on the (x1, omega1)
+    grid, and all slices go through the masked sums and ratio rule in one
+    array pass.  A slice passes when its sweep does not look divergent;
+    the exception measure weights failing slices by the (x2, omega2) cell
+    area.
     """
     d = field.n // 2
     if field.n != 2 * d or k > d:
@@ -583,33 +594,21 @@ def cross_section_sweep(
     if not tail:
         raise DimensionMismatch("no cross-section variables (k = d)")
     radii = tuple(float(r) for r in radii)
-    m = np.asarray(m, dtype=float)
-    weight = beurling_weight(m, n_exponent)
 
     slice_axes = list(range(k)) + list(range(d, d + k))
     coords = [field.coords(a) for a in slice_axes]
     mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
     pts = mesh.reshape(-1, 2 * k)
-    w = np.asarray(weight(pts), dtype=float)
     r2 = np.einsum("ij,ij->i", pts, pts)
-    masks = [r2 <= r * r for r in radii]
     cell = float(np.prod([field.spacing(a) for a in slice_axes]))
+    # (x2, omega2) leading, each slice's (x1, omega1) values flattened last
+    modulus = np.moveaxis(
+        np.abs(field.values), slice_axes, list(range(field.n - 2 * k, field.n))
+    ).reshape(tail + (-1,))
+    integrand = modulus * np.asarray(beurling_weight(m, n_exponent)(pts), dtype=float)
+    ratios = _ratios(_ball_sums(integrand, r2, radii, cell))
+    verdicts = _verdicts(ratios) != "divergent-looking"
 
-    verdicts = np.zeros(tail, dtype=bool)
-    for idx in np.ndindex(*tail):
-        sel = (
-            (slice(None),) * k
-            + idx[: d - k]
-            + (slice(None),) * k
-            + idx[d - k :]
-        )
-        vals = np.abs(field.values[sel]).reshape(-1)
-        integrals = [float(np.sum(vals[msk] * w[msk]) * cell) for msk in masks]
-        ratios = [
-            (b / a if a > 0 else (1.0 if b == 0.0 else np.inf))
-            for a, b in zip(integrals, integrals[1:])
-        ]
-        verdicts[idx] = _verdict_from_ratios(ratios, growth_tol) != "divergent-looking"
     cross_axes = list(range(k, d)) + list(range(d + k, 2 * d))
     cell_measure = float(np.prod([field.spacing(a) for a in cross_axes]))
     failing = int(verdicts.size - np.count_nonzero(verdicts))

@@ -139,7 +139,7 @@ def _default_stft_field(grid_spec):
     from .grid import partial_stft_slice, sample
 
     points, extent = grid_spec
-    phi = sample(standard_gaussian(1), (points[0],), (extent,))
+    phi = sample(standard_gaussian(1), (points,), (extent,))
     return partial_stft_slice(phi, phi, 1)
 
 
@@ -155,6 +155,7 @@ def cmd_check(args) -> int:
         mean_width,
         nazarov_bound,
     )
+    from .errors import RadiusExceedsGrid
     from .serialize import _atomic_write, read_field, sweep_to_csv
 
     field = read_field(args.field) if args.field else _default_stft_field(args.grid)
@@ -184,8 +185,8 @@ def cmd_check(args) -> int:
 
         points, extent = args.grid
         phi = standard_gaussian(1)
-        f1 = sample(phi, (points[0],), (extent,))
-        f2 = sample(apply_partial_fourier(phi, (0,)), (points[0],), (extent,))
+        f1 = sample(phi, (points,), (extent,))
+        f2 = sample(apply_partial_fourier(phi, (0,)), (points,), (extent,))
         s_shape = Box((0.0,), (args.s_halfwidth,))
         t_shape = Box((0.0,), (args.t_halfwidth,))
         rep = nazarov_bound(
@@ -205,6 +206,9 @@ def cmd_check(args) -> int:
         }
         _emit(obj, args.out, "report.json")
         return 0
+    half, rmax = min(field.extents) / 2.0, max(args.radii)
+    if rmax > half:
+        raise RadiusExceedsGrid(f"radius {rmax} exceeds the field's half extent {half}")
     if args.kind == "beurling":
         d = field.n // 2
         m = np.zeros((field.n, field.n))
@@ -226,7 +230,8 @@ def cmd_check(args) -> int:
             k: v for k, v in report.parameters.items() if not isinstance(v, tuple)
         },
         "sweep": [[r, v] for r, v in report.sweep],
-        "ratios": list(report.ratios),
+        # the CSV's token for an infinite ratio; JSON has no infinity
+        "ratios": [r if math.isfinite(r) else "inf" for r in report.ratios],
         "verdict": report.verdict,
         "rule": report.rule,
     }
@@ -249,12 +254,12 @@ def cmd_counterexample(args) -> int:
 
     cert = _load_certificate(args.certificate, "I", "counterexample")
     points, extent = args.grid
-    if points[0] < 128:
-        print(f"warning: {points[0]} points per axis is coarse; "
+    if points < 128:
+        print(f"warning: {points} points per axis is coarse; "
               "expect larger discretization error", file=sys.stderr)
     cx = counterexample_alt1(
         cert, bump_box=(-args.bump_halfwidth, args.bump_halfwidth),
-        points=points[0], extent=extent,
+        points=points, extent=extent,
     )
     tfr = alt1_tfr_tensor(cx)
     lo = np.full(2, -args.bump_halfwidth)
@@ -303,16 +308,15 @@ def _finite(value, low=-math.inf):
 
 
 def _grid_spec(spec):
-    pts, extent = spec.split("@")
-    points = tuple(_finite(int(p), 0) for p in pts.replace("×", "x").split("x"))
-    return points, _finite(float(extent), 0.0)
+    points, extent = spec.split("@")
+    return _finite(int(points), 0), _finite(float(extent), 0.0)
 
 
 _COUNT = _flag(lambda text: _finite(int(text), 0), "a positive integer")
 _SEED = _flag(lambda text: _finite(int(text), -1), "a non-negative integer")
 _FLOAT = _flag(lambda text: _finite(float(text)), "a finite number")
 _POSITIVE = _flag(lambda text: _finite(float(text), 0.0), "a finite positive number")
-_GRID = _flag(_grid_spec, "a grid spec such as 256x256@16")
+_GRID = _flag(_grid_spec, "a grid spec points@extent such as 256@16")
 _RADII = _flag(
     lambda text: tuple(_finite(float(r), 0.0) for r in text.split(",")),
     "finite positive radii such as 1,2,4,8",
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["beurling", "hardy", "gs", "nazarov"])
     p.add_argument("--field", default=None, help="MTFR binary field input")
     p.add_argument("--grid", type=_GRID, default="256@16",
-                   help="grid spec points[x...]@extent")
+                   help="points@extent of the d = 1 grid")
     p.add_argument("--radii", type=_RADII, default="1,2,4,8")
     p.add_argument("--resolution", type=_COUNT, default=512)
     p.add_argument("--n-exponent", type=_FLOAT, default=0.0)
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="compactly supported pair for an Alternative I certificate")
     p.add_argument("certificate")
-    p.add_argument("--grid", type=_GRID, default="256@16")
+    p.add_argument("--grid", type=_GRID, default="256@16", help="grid spec points@extent")
     p.add_argument("--bump-halfwidth", type=_POSITIVE, default=2.0)
     p.add_argument("--format", choices=["json", "bin", "both"], default="both")
     p.add_argument("--out", default=None)

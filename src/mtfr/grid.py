@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     GridTooLarge,
     OffGridPoint,
-    RadiusExceedsGrid,
     UnsupportedDilation,
 )
 from .gaussian import GeneralizedGaussian, evaluate
@@ -46,7 +45,6 @@ __all__ = [
     "tfr_grid",
     "tf_shift",
     "intertwining_check",
-    "weighted_truncated_integral",
     "mass_outside",
 ]
 
@@ -322,9 +320,7 @@ def partial_stft_slice(
     return SampledField(integrand, tuple(extents))
 
 
-def partial_stft_grid(
-    f: SampledField, g: SampledField, k: int, max_elements: int = MAX_ELEMENTS
-) -> SampledField:
+def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     """Full V^k_g f on the tensor grid, indexed (x1, x2, omega1, omega2).
 
     omega2 ranges over the (spatial) grid of the trailing axes, since the
@@ -338,7 +334,7 @@ def partial_stft_grid(
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
     tail = f.points[k:]
     out_shape = f.points[:k] + tail + f.points[:k] + tail
-    if int(np.prod(out_shape)) > max_elements:
+    if int(np.prod(out_shape)) > MAX_ELEMENTS:
         raise GridTooLarge(f"output would hold {int(np.prod(out_shape))} elements")
     out = np.empty(out_shape, dtype=complex)
     w_extents = None
@@ -384,14 +380,12 @@ def partial_stft_at(
     return complex(np.sum(fs * np.conj(win) * np.exp(-2j * np.pi * phase)) * cell)
 
 
-def tfr_grid(
-    word: GeneratorWord, f: SampledField, g: SampledField, max_elements: int = MAX_ELEMENTS
-) -> SampledField:
+def tfr_grid(word: GeneratorWord, f: SampledField, g: SampledField) -> SampledField:
     """Metaplectic representation on the grid: the word applied to f (x) conj(g)."""
     if word.n != f.n + g.n:
         raise DimensionMismatch("word dimension must equal dim f + dim g")
     total = int(np.prod(f.points)) * int(np.prod(g.points))
-    if total > max_elements:
+    if total > MAX_ELEMENTS:
         raise GridTooLarge(f"tensor would hold {total} elements")
     big = np.multiply.outer(f.values, np.conj(g.values))
     field = SampledField(big, tuple(f.extents) + tuple(g.extents))
@@ -472,18 +466,7 @@ def intertwining_check(
 
 
 # ---------------------------------------------------------------------------
-# integrals and masses
-
-
-def weighted_truncated_integral(field: SampledField, weight, radius: float) -> float:
-    """Riemann sum of |field| x weight over the ball ||lambda|| <= radius."""
-    if radius > min(field.extents) / 2.0:
-        raise RadiusExceedsGrid(f"radius {radius} exceeds grid half-extent")
-    pts = field.mesh().reshape(-1, field.n)
-    mask = np.einsum("ij,ij->i", pts, pts) <= radius**2
-    vals = np.abs(field.values).ravel()[mask]
-    w = np.asarray(weight(pts[mask]), dtype=float)
-    return float(np.sum(vals * w) * field.cell_volume())
+# masses
 
 
 def mass_outside(field: SampledField, region) -> float:

@@ -393,7 +393,7 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
     return GeneratorWord(n, letters)
 
 
-def select_tau_balanced(u: np.ndarray, m: int = 64) -> complex:
+def select_tau_balanced(u: np.ndarray) -> complex:
     """Tau conditioning *both* factors of the split R_U = R_{tau U} R_{conj(tau) I}.
 
     tau = 1 leaves the second factor trivial and scores sigma_min(Im U);
@@ -405,7 +405,7 @@ def select_tau_balanced(u: np.ndarray, m: int = 64) -> complex:
     """
     u = assert_unitary(u, what="select_tau_balanced")
     base = np.linalg.svd(u.imag, compute_uv=False)[-1]
-    for resolution in (m, 2 * m):
+    for resolution in (64, 128):
         taus = np.array([np.exp(1j * np.pi * j / resolution) for j in range(1, resolution)])
         smin = np.linalg.svd((taus[:, None, None] * u).imag, compute_uv=False)[:, -1]
         scores = np.minimum(smin, np.abs(taus.imag))

@@ -25,6 +25,7 @@ from .symplectic import TOL_UNIT, assert_unitary
 
 TOL_RECON = 1e-9
 CLUSTER_TOL = 1e-8
+IMAG_TOL = 1e-10  # |Im sigma| at or below it counts as real
 
 __all__ = [
     "ODOFactorization",
@@ -55,12 +56,12 @@ def block_diag_test(u: np.ndarray, d: int, tol: float = 1e-8):
 
 
 def joint_diagonalize_commuting_symmetric(
-    x: np.ndarray, y: np.ndarray, cluster_tol: float = CLUSTER_TOL
+    x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Real orthogonal W with W^t x W and W^t y W both diagonal.
 
     Diagonalizes x, then diagonalizes y restricted to each x-eigenspace;
-    eigenvalues of x within cluster_tol (relative to the spectral spread)
+    eigenvalues of x within CLUSTER_TOL (relative to the spectral spread)
     are treated as one cluster.
     """
     x = np.asarray(x, dtype=float)
@@ -72,7 +73,7 @@ def joint_diagonalize_commuting_symmetric(
     start = 0
     while start < n:
         stop = start + 1
-        while stop < n and wx[stop] - wx[start] <= cluster_tol * scale:
+        while stop < n and wx[stop] - wx[start] <= CLUSTER_TOL * scale:
             stop += 1
         if stop - start > 1:
             block = w[:, start:stop]
@@ -144,12 +145,12 @@ def odo_svd(u: np.ndarray) -> ODOFactorization:
     return fact
 
 
-def takagi_symmetric_unitary(s: np.ndarray, tol_sym: float = 1e-10) -> np.ndarray:
+def takagi_symmetric_unitary(s: np.ndarray) -> np.ndarray:
     """Unitary V with V^t V = S for symmetric unitary S."""
     s = np.asarray(s, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch("takagi input must be square")
-    if np.linalg.norm(s - s.T) > tol_sym * max(1.0, np.linalg.norm(s)):
+    if np.linalg.norm(s - s.T) > 1e-10 * max(1.0, np.linalg.norm(s)):
         raise NotSymmetric("takagi input is not symmetric")
     defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
     if defect > TOL_UNIT * max(1.0, np.linalg.norm(s)):
@@ -178,7 +179,7 @@ class SortedDiagonal:
     k: int
 
 
-def sort_by_imag(sigma, imag_tol: float = 1e-10) -> SortedDiagonal:
+def sort_by_imag(sigma) -> SortedDiagonal:
     """Sort a diagonal unitary per descending imaginary part.
 
     Sign flips make every entry satisfy Im > 0 or equal +1; a permutation
@@ -196,7 +197,7 @@ def sort_by_imag(sigma, imag_tol: float = 1e-10) -> SortedDiagonal:
     signs = np.ones(n)
     flipped = sigma.copy()
     for j in range(n):
-        if abs(sigma[j].imag) <= imag_tol:
+        if abs(sigma[j].imag) <= IMAG_TOL:
             if abs(abs(sigma[j].real) - 1.0) > 1e-8:
                 raise TrailingNotReal(f"entry {sigma[j]} has zero Im but |Re| != 1")
             if sigma[j].real < 0:
@@ -211,6 +212,6 @@ def sort_by_imag(sigma, imag_tol: float = 1e-10) -> SortedDiagonal:
     left = perm @ np.diag(signs)
     right = perm.T
     sorted_sigma = flipped[order]
-    k = int(np.sum(sorted_sigma.imag > imag_tol))
+    k = int(np.sum(sorted_sigma.imag > IMAG_TOL))
     sorted_sigma[k:] = 1.0
     return SortedDiagonal(left, right, sorted_sigma, k)

@@ -63,3 +63,26 @@ def gaussians(draw):
     m = np.diag(_array(draw, n, 1.0, 10.0)) + 0.5 * (off + off.T) + 0.5j * (t + t.T)
     b = _array(draw, n, -1e3, 1e3) + 1j * _array(draw, n, -1e3, 1e3)
     return GeneralizedGaussian(m, b, draw(st.floats(-50.0, 50.0)))
+
+
+@st.composite
+def grid_gaussians(draw):
+    """d = 1 Gaussians that a 256-point grid of extent 16 resolves."""
+    m = draw(st.floats(0.8, 0.9)) + 1j * draw(st.floats(-0.15, 0.15))
+    b = draw(st.floats(-0.25, 0.25)) + 1j * draw(st.floats(-0.25, 0.25))
+    return GeneralizedGaussian(np.array([[m]]), np.array([b]))
+
+
+@st.composite
+def grid_words(draw):
+    """d = 1 words of 1-4 letters: Fourier, chirps |q| <= 1/2, dilations +-e^t, |t| <= 1/4."""
+    letters = []
+    for kind in draw(st.lists(st.sampled_from("cdf"), min_size=1, max_size=4)):
+        if kind == "c":
+            letters.append(Chirp(np.array([[draw(st.floats(-0.5, 0.5))]])))
+        elif kind == "d":
+            scale = draw(st.sampled_from([-1.0, 1.0])) * np.exp(draw(st.floats(-0.25, 0.25)))
+            letters.append(Dilation(np.array([[scale]])))
+        else:
+            letters.append(PartialFourier((0,)))
+    return GeneratorWord(1, tuple(letters))

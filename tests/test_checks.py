@@ -6,6 +6,7 @@ from mtfr.checks import (
     Box,
     LinearImage,
     beurling_sweep,
+    beurling_weight,
     complement_integral,
     contains,
     cross_section_sweep,
@@ -17,16 +18,23 @@ from mtfr.checks import (
     nc_constant,
     volume,
 )
-from mtfr.errors import DegenerateFit, Singular
+from mtfr.errors import DegenerateFit, DimensionMismatch, Singular
 from mtfr.gaussian import (
     apply_chirp,
     apply_partial_fourier,
+    l1_norm,
     modulus,
     partial_stft_point,
     random_gaussian,
     standard_gaussian,
 )
-from mtfr.grid import partial_stft_grid, sample, sample_function
+from mtfr.grid import (
+    SampledField,
+    partial_stft_grid,
+    partial_stft_slice,
+    sample,
+    sample_function,
+)
 
 ANTIDIAG = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -34,6 +42,19 @@ ANTIDIAG = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 def vphiphi_evaluator():
     phi = standard_gaussian(1)
     return lambda pts: partial_stft_point(phi, phi, 1, pts[:, :1], pts[:, 1:])
+
+
+def nearest_grid_evaluator(field):
+    """|field| at the grid point nearest each node (nodes inside the grid)."""
+
+    def evaluator(pts):
+        idx = tuple(
+            np.rint(pts[:, a] / field.spacing(a)).astype(int) + field.points[a] // 2
+            for a in range(field.n)
+        )
+        return np.abs(field.values[idx])
+
+    return evaluator
 
 
 class TestBeurlingSweep:
@@ -74,16 +95,55 @@ class TestBeurlingSweep:
         for (_, v1), (_, v2) in zip(rep1.sweep, rep2.sweep):
             assert v2 == pytest.approx(v1, rel=1e-6)
 
+    def test_unit_weight_gives_l1(self, rng):
+        # M = 0, N = 0: the weight is 1, so the sweep integrates |g|
+        g = random_gaussian(2, rng)
+        rep = beurling_sweep(lambda pts: modulus(g, pts), np.zeros((2, 2)), 0.0, (7.9,),
+                             resolution=512)
+        assert rep.sweep[0][1] == pytest.approx(l1_norm(g), rel=1e-6)
+        assert rep.ratios == () and rep.verdict == "inconclusive"
+
+    def test_non_finite_values_rejected(self):
+        ev = lambda pts: np.full(len(pts), np.inf)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2), resolution=16)
+
+    def test_vanishing_first_ball_gives_infinite_ratio(self):
+        ev = lambda pts: (np.linalg.norm(pts, axis=1) > 1.5).astype(float)
+        rep = beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2, 4), resolution=64)
+        assert rep.sweep[0][1] == 0.0
+        assert rep.ratios[0] == np.inf
+        assert rep.verdict == "divergent-looking"
+
+
+def test_rule_reads_the_last_three_ratios_of_each_sweep():
+    from mtfr.checks import _verdicts
+
+    # one column per sweep, one row per radius step
+    ratios = np.array([[1.0, 3.0, 1.1], [1.0, 1.0, 1.3], [3.0, 1.0, 1.3], [3.0, 1.01, 1.3]])
+    assert _verdicts(ratios).tolist() == [
+        "inconclusive", "convergent-looking", "divergent-looking"
+    ]
+    # one radius gives no ratio, and no ratio gives no trend
+    assert _verdicts(np.zeros((0, 2))).tolist() == ["inconclusive"] * 2
+
+
+@pytest.mark.parametrize("sweep", ["beurling", "gs"])
+def test_one_evaluator_call_per_sweep(sweep):
+    calls = []
+
+    def ev(pts):
+        calls.append(len(pts))
+        return np.exp(-2.0 * np.pi * np.einsum("ij,ij->i", pts, pts))
+
+    if sweep == "beurling":
+        beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2, 4), resolution=64)
+    else:
+        gelfand_shilov_sweep(ev, 2.0, 0.6, 0.6, (1, 2, 4), resolution=64)
+    assert len(calls) == 1
+
 
 class TestWeightBuilders:
-    def test_gaussian_weight_matches_hardy_bound(self):
-        from mtfr.checks import gaussian_weight
-
-        w = gaussian_weight(np.eye(2), 1.4)
-        pts = np.array([[1.0, 0.0], [0.3, -0.4]])
-        want = np.exp(0.5 * np.pi * 1.4 * np.sum(pts**2, axis=1))
-        np.testing.assert_allclose(w(pts), want, rtol=1e-14)
-
     def test_gs_weight_p2_reduces_to_quadratic(self):
         from mtfr.checks import gelfand_shilov_weight
 
@@ -93,19 +153,17 @@ class TestWeightBuilders:
         np.testing.assert_allclose(w(pts), want, rtol=1e-14)
 
     def test_weights_compose_with_grid_integral(self):
-        from mtfr.checks import gaussian_weight
-        from mtfr.grid import weighted_truncated_integral
-
         phi = sample(standard_gaussian(1), (256,), (16.0,))
-        from mtfr.grid import partial_stft_slice
-
         v = partial_stft_slice(phi, phi, 1)
-        # alpha < 1: the weighted integrand decays and the truncation
-        # saturates (radii stay below where the weight amplifies the FFT
+        # alpha = beta < 1: both weighted integrands decay and the truncation
+        # saturates (radii stay below where the weights amplify the FFT
         # noise floor of the field)
-        small = weighted_truncated_integral(v, gaussian_weight(np.eye(2), 0.5), 4.5)
-        big = weighted_truncated_integral(v, gaussian_weight(np.eye(2), 0.5), 6.0)
-        assert big == pytest.approx(small, rel=1e-5)
+        rep = gelfand_shilov_sweep(nearest_grid_evaluator(v), 2.0, 0.5, 0.5, (4.5, 6.0),
+                                   resolution=192)
+        for sweep in (rep.sweep, rep.parameters["sweep_omega"]):
+            (_, small), (_, big) = sweep
+            assert big == pytest.approx(small, rel=1e-5)
+        assert rep.verdict == "convergent-looking"
 
 
 class TestHardyFit:
@@ -128,8 +186,6 @@ class TestHardyFit:
 
     def test_grid_vphiphi(self):
         phi = sample(standard_gaussian(1), (256,), (16.0,))
-        from mtfr.grid import partial_stft_slice
-
         v = partial_stft_slice(phi, phi, 1)
         fit = hardy_fit_field(v, rmin=1.5, rmax=4.0)
         assert fit.alpha == pytest.approx(1.0, abs=1e-3)
@@ -154,8 +210,6 @@ class TestHardyFit:
 class TestGelfandShilov:
     def test_p2_weights_reduce_to_hardy_type(self):
         # p = q = 2, alpha = beta: both weights are e^{(pi/2) a^2 ||.||^2}
-        from mtfr.checks import beurling_weight  # noqa: F401  (import check)
-
         ev = lambda pts: np.exp(-4.0 * np.pi * np.einsum("ij,ij->i", pts, pts))
         rep = gelfand_shilov_sweep(ev, 2.0, 1.2, 1.2, (1, 2, 3), resolution=200)
         q = rep.parameters["q"]
@@ -167,6 +221,12 @@ class TestGelfandShilov:
         rep = gelfand_shilov_sweep(ev, 2.0, 0.6, 0.6, (1, 2, 4, 6), resolution=300)
         assert rep.verdict == "convergent-looking"
         assert not rep.parameters["alpha_beta_critical"]
+
+    def test_non_finite_omega_sweep_rejected(self):
+        # only the omega weight overflows; its sweep drives the verdict too
+        ev = lambda pts: np.exp(-np.pi * np.einsum("ij,ij->i", pts, pts))
+        with np.errstate(over="ignore"), pytest.raises(DimensionMismatch, match="finite"):
+            gelfand_shilov_sweep(ev, 2.0, 0.5, 100.0, (1, 2), resolution=16)
 
     def test_vphiphi_supercritical_divergent(self):
         rep = gelfand_shilov_sweep(
@@ -223,8 +283,6 @@ class TestNazarov:
         return f1, f2
 
     def test_zero_field_trivial(self):
-        from mtfr.grid import SampledField
-
         z = SampledField(np.zeros(64, dtype=complex), (16.0,))
         rep = nazarov_bound(z, z, Box((0.0,), (2.0,)), Box((0.0,), (2.0,)),
                             np.eye(1), np.eye(1), np.eye(1))
@@ -285,33 +343,77 @@ class TestNazarov:
         assert v2 == pytest.approx(v1, rel=1e-9)
 
 
+def bump_slice_field(eps):
+    """V^1 f f for f = phi (x) psi, psi a bump of half-width eps."""
+
+    def fn(m):
+        t, s = m[..., 0], m[..., 1]
+        u = s / eps
+        bump = np.where(np.abs(u) < 1, np.exp(1 - 1 / np.maximum(1 - u**2, 1e-12)), 0.0)
+        return np.exp(-np.pi * t**2) * bump
+
+    # extent 8 keeps the dual (omega1) half-extent at 2, covering the radii
+    f = sample_function(fn, (32, 32), (8.0, 8.0))
+    return partial_stft_grid(f, f, 1)
+
+
+def cross_section_loop(field, k, m, n_exponent, radii):
+    """Reference: one truncated Beurling sweep per (x2, omega2) slice, in a loop."""
+    d = field.n // 2
+    tail = field.points[k:d] + field.points[d + k :]
+    slice_axes = list(range(k)) + list(range(d, d + k))
+    mesh = np.stack(np.meshgrid(*[field.coords(a) for a in slice_axes], indexing="ij"), -1)
+    pts = mesh.reshape(-1, 2 * k)
+    w = beurling_weight(m, n_exponent)(pts)
+    masks = [np.einsum("ij,ij->i", pts, pts) <= r * r for r in radii]
+    cell = float(np.prod([field.spacing(a) for a in slice_axes]))
+    verdicts = np.zeros(tail, dtype=bool)
+    for idx in np.ndindex(*tail):
+        sel = (slice(None),) * k + idx[: d - k] + (slice(None),) * k + idx[d - k :]
+        vals = np.abs(field.values[sel]).reshape(-1)
+        values = [float(np.sum(vals[msk] * w[msk]) * cell) for msk in masks]
+        ratios = [
+            (b / a if a > 0 else (1.0 if b == 0.0 else np.inf))
+            for a, b in zip(values, values[1:])
+        ]
+        last = ratios[-3:]
+        verdicts[idx] = not (last and all(r >= 1.2 for r in last))
+    return verdicts
+
+
 class TestCrossSection:
     def test_zero_field_all_pass(self):
-        from mtfr.grid import SampledField
-
         z = SampledField(np.zeros((16, 16, 16, 16), dtype=complex),
                          (16.0, 16.0, 16.0, 16.0))
         rep = cross_section_sweep(z, 1, ANTIDIAG, 0.0, (1, 2, 4))
         assert rep.fraction_passing == 1.0
         assert rep.exception_measure == 0.0
 
-    def test_separable_bump_slices(self, rng):
+    def test_separable_bump_slices(self):
         # f = phi (x) psi with psi a narrow bump: slices where psi vanishes
         # pass trivially; slices inside the bump look like V_phi phi and fail
-        def make_field(eps):
-            def fn(m):
-                t, s = m[..., 0], m[..., 1]
-                u = s / eps
-                bump = np.where(np.abs(u) < 1, np.exp(1 - 1 / np.maximum(1 - u**2, 1e-12)), 0.0)
-                return np.exp(-np.pi * t**2) * bump
-
-            # extent 8 keeps the dual (omega1) half-extent at 2, covering the radii
-            f = sample_function(fn, (32, 32), (8.0, 8.0))
-            return partial_stft_grid(f, f, 1)
-
         radii = (0.5, 1.0, 1.5, 2.0)
-        rep_wide = cross_section_sweep(make_field(3.0), 1, ANTIDIAG, 0.0, radii)
-        rep_narrow = cross_section_sweep(make_field(1.0), 1, ANTIDIAG, 0.0, radii)
+        rep_wide = cross_section_sweep(bump_slice_field(3.0), 1, ANTIDIAG, 0.0, radii)
+        rep_narrow = cross_section_sweep(bump_slice_field(1.0), 1, ANTIDIAG, 0.0, radii)
         assert 0.0 < rep_wide.fraction_passing < 1.0
         # shrinking the bump support shrinks the exception set
         assert rep_narrow.exception_measure < rep_wide.exception_measure
+
+    @pytest.mark.parametrize("case", ["zero", "bump-wide", "bump-narrow", "random"])
+    def test_one_pass_matches_slice_loop(self, case, rng):
+        radii, n_exponent = (0.5, 1.0, 1.5, 2.0), 0.0
+        if case == "zero":
+            field = SampledField(np.zeros((16,) * 4, dtype=complex), (16.0,) * 4)
+            radii = (1.0, 2.0, 4.0)
+        elif case == "random":
+            f, g = (sample(random_gaussian(2, rng), (32, 32), (8.0, 8.0)) for _ in "fg")
+            field = partial_stft_grid(f, g, 1)
+            n_exponent = 8.0  # puts slices on both sides of the rule (0 pass at N = 0)
+        else:
+            field = bump_slice_field(3.0 if case == "bump-wide" else 1.0)
+        want = cross_section_loop(field, 1, ANTIDIAG, n_exponent, radii)
+        rep = cross_section_sweep(field, 1, ANTIDIAG, n_exponent, radii)
+        np.testing.assert_array_equal(rep.verdicts, want)
+        assert rep.fraction_passing == np.count_nonzero(want) / want.size
+        failing = want.size - np.count_nonzero(want)
+        assert rep.exception_measure == failing * rep.cell_measure

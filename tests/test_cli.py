@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,7 @@ import mtfr
 from mtfr.certify import identity_errors
 from mtfr.cli import main
 from mtfr.gaussian import random_gaussian, standard_gaussian
-from mtfr.grid import sample
+from mtfr.grid import sample, sample_function
 from mtfr.serialize import canonical_json, certificate_from_obj, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
@@ -188,6 +190,24 @@ class TestCheck:
         csv = (out / "sweep.csv").read_text()
         assert csv.startswith("R,value,ratio")
 
+    def test_infinite_ratio_written_as_inf(self, tmp_path):
+        # a ring that vanishes on the first ball: I(2)/I(1) = b/0
+        def ring(m):
+            r = np.linalg.norm(m, axis=-1)
+            return np.where(r > 1.5, np.exp(-np.pi * (r - 3.0) ** 2), 0.0)
+
+        field = tmp_path / "ring.bin"
+        write_field(sample_function(ring, (64, 64), (16.0, 16.0)), field)
+        argv = ["check", "beurling", "--field", str(field), "--radii", "1,2,4"]
+        assert main([*argv, "--out", str(tmp_path / "both")]) == 0
+        assert main([*argv, "--format", "csv", "--out", str(tmp_path / "csv")]) == 0
+        obj = json.loads((tmp_path / "both" / "report.json").read_text())
+        csv = (tmp_path / "csv" / "sweep.csv").read_text()
+        assert csv == (tmp_path / "both" / "sweep.csv").read_text()
+        assert obj["ratios"][0] == "inf"
+        assert csv.splitlines()[2].endswith(",inf")
+        assert obj["verdict"] == "divergent-looking"
+
     def test_gs_bad_p_exit_2(self):
         assert main(["check", "gs", "--p", "0.5"]) == 2
 
@@ -267,12 +287,16 @@ class TestMalformedInput:
     }
 
     @pytest.fixture
-    def inputs(self, tmp_path, alt2_matrix):
+    def inputs(self, tmp_path, alt1_matrix, alt2_matrix):
         field = tmp_path / "field.bin"
         write_field(sample(standard_gaussian(1), (64,), (8.0,)), field)
+        # e^{pi |x omega|} overflows on this field's nodes long before it ends
+        wide = sample(standard_gaussian(2), (64, 64), (400.0, 400.0))
+        write_field(wide, tmp_path / "wide.bin")
         truncated = tmp_path / "truncated.bin"
         truncated.write_bytes(field.read_bytes()[:-16])
-        paths = {"truncated": str(truncated), "missing": str(tmp_path / "missing.bin")}
+        paths = {"truncated": str(truncated), "missing": str(tmp_path / "missing.bin"),
+                 "wide": str(tmp_path / "wide.bin")}
         for alt in ("I", "II"):
             cert = tmp_path / f"cert{alt}.json"
             cert.write_text(f'{{"alternative": "{alt}", "d": 1}}')
@@ -282,6 +306,8 @@ class TestMalformedInput:
             paths[name] = str(tmp_path / f"{name}.json")
         assert main(["classify", alt2_matrix, "--out", str(tmp_path / "c2")]) == 0
         paths["alt2_cert"] = str(tmp_path / "c2" / "certificate.json")
+        assert main(["classify", alt1_matrix, "--out", str(tmp_path / "c1")]) == 0
+        paths["alt1_cert"] = str(tmp_path / "c1" / "certificate.json")
         for name, (keys, value) in self.CERT_EDITS.items():
             obj = json.loads(open(paths["alt2_cert"]).read())
             inner = obj
@@ -318,13 +344,17 @@ class TestMalformedInput:
             ["verify", "{nan_gamma1}"],
             ["verify", "{nan_word_a}"],
             ["verify", "{edited_word}"],
+            ["check", "beurling", "--radii", "1,2,4,8,16"],
+            ["check", "hardy", "--grid", "64x8@16"],
+            ["counterexample", "{alt1_cert}", "--grid", "256x3@16"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
              "gaussian-keys", "gaussian-not-pd", "gaussian-dimension", "nan-box",
              "nan-tol", "negative-seed", "zero-resolution", "negative-resolution",
              "nan-exponent", "bad-flag", "nan-pre-iwasawa-u", "nan-gamma1",
-             "nan-word-a-letter", "edited-word-bold"],
+             "nan-word-a-letter", "edited-word-bold", "radius-exceeds-grid",
+             "check-grid-two-counts", "cx-grid-two-counts"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
@@ -336,6 +366,17 @@ class TestMalformedInput:
     def test_overflowing_matrix_exit_2(self, inputs):
         # numpy may warn about the overflow first; the error is still one line
         proc = _run_python(["-m", "mtfr.cli", "factor", inputs["huge_matrix"]])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_sweep_exit_2(self, inputs, fmt):
+        # the weight overflows, so the sweep values are not finite
+        proc = _run_python([
+            "-m", "mtfr.cli", "check", "beurling", "--field", inputs["wide"],
+            "--radii", "50,100,200", "--resolution", "64", "--format", fmt,
+        ])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("error: ")
@@ -369,6 +410,14 @@ class TestPackage:
         proc = _run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_exported_name_resolves(self):
+        names = [info.name for info in pkgutil.iter_modules(mtfr.__path__)]
+        assert {"checks", "grid"} <= set(names)
+        for name in names:
+            module = importlib.import_module(f"mtfr.{name}")
+            for export in getattr(module, "__all__", ()):
+                assert hasattr(module, export), f"mtfr.{name}.{export}"
 
     def test_submodules_are_not_shadowed(self):
         import mtfr.certify as C

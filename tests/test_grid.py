@@ -2,20 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mtfr.errors import (
     ChirpAliasingWarning,
     DimensionMismatch,
     GridTooLarge,
     OffGridPoint,
-    RadiusExceedsGrid,
     UnsupportedDilation,
 )
 from mtfr.gaussian import (
     apply_dilation,
     apply_word,
     conjugate,
-    l1_norm,
     log_l2_norm,
     modulus,
     partial_stft_point,
@@ -39,7 +38,6 @@ from mtfr.grid import (
     sample_function,
     tf_shift,
     tfr_grid,
-    weighted_truncated_integral,
 )
 from mtfr.symplectic import (
     Chirp,
@@ -49,6 +47,7 @@ from mtfr.symplectic import (
     factor_to_word,
     random_symplectic,
 )
+from conftest import grid_gaussians, grid_words
 
 N, T = 256, 16.0
 
@@ -183,6 +182,15 @@ class TestLetters:
             rel = np.abs(np.abs(out.values[idx]) - np.abs(oracle.values[idx]))
             assert np.max(rel / np.abs(oracle.values[idx])) < 1e-6
 
+    @given(grid_gaussians(), grid_words())
+    @settings(max_examples=60, deadline=None)
+    def test_random_short_words_vs_oracle(self, g, word):
+        out = apply_word_grid(sample(g, (N,), (T,)), word)
+        oracle = np.abs(sample(apply_word(g, word), out.points, out.extents).values)
+        idx = oracle > 1e-5 * oracle.max()
+        rel = np.abs(np.abs(out.values[idx]) - oracle[idx]) / oracle[idx]
+        assert np.max(rel) < 1e-6
+
 
 class TestPartialStftGrid:
     def test_gaussian_matches_closed_form(self, phi_field):
@@ -303,35 +311,6 @@ class TestTfrGrid:
         idx = np.abs(oracle.values) > 1e-5 * np.abs(oracle.values).max()
         rel = np.abs(np.abs(out.values[idx]) - np.abs(oracle.values[idx]))
         assert np.max(rel / np.abs(oracle.values[idx])) < 1e-6
-
-
-class TestIntegrals:
-    def test_zero_field(self):
-        zero = SampledField(np.zeros((64, 64), dtype=complex), (T, T))
-        assert weighted_truncated_integral(zero, lambda p: np.ones(len(p)), 4.0) == 0.0
-
-    def test_unit_weight_gives_l1(self, rng):
-        g = random_gaussian(2, rng)
-        f = sample(g, (256, 256), (T, T))
-        got = weighted_truncated_integral(f, lambda p: np.ones(len(p)), 7.9)
-        assert got == pytest.approx(l1_norm(g), rel=1e-6)
-
-    def test_radius_exceeds_grid(self, rng):
-        f = sample(random_gaussian(1, rng), (N,), (T,))
-        with pytest.raises(RadiusExceedsGrid):
-            weighted_truncated_integral(f, lambda p: np.ones(len(p)), T)
-
-    def test_beurling_divergence_signature(self, phi_field):
-        # integrand is identically 1 along the diagonal, so I(2R)/I(R) ~ 2
-        v = partial_stft_slice(phi_field, phi_field, 1)
-
-        def weight(pts):
-            return np.exp(np.pi * np.abs(pts[:, 0] * pts[:, 1]))
-
-        for r in (2.0, 3.0, 4.0):
-            small = weighted_truncated_integral(v, weight, r)
-            big = weighted_truncated_integral(v, weight, 2.0 * r)
-            assert big / small >= 1.5
 
 
 class TestMassOutside:
