@@ -198,6 +198,14 @@ def nc_constant(s_shape, t_shape, c: float = 1.0):
 # sweeps
 
 
+def _increasing_radii(radii) -> tuple:
+    """The radii as floats; raises DimensionMismatch unless they strictly increase."""
+    radii = tuple(float(r) for r in radii)
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise DimensionMismatch("sweep radii must be strictly increasing")
+    return radii
+
+
 @dataclass(frozen=True)
 class UPReport:
     condition: str
@@ -208,9 +216,7 @@ class UPReport:
     rule: str
 
     def __post_init__(self):
-        radii = [r for r, _ in self.sweep]
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise DimensionMismatch("sweep radii must be strictly increasing")
+        _increasing_radii(r for r, _ in self.sweep)
         sweeps = (self.sweep, self.parameters.get("sweep_omega", ()))
         if not all(0.0 <= v < math.inf for sweep in sweeps for _, v in sweep):
             raise DimensionMismatch("sweep values must be finite and nonnegative")
@@ -299,7 +305,7 @@ def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transfor
     the ball of the largest radius R; each weight then takes the same
     masked sums and ratio rule.
     """
-    radii = tuple(float(r) for r in radii)
+    radii = _increasing_radii(radii)
     nodes, cell = _ball_nodes(dim, radii[-1], resolution)
     r2 = np.einsum("ij,ij->i", nodes, nodes)
     # only nodes of the largest ball enter a sum; the sums keep their order
@@ -593,7 +599,7 @@ def cross_section_sweep(
     tail = field.points[k:d] + field.points[d + k :]
     if not tail:
         raise DimensionMismatch("no cross-section variables (k = d)")
-    radii = tuple(float(r) for r in radii)
+    radii = _increasing_radii(radii)
 
     slice_axes = list(range(k)) + list(range(d, d + k))
     coords = [field.coords(a) for a in slice_axes]

@@ -226,10 +226,9 @@ def cmd_check(args) -> int:
 
     obj = {
         "condition": report.condition,
-        "parameters": {
-            k: v for k, v in report.parameters.items() if not isinstance(v, tuple)
-        },
-        "sweep": [[r, v] for r, v in report.sweep],
+        # tuples render as JSON arrays: gs's sweep_omega is [[R, value], ...]
+        "parameters": report.parameters,
+        "sweep": report.sweep,
         # the CSV's token for an infinite ratio; JSON has no infinity
         "ratios": [r if math.isfinite(r) else "inf" for r in report.ratios],
         "verdict": report.verdict,
@@ -395,10 +394,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; every failure becomes an exit code and one stderr line."""
+    """Run one command; every failure becomes an exit code and one stderr line.
+
+    numpy's floating-point warnings are silenced, so an input that
+    overflows prints nothing before its error line: the finite checks on
+    every result still reject it.
+    """
+    import numpy as np
+
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _ASSERTION_ERRORS as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3

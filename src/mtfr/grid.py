@@ -9,7 +9,8 @@ as a Bluestein chirp-z transform of the centered spectrum in O(N log N)
 per line; in higher dimension only monomial matrices (permutation x
 diagonal) are resampled, axis by axis, and everything else is left to the
 Gaussian oracle path.  A partial STFT slice is one batched FFT over the
-window shifted to every grid point.
+window shifted to every grid point, run in place on a single integrand
+buffer.
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex values on a centered uniform tensor grid."""
+    """Complex values on a centered uniform tensor grid.
+
+    A complex array that owns its data is taken as it is and marked
+    read-only in place, without a copy; the caller hands it over and keeps
+    no views of it.  Any other input (a view, a list, another dtype) is
+    copied first.
+    """
 
     values: np.ndarray
     extents: tuple
@@ -70,7 +77,9 @@ class SampledField:
                 raise DimensionMismatch("points per axis must be a power of two >= 8")
         if not np.all(np.isfinite(v)):
             raise DimensionMismatch("field values must be finite")
-        v = np.array(v)
+        if not v.flags.owndata:
+            # a view: copy it, so that no later write to its base reaches the field
+            v = np.array(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "extents", extents)
@@ -126,29 +135,38 @@ def field_l2(field: SampledField) -> float:
 # centered Fourier transform
 
 
-def _centered_fft_axis(values: np.ndarray, axis: int, extent: float):
-    """Continuous-FT approximation along one axis; returns (values, new extent)."""
-    npts = values.shape[axis]
-    dx = extent / npts
-    shape = [1] * values.ndim
+def _ramp(npts: int, axis: int, ndim: int) -> np.ndarray:
+    """The (-1)^j sign ramp along one axis, shaped to broadcast over ndim axes."""
+    shape = [1] * ndim
     shape[axis] = npts
-    ramp = ((-1.0) ** np.arange(npts)).reshape(shape)
-    out = np.fft.fft(values * ramp, axis=axis)
-    phase = dx * np.exp(-0.5j * np.pi * npts)
-    out *= ramp * phase
-    return out, npts / extent
+    return ((-1.0) ** np.arange(npts)).reshape(shape)
 
 
-def _centered_ifft_axis(values: np.ndarray, axis: int, freq_extent: float):
-    """Inverse of `_centered_fft_axis`; returns (values, spatial extent)."""
-    npts = values.shape[axis]
-    shape = [1] * values.ndim
-    shape[axis] = npts
-    ramp = ((-1.0) ** np.arange(npts)).reshape(shape)
-    out = np.fft.ifft(values * ramp, axis=axis)
-    phase = freq_extent * np.exp(0.5j * np.pi * npts)
-    out *= ramp * phase
-    return out, npts / freq_extent
+def _fft_axis_inplace(buf: np.ndarray, axis: int, extent: float, inverse=False):
+    """Centered FFT (or inverse FFT) of buf along one axis, in place.
+
+    buf must already carry the input (-1)^j ramp of that axis; the FFT
+    writes into buf and the output ramp times the calibration phase is
+    multiplied in.  Returns the new extent of the axis.
+    """
+    npts = buf.shape[axis]
+    if inverse:
+        np.fft.ifft(buf, axis=axis, out=buf)
+        phase = extent * np.exp(0.5j * np.pi * npts)
+    else:
+        np.fft.fft(buf, axis=axis, out=buf)
+        phase = extent / npts * np.exp(-0.5j * np.pi * npts)
+    buf *= _ramp(npts, axis, buf.ndim) * phase
+    return npts / extent
+
+
+def _centered_fft_axis(values: np.ndarray, axis: int, extent: float, inverse=False):
+    """Continuous-FT approximation along one axis (or its inverse).
+
+    Returns (values, new extent); the input is left untouched.
+    """
+    buf = values * _ramp(values.shape[axis], axis, values.ndim)
+    return buf, _fft_axis_inplace(buf, axis, extent, inverse)
 
 
 def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
@@ -285,6 +303,53 @@ def _shifted_window(gs: np.ndarray, l_idx) -> np.ndarray:
     return win
 
 
+def _check_stft_args(f: SampledField, g: SampledField, k: int):
+    if g.n != f.n or f.points != g.points or f.extents != g.extents:
+        raise DimensionMismatch("fields must share one grid")
+    if not 1 <= k <= f.n:
+        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
+
+
+def _ramped(values: np.ndarray, k: int) -> np.ndarray:
+    """values times the (-1)^j ramp of each of its first k (t) axes.
+
+    The ramps are signs, so moving the FFT's input ramps from the integrand
+    onto the window input changes no bit of the result.
+    """
+    for a in range(k):
+        values = values * _ramp(values.shape[a], a, values.ndim)
+    return values
+
+
+def _stft_fft(windows: np.ndarray, fr: np.ndarray, first_t: int, t_extents):
+    """The FFT over t of windows * fr, computed in one buffer.
+
+    windows and fr broadcast to the output shape, whose k t axes start at
+    first_t; fr already carries the input ramps (`_ramped`).  The product
+    is written once into a C-contiguous buffer and every t axis is
+    transformed in place, so the peak memory is about one output.
+    Returns the buffer and the dual extents of the t axes.
+    """
+    buf = np.empty(np.broadcast_shapes(windows.shape, fr.shape), dtype=complex)
+    np.multiply(windows, fr, out=buf)
+    extents = [_fft_axis_inplace(buf, first_t + a, t) for a, t in enumerate(t_extents)]
+    return buf, tuple(extents)
+
+
+def _shift_views(gc: np.ndarray, k: int) -> np.ndarray:
+    """Every grid shift of the window gc over its first k axes, without a copy.
+
+    Returns a view indexed (l, rest of gc's axes, t) with
+    view[l, ..., t] = gc[t - l + N/2, ...], zero outside the grid: with gc
+    padded by N/2 zeros per side, the window at shift l starts at padded
+    index N - l, so reversing the window-start axes lists every shift.
+    """
+    shape_k = gc.shape[:k]
+    pad = [(npts // 2, npts // 2) for npts in shape_k] + [(0, 0)] * (gc.ndim - k)
+    view = sliding_window_view(np.pad(gc, pad), shape_k, axis=tuple(range(k)))
+    return view[(slice(None, 0, -1),) * k]
+
+
 def partial_stft_slice(
     f: SampledField, g: SampledField, k: int, x2_idx=(), w2_idx=()
 ) -> SampledField:
@@ -295,29 +360,17 @@ def partial_stft_slice(
     d-k axes (omega2 is negated internally).  Raises GridTooLarge before
     allocating when the slice would hold more than MAX_ELEMENTS values.
     """
-    d = f.n
-    if g.n != d or f.points != g.points or f.extents != g.extents:
-        raise DimensionMismatch("fields must share one grid")
-    if not 1 <= k <= d:
-        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
-    if len(x2_idx) != d - k or len(w2_idx) != d - k:
+    _check_stft_args(f, g, k)
+    if len(x2_idx) != f.n - k or len(w2_idx) != f.n - k:
         raise DimensionMismatch("slice indices must cover the trailing d-k axes")
-    shape_k = f.points[:k]
-    size = int(np.prod(shape_k)) ** 2
+    size = int(np.prod(f.points[:k])) ** 2
     if size > MAX_ELEMENTS:
         raise GridTooLarge(f"slice would hold {size} elements")
     fs, gs = _window_slices(f.values, x2_idx, g.values, w2_idx, k)
-    # integrand[l, t] = fs[t] conj(gs[t - l + N/2]), zero outside the grid:
-    # with gs padded by N/2 zeros per side, the window at shift l is the view
-    # starting at padded index N - l, so reversing the window-start axes of
-    # a sliding-window view lists every shift without a copy
-    padded = np.pad(np.conj(gs), [(npts // 2, npts // 2) for npts in shape_k])
-    windows = sliding_window_view(padded, shape_k)[(slice(None, 0, -1),) * k]
-    integrand = windows * fs
-    extents = list(f.extents[:k]) * 2
-    for a in range(k):
-        integrand, extents[k + a] = _centered_fft_axis(integrand, k + a, f.extents[a])
-    return SampledField(integrand, tuple(extents))
+    values, w_extents = _stft_fft(
+        _shift_views(np.conj(gs), k), _ramped(fs, k), k, f.extents[:k]
+    )
+    return SampledField(values, tuple(f.extents[:k]) + w_extents)
 
 
 def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
@@ -325,34 +378,29 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
 
     omega2 ranges over the (spatial) grid of the trailing axes, since the
     window is evaluated at the space point -omega2; omega1 lives on the
-    FFT-dual grid.
+    FFT-dual grid.  Every (x2, omega2) cross-section comes from one
+    integrand and the same in-place FFTs as `partial_stft_slice`.
     """
+    _check_stft_args(f, g, k)
     d = f.n
-    if g.n != d or f.points != g.points or f.extents != g.extents:
-        raise DimensionMismatch("fields must share one grid")
-    if not 1 <= k <= d:
-        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
-    tail = f.points[k:]
-    out_shape = f.points[:k] + tail + f.points[:k] + tail
-    if int(np.prod(out_shape)) > MAX_ELEMENTS:
-        raise GridTooLarge(f"output would hold {int(np.prod(out_shape))} elements")
-    out = np.empty(out_shape, dtype=complex)
-    w_extents = None
-    for x2_idx in np.ndindex(*tail):
-        for w2_idx in np.ndindex(*tail):
-            piece = partial_stft_slice(f, g, k, x2_idx, w2_idx)
-            sel = (
-                (slice(None),) * k + x2_idx + (slice(None),) * k + w2_idx
-            )
-            out[sel] = piece.values
-            w_extents = piece.extents[k:]
-    extents = (
-        tuple(f.extents[:k])
-        + tuple(f.extents[k:])
-        + tuple(w_extents)
-        + tuple(f.extents[k:])
+    size = int(np.prod(f.points)) ** 2
+    if size > MAX_ELEMENTS:
+        raise GridTooLarge(f"output would hold {size} elements")
+    gc = np.conj(g.values)
+    for a in range(k, d):  # the window is read at -omega2
+        gc = np.take(gc, -np.arange(gc.shape[a]) % gc.shape[a], axis=a)
+    # windows (x1, omega2, t) and f (t, x2) broadcast to (x1, x2, t, omega2)
+    windows = np.expand_dims(
+        np.moveaxis(_shift_views(gc, k), range(k, d), range(2 * k, d + k)),
+        tuple(range(k, d)),
     )
-    return SampledField(out, extents)
+    fr = np.expand_dims(
+        np.moveaxis(_ramped(f.values, k), range(k), range(d - k, d)),
+        tuple(range(k)) + tuple(range(d + k, 2 * d)),
+    )
+    values, w_extents = _stft_fft(windows, fr, d, f.extents[:k])
+    extents = f.extents + w_extents + f.extents[k:]
+    return SampledField(values, extents)
 
 
 def partial_stft_at(
@@ -428,7 +476,7 @@ def tf_shift(field: SampledField, x, omega) -> SampledField:
             shape = [1] * field.n
             shape[a] = npts
             spec = spec * np.exp(-2j * np.pi * freqs * frac).reshape(shape)
-            values, _ = _centered_ifft_axis(spec, a, fext)
+            values, _ = _centered_fft_axis(spec, a, fext, inverse=True)
     mesh = field.mesh()
     phase = np.exp(2j * np.pi * (mesh @ omega) - 1j * np.pi * float(x @ omega))
     return SampledField(values * phase, field.extents)

@@ -399,6 +399,20 @@ class TestCrossSection:
         # shrinking the bump support shrinks the exception set
         assert rep_narrow.exception_measure < rep_wide.exception_measure
 
+    @pytest.mark.parametrize("radii", [(2.0, 1.5, 1.0, 0.5), (0.5, 1.0, 1.0, 2.0)])
+    def test_radii_must_increase(self, radii):
+        # the same check and message as every other sweep's report
+        message = "^sweep radii must be strictly increasing$"
+        field = bump_slice_field(3.0)
+        with pytest.raises(DimensionMismatch, match=message):
+            cross_section_sweep(field, 1, ANTIDIAG, 0.0, radii)
+
+        def unused(pts):
+            raise AssertionError("evaluated before the radii were checked")
+
+        with pytest.raises(DimensionMismatch, match=message):
+            beurling_sweep(unused, ANTIDIAG, 0.0, radii)
+
     @pytest.mark.parametrize("case", ["zero", "bump-wide", "bump-narrow", "random"])
     def test_one_pass_matches_slice_loop(self, case, rng):
         radii, n_exponent = (0.5, 1.0, 1.5, 2.0), 0.0

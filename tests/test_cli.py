@@ -208,6 +208,29 @@ class TestCheck:
         assert csv.splitlines()[2].endswith(",inf")
         assert obj["verdict"] == "divergent-looking"
 
+    def test_gs_report_carries_omega_sweep(self, tmp_path):
+        from mtfr.checks import gelfand_shilov_sweep
+        from mtfr.cli import _default_stft_field
+
+        out = tmp_path / "g"
+        argv = ["check", "gs", "--radii", "1,2,3", "--resolution", "96"]
+        assert main([*argv, "--out", str(out)]) == 0
+        obj = json.loads((out / "report.json").read_text())
+        field = _default_stft_field((256, 16.0))
+
+        def evaluator(pts):
+            idx = tuple(
+                np.rint(pts[:, a] / field.spacing(a)).astype(int) + field.points[a] // 2
+                for a in range(field.n)
+            )
+            return np.abs(field.values[idx])
+
+        rep = gelfand_shilov_sweep(evaluator, 2.0, 1.5, 1.5, (1, 2, 3), resolution=96)
+        assert obj["sweep"] == [list(p) for p in rep.sweep]
+        want = [list(p) for p in rep.parameters["sweep_omega"]]
+        assert obj["parameters"]["sweep_omega"] == want
+        assert obj["parameters"]["verdict_omega"] == rep.parameters["verdict_omega"]
+
     def test_gs_bad_p_exit_2(self):
         assert main(["check", "gs", "--p", "0.5"]) == 2
 
@@ -364,11 +387,12 @@ class TestMalformedInput:
         assert proc.stderr.startswith("error: ")
 
     def test_overflowing_matrix_exit_2(self, inputs):
-        # numpy may warn about the overflow first; the error is still one line
+        # numpy's overflow warnings are silenced; the error is the one line
         proc = _run_python(["-m", "mtfr.cli", "factor", inputs["huge_matrix"]])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_sweep_exit_2(self, inputs, fmt):
@@ -379,7 +403,8 @@ class TestMalformedInput:
         ])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
 
 class TestPackage:

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mtfr.errors import (
     ChirpAliasingWarning,
@@ -68,6 +70,45 @@ def dense_resample_axis(values, axis, extent, scale):
     return np.moveaxis(out, -1, axis)
 
 
+def copying_stft_slice(f, g, k, x2_idx=(), w2_idx=()):
+    """Reference for the partial STFT kernel: the copying formula.
+
+    It forms windows * fs, then per t axis multiplies a copy by the (-1)^j
+    ramp, runs an out-of-place FFT and multiplies by the ramp and phase.
+    """
+    tail = tuple(slice(i, i + 1) for i in x2_idx)
+    neg = tuple(slice(-i % n, -i % n + 1) for i, n in zip(w2_idx, f.points[k:]))
+    fs = f.values[(Ellipsis,) + tail].reshape(f.points[:k])
+    gs = g.values[(Ellipsis,) + neg].reshape(f.points[:k])
+    padded = np.pad(np.conj(gs), [(n // 2, n // 2) for n in f.points[:k]])
+    windows = sliding_window_view(padded, f.points[:k])[(slice(None, 0, -1),) * k]
+    out = windows * fs
+    for a in range(k):
+        npts, axis = f.points[a], k + a
+        shape = [1] * 2 * k
+        shape[axis] = npts
+        ramp = ((-1.0) ** np.arange(npts)).reshape(shape)
+        out = np.fft.fft(out * ramp, axis=axis)
+        out *= ramp * (f.extents[a] / npts * np.exp(-0.5j * np.pi * npts))
+    return out
+
+
+def stft_grid_loop(f, g, k):
+    """Reference for partial_stft_grid: one partial_stft_slice per (x2, omega2)."""
+    tail = f.points[k:]
+    out = np.empty(f.points[:k] + tail + f.points[:k] + tail, dtype=complex)
+    for x2 in np.ndindex(*tail):
+        for w2 in np.ndindex(*tail):
+            sel = (slice(None),) * k + x2 + (slice(None),) * k + w2
+            out[sel] = partial_stft_slice(f, g, k, x2, w2).values
+    return out
+
+
+def random_field(rng, points, extent=8.0):
+    values = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    return SampledField(values, (extent,) * len(points))
+
+
 @pytest.fixture
 def phi_field():
     return sample(standard_gaussian(1), (N,), (T,))
@@ -86,6 +127,30 @@ class TestSampledField:
         assert field_l2(phi_field) == pytest.approx(
             np.exp(log_l2_norm(standard_gaussian(1))), rel=1e-8
         )
+
+    def test_owned_array_taken_without_copy(self):
+        values = np.ones(16, dtype=complex)
+        field = SampledField(values, (8.0,))
+        assert field.values is values
+        assert not values.flags.writeable
+
+    @pytest.mark.parametrize("view", ["transpose", "moveaxis", "frombuffer"])
+    def test_view_copied(self, view):
+        base = np.arange(8 * 16, dtype=complex).reshape(8, 16)
+        values = {
+            "transpose": lambda: base.T,
+            "moveaxis": lambda: np.moveaxis(base, 0, -1),
+            "frombuffer": lambda: np.frombuffer(bytearray(base.tobytes()), complex),
+        }[view]()
+        want = values.copy()
+        field = SampledField(values, (8.0,) * values.ndim)
+        assert field.values is not values
+        assert not field.values.flags.writeable
+        if view == "frombuffer":
+            values.base[:16] = bytes(16)  # the bytearray behind the view
+        else:
+            base[...] = -1.0
+        np.testing.assert_array_equal(field.values, want)
 
     def test_even_symmetry(self, phi_field):
         v = phi_field.values
@@ -239,6 +304,52 @@ class TestPartialStftGrid:
         big = partial_stft_grid(f, g, 1)
         sl = partial_stft_slice(f, g, 1, (9,), (7,))
         np.testing.assert_array_equal(big.values[:, 9, :, 7], sl.values)
+
+    @pytest.mark.parametrize(
+        "points,k,x2,w2",
+        [
+            ((256,), 1, (), ()),
+            ((1024,), 1, (), ()),
+            ((32, 32), 1, (3,), (30,)),
+            ((32, 32), 2, (), ()),
+            ((8, 16, 8), 1, (5, 2), (0, 7)),
+            ((8, 16, 8), 1, (15, 7), (15, 7)),
+            ((8, 16, 8), 2, (7,), (1,)),
+            ((8, 16, 8), 2, (7,), (7,)),
+            ((8, 16, 8), 3, (), ()),
+        ],
+    )
+    def test_slice_bitwise_equals_copying_formula(self, rng, points, k, x2, w2):
+        f, g = random_field(rng, points), random_field(rng, points)
+        got = partial_stft_slice(f, g, k, x2, w2)
+        assert got.values.tobytes() == copying_stft_slice(f, g, k, x2, w2).tobytes()
+
+    def test_default_field_bitwise_equals_copying_formula(self):
+        # the field `mtfr check` sweeps when no --field is given
+        phi = sample(standard_gaussian(1), (256,), (16.0,))
+        got = partial_stft_slice(phi, phi, 1).values
+        assert got.tobytes() == copying_stft_slice(phi, phi, 1).tobytes()
+
+    def test_slice_peak_memory_is_one_result(self, rng):
+        f = random_field(rng, (1024,), 16.0)
+        tracemalloc.start()
+        try:
+            v = partial_stft_slice(f, f, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * v.values.nbytes
+
+    @pytest.mark.parametrize(
+        "points,k", [((16, 16), 1), ((16, 16), 2), ((8, 8, 8), 1), ((8, 16, 8), 2)]
+    )
+    def test_full_grid_matches_slice_loop(self, rng, points, k):
+        f, g = random_field(rng, points), random_field(rng, points)
+        got = partial_stft_grid(f, g, k)
+        want = stft_grid_loop(f, g, k)
+        assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+        w_extents = tuple(n / t for n, t in zip(points[:k], f.extents))
+        assert got.extents == f.extents + w_extents + f.extents[k:]
 
     def test_memory_guard(self, rng):
         f = sample(random_gaussian(2, rng), (N, N), (T, T))
