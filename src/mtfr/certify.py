@@ -44,6 +44,7 @@ from .gaussian import (
     standard_gaussian,
     tensor,
 )
+from .grid import SampledField, apply_word_grid, sample_function, tfr_grid
 from .symplectic import (
     Chirp,
     Dilation,
@@ -390,8 +391,8 @@ def _bump(mesh: np.ndarray, center: float, halfwidth: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Counterexample:
-    f: "SampledField"
-    g: "SampledField"
+    f: SampledField
+    g: SampledField
     predicted_map: np.ndarray
     bump_box: tuple
     word_f: GeneratorWord
@@ -411,8 +412,6 @@ def counterexample_alt1(
     change by L W of the bump tensor, so its support is the image of
     bump_box x bump_box under predicted_map = L W.
     """
-    from .grid import SampledField, sample_function
-
     if cert.alternative != "I" or cert.alt1 is None:
         raise NotBlockDiagonal("counterexample needs an Alternative I certificate")
     if cert.d != 1:
@@ -427,8 +426,6 @@ def counterexample_alt1(
     v2bar = complex(np.conj(cert.alt1.v2[0, 0]))
     word_f = GeneratorWord(1, tuple(rotation_word(np.array([[v1]]))))
     word_g = GeneratorWord(1, tuple(rotation_word(np.array([[v2bar]]))))
-    from .grid import apply_word_grid
-
     f = apply_word_grid(f0, invert_word(word_f))
     g = apply_word_grid(g0, invert_word(word_g))
     predicted_map = cert.pre.l @ cert.alt1.w
@@ -448,14 +445,13 @@ def alt1_tfr_tensor(cx: Counterexample):
     The final dilation by predicted_map is a mass-preserving coordinate
     change; it is applied as a region transform rather than by resampling,
     so the squared mass outside predicted_map(box x box) of the
-    representation equals the mass of this tensor outside box x box.
+    representation equals the mass of this tensor outside box x box.  The
+    tensor is `tfr_grid` of the identity word, so a grid too large for it
+    raises GridTooLarge before anything is allocated.
     """
-    from .grid import SampledField, apply_word_grid
-
     af = apply_word_grid(cx.f, cx.word_f)
     ag = apply_word_grid(cx.g, cx.word_g)
-    values = np.multiply.outer(af.values, np.conj(ag.values))
-    return SampledField(values, tuple(af.extents) + tuple(ag.extents))
+    return tfr_grid(GeneratorWord(af.n + ag.n, ()), af, ag)
 
 
 # ---------------------------------------------------------------------------

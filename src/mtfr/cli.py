@@ -18,16 +18,55 @@ import math
 import os
 import sys
 
-from .certify import TOL_BLK
-from .errors import MtfrError, NotSymplectic, NumericalFailure, RankZero, RealnessFailure
+import numpy as np
+
+from .certify import (
+    TOL_BLK,
+    alt1_tfr_tensor,
+    certify,
+    counterexample_alt1,
+    identity_errors,
+)
+from .checks import (
+    Ball,
+    Box,
+    beurling_sweep,
+    gelfand_shilov_sweep,
+    hardy_fit_field,
+    mean_width,
+    nazarov_bound,
+)
+from .errors import (
+    MtfrError,
+    NotSymplectic,
+    NumericalFailure,
+    RadiusExceedsGrid,
+    RankZero,
+    RealnessFailure,
+)
+from .gaussian import apply_partial_fourier, random_gaussian, standard_gaussian
+from .grid import field_l2, mass_outside, partial_stft_slice, sample
+from .serialize import (
+    _atomic_write,
+    canonical_json,
+    certificate_from_obj,
+    certificate_to_obj,
+    complex_matrix_to_obj,
+    gaussian_from_obj,
+    matrix_from_obj,
+    matrix_to_obj,
+    read_field,
+    sweep_to_csv,
+    word_to_obj,
+    write_field,
+)
+from .symplectic import SymplecticMatrix, factor_to_word, pre_iwasawa, symplectic_defect
 
 # library failures of a numerical assertion, not of the input: exit 3
 _ASSERTION_ERRORS = (NumericalFailure, RankZero, RealnessFailure, AssertionError)
 
 
 def _emit(obj, out_dir, name, to_stdout=True):
-    from .serialize import _atomic_write, canonical_json
-
     text = canonical_json(obj)
     if out_dir:
         _atomic_write(os.path.join(out_dir, name), text)
@@ -44,9 +83,6 @@ def _load_json(path: str):
 
 
 def _load_symplectic(path: str):
-    from .serialize import matrix_from_obj
-    from .symplectic import SymplecticMatrix, symplectic_defect
-
     rows = matrix_from_obj(_load_json(path))
     try:
         return SymplecticMatrix.from_array(rows)
@@ -57,8 +93,6 @@ def _load_symplectic(path: str):
 
 
 def _load_certificate(path: str, alternative: str, command: str):
-    from .serialize import certificate_from_obj
-
     cert = certificate_from_obj(_load_json(path))
     if cert.alternative != alternative:
         raise MtfrError(f"{command} needs an Alternative {alternative} certificate")
@@ -70,15 +104,6 @@ def _load_certificate(path: str, alternative: str, command: str):
 
 
 def cmd_factor(args) -> int:
-    import numpy as np
-
-    from .serialize import (
-        complex_matrix_to_obj,
-        matrix_to_obj,
-        word_to_obj,
-    )
-    from .symplectic import factor_to_word, pre_iwasawa
-
     m = _load_symplectic(args.matrix)
     pre = pre_iwasawa(m)
     word = factor_to_word(m)
@@ -97,9 +122,6 @@ def cmd_factor(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .certify import certify
-    from .serialize import certificate_to_obj
-
     cert = certify(_load_symplectic(args.matrix), tol_blk=args.tol_blk)
     for note in cert.warnings:
         print(f"warning: {note}", file=sys.stderr)
@@ -108,12 +130,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    import numpy as np
-
-    from .certify import identity_errors
-    from .gaussian import random_gaussian
-    from .serialize import gaussian_from_obj
-
     cert = _load_certificate(args.certificate, "II", "verify")
     rng = np.random.default_rng(args.seed)
     if args.gaussians is not None:
@@ -135,29 +151,12 @@ def cmd_verify(args) -> int:
 
 
 def _default_stft_field(grid_spec):
-    from .gaussian import standard_gaussian
-    from .grid import partial_stft_slice, sample
-
     points, extent = grid_spec
     phi = sample(standard_gaussian(1), (points,), (extent,))
     return partial_stft_slice(phi, phi, 1)
 
 
 def cmd_check(args) -> int:
-    import numpy as np
-
-    from .checks import (
-        Ball,
-        Box,
-        beurling_sweep,
-        gelfand_shilov_sweep,
-        hardy_fit_field,
-        mean_width,
-        nazarov_bound,
-    )
-    from .errors import RadiusExceedsGrid
-    from .serialize import _atomic_write, read_field, sweep_to_csv
-
     field = read_field(args.field) if args.field else _default_stft_field(args.grid)
 
     def evaluator(pts):
@@ -180,9 +179,6 @@ def cmd_check(args) -> int:
         _emit(obj, args.out, "report.json")
         return 0
     if args.kind == "nazarov":
-        from .gaussian import apply_partial_fourier, standard_gaussian
-        from .grid import sample
-
         points, extent = args.grid
         phi = standard_gaussian(1)
         f1 = sample(phi, (points,), (extent,))
@@ -245,12 +241,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    import numpy as np
-
-    from .certify import alt1_tfr_tensor, counterexample_alt1
-    from .grid import field_l2, mass_outside
-    from .serialize import write_field
-
     cert = _load_certificate(args.certificate, "I", "counterexample")
     points, extent = args.grid
     if points < 128:
@@ -400,8 +390,6 @@ def main(argv=None) -> int:
     overflows prints nothing before its error line: the finite checks on
     every result still reject it.
     """
-    import numpy as np
-
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -8,9 +8,11 @@ DFT.  1-D dilations act by band-limited (spectral) resampling, evaluated
 as a Bluestein chirp-z transform of the centered spectrum in O(N log N)
 per line; in higher dimension only monomial matrices (permutation x
 diagonal) are resampled, axis by axis, and everything else is left to the
-Gaussian oracle path.  A partial STFT slice is one batched FFT over the
+Gaussian oracle path.  The partial STFT is one batched FFT over the
 window shifted to every grid point, run in place on a single integrand
-buffer.
+buffer; a slice is the transform of the fields restricted to one
+(x2, omega2) cross-section.  Every tensor field f (x) conj(g) comes from
+`tfr_grid`, under the same size guard.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import (
     OffGridPoint,
     UnsupportedDilation,
 )
-from .gaussian import GeneralizedGaussian, evaluate
-from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier
+from .gaussian import GeneralizedGaussian, evaluate, standard_gaussian
+from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier, invert_word
 
 MAX_ELEMENTS = 2**26
 
@@ -58,6 +60,9 @@ def _is_pow2(n: int) -> bool:
 class SampledField:
     """Complex values on a centered uniform tensor grid.
 
+    A field has at least one axis, each with a power-of-two point count
+    (>= 8) and a finite positive extent, and only finite values.
+
     A complex array that owns its data is taken as it is and marked
     read-only in place, without a copy; the caller hands it over and keeps
     no views of it.  Any other input (a view, a list, another dtype) is
@@ -70,8 +75,10 @@ class SampledField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
         extents = tuple(float(t) for t in self.extents)
-        if v.ndim != len(extents):
-            raise DimensionMismatch("axis count does not match extents")
+        if v.ndim == 0 or v.ndim != len(extents):
+            raise DimensionMismatch("need one extent per axis, and at least one axis")
+        if not all(0.0 < t < np.inf for t in extents):
+            raise DimensionMismatch("extents must be finite and positive")
         for npts in v.shape:
             if not _is_pow2(npts):
                 raise DimensionMismatch("points per axis must be a power of two >= 8")
@@ -110,12 +117,9 @@ class SampledField:
 
 def sample(g: GeneralizedGaussian, points, extents) -> SampledField:
     """Evaluate a generalized Gaussian on the grid (global phase 0)."""
-    points = tuple(int(p) for p in points)
-    extents = tuple(float(t) for t in extents)
     if len(points) != g.n or len(extents) != g.n:
         raise DimensionMismatch("grid dimensions do not match the Gaussian")
-    probe = SampledField(np.zeros(points, dtype=complex), extents)
-    return SampledField(evaluate(g, probe.mesh()), extents)
+    return sample_function(lambda mesh: evaluate(g, mesh), points, extents)
 
 
 def sample_function(fn, points, extents) -> SampledField:
@@ -310,32 +314,6 @@ def _check_stft_args(f: SampledField, g: SampledField, k: int):
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
 
 
-def _ramped(values: np.ndarray, k: int) -> np.ndarray:
-    """values times the (-1)^j ramp of each of its first k (t) axes.
-
-    The ramps are signs, so moving the FFT's input ramps from the integrand
-    onto the window input changes no bit of the result.
-    """
-    for a in range(k):
-        values = values * _ramp(values.shape[a], a, values.ndim)
-    return values
-
-
-def _stft_fft(windows: np.ndarray, fr: np.ndarray, first_t: int, t_extents):
-    """The FFT over t of windows * fr, computed in one buffer.
-
-    windows and fr broadcast to the output shape, whose k t axes start at
-    first_t; fr already carries the input ramps (`_ramped`).  The product
-    is written once into a C-contiguous buffer and every t axis is
-    transformed in place, so the peak memory is about one output.
-    Returns the buffer and the dual extents of the t axes.
-    """
-    buf = np.empty(np.broadcast_shapes(windows.shape, fr.shape), dtype=complex)
-    np.multiply(windows, fr, out=buf)
-    extents = [_fft_axis_inplace(buf, first_t + a, t) for a, t in enumerate(t_extents)]
-    return buf, tuple(extents)
-
-
 def _shift_views(gc: np.ndarray, k: int) -> np.ndarray:
     """Every grid shift of the window gc over its first k axes, without a copy.
 
@@ -355,31 +333,31 @@ def partial_stft_slice(
 ) -> SampledField:
     """One (x2, omega2) cross-section of V^k_g f as a 2k-dim field (x1, omega1).
 
-    Computes the FFT over t of f(t, x2) conj(g(t - x1, -omega2)) for every
-    grid shift x1; x2 and omega2 are grid multi-indices into the trailing
-    d-k axes (omega2 is negated internally).  Raises GridTooLarge before
-    allocating when the slice would hold more than MAX_ELEMENTS values.
+    x2 and omega2 are grid multi-indices into the trailing d-k axes (omega2
+    is negated internally).  The cross-section is `partial_stft_grid` of f
+    restricted to x2 and g restricted to -omega2, both k-dimensional, so it
+    raises GridTooLarge before allocating a slice of more than MAX_ELEMENTS
+    values.
     """
     _check_stft_args(f, g, k)
     if len(x2_idx) != f.n - k or len(w2_idx) != f.n - k:
         raise DimensionMismatch("slice indices must cover the trailing d-k axes")
-    size = int(np.prod(f.points[:k])) ** 2
-    if size > MAX_ELEMENTS:
-        raise GridTooLarge(f"slice would hold {size} elements")
     fs, gs = _window_slices(f.values, x2_idx, g.values, w2_idx, k)
-    values, w_extents = _stft_fft(
-        _shift_views(np.conj(gs), k), _ramped(fs, k), k, f.extents[:k]
-    )
-    return SampledField(values, tuple(f.extents[:k]) + w_extents)
+    extents = f.extents[:k]
+    return partial_stft_grid(SampledField(fs, extents), SampledField(gs, extents), k)
 
 
 def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     """Full V^k_g f on the tensor grid, indexed (x1, x2, omega1, omega2).
 
-    omega2 ranges over the (spatial) grid of the trailing axes, since the
-    window is evaluated at the space point -omega2; omega1 lives on the
-    FFT-dual grid.  Every (x2, omega2) cross-section comes from one
-    integrand and the same in-place FFTs as `partial_stft_slice`.
+    Computes the FFT over t of f(t, x2) conj(g(t - x1, -omega2)) for every
+    grid shift x1: omega2 ranges over the (spatial) grid of the trailing
+    axes, since the window is evaluated at the space point -omega2; omega1
+    lives on the FFT-dual grid.  The integrand over every (x1, x2, t,
+    omega2) is written once into a C-contiguous buffer and every t axis is
+    transformed in place, so the peak memory is about one output.  The
+    FFT's (-1)^j input ramps go on f before the product: they are signs,
+    so no bit of the result changes.
     """
     _check_stft_args(f, g, k)
     d = f.n
@@ -389,18 +367,22 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     gc = np.conj(g.values)
     for a in range(k, d):  # the window is read at -omega2
         gc = np.take(gc, -np.arange(gc.shape[a]) % gc.shape[a], axis=a)
+    fr = f.values
+    for a in range(k):
+        fr = fr * _ramp(fr.shape[a], a, d)
     # windows (x1, omega2, t) and f (t, x2) broadcast to (x1, x2, t, omega2)
     windows = np.expand_dims(
         np.moveaxis(_shift_views(gc, k), range(k, d), range(2 * k, d + k)),
         tuple(range(k, d)),
     )
     fr = np.expand_dims(
-        np.moveaxis(_ramped(f.values, k), range(k), range(d - k, d)),
+        np.moveaxis(fr, range(k), range(d - k, d)),
         tuple(range(k)) + tuple(range(d + k, 2 * d)),
     )
-    values, w_extents = _stft_fft(windows, fr, d, f.extents[:k])
-    extents = f.extents + w_extents + f.extents[k:]
-    return SampledField(values, extents)
+    buf = np.empty(np.broadcast_shapes(windows.shape, fr.shape), dtype=complex)
+    np.multiply(windows, fr, out=buf)
+    w_extents = [_fft_axis_inplace(buf, d + a, t) for a, t in enumerate(f.extents[:k])]
+    return SampledField(buf, f.extents + tuple(w_extents) + f.extents[k:])
 
 
 def partial_stft_at(
@@ -490,9 +472,6 @@ def intertwining_check(
     Returns || rho(M lam) f - c W rho(lam) W^{-1} f || / ||f|| minimized over
     unimodular c.  Both lam and M lam must be grid points (d = 1).
     """
-    from .gaussian import standard_gaussian
-    from .symplectic import invert_word
-
     if word.n != 1:
         raise DimensionMismatch("intertwining check is implemented for d = 1")
     lam = np.asarray(lam, dtype=float).reshape(2)

@@ -334,10 +334,9 @@ def write_field(field: SampledField, path):
     header = [FIELD_MAGIC, struct.pack("<II", FIELD_VERSION, field.n)]
     for a in range(field.n):
         header.append(struct.pack("<Qd", field.points[a], field.extents[a]))
-    inter = np.empty(field.values.size * 2, dtype="<f8")
-    inter[0::2] = field.values.real.ravel()
-    inter[1::2] = field.values.imag.ravel()
-    _atomic_write(path, b"".join(header), inter)
+    # the payload is the values themselves: little-endian complex128, C order
+    payload = np.ascontiguousarray(field.values, dtype="<c16")
+    _atomic_write(path, b"".join(header), payload)
 
 
 def read_field(path) -> SampledField:
@@ -365,8 +364,8 @@ def read_field(path) -> SampledField:
             raise DimensionMismatch(
                 f"field payload is {payload} bytes; its header needs {16 * count}"
             )
-        inter = np.frombuffer(fh.read(payload), dtype="<f8")
-        values = (inter[0::2] + 1j * inter[1::2]).reshape(points)
+        # a read-only view of the payload bytes, which SampledField copies once
+        values = np.frombuffer(fh.read(payload), dtype="<c16").reshape(points)
     return SampledField(values, tuple(extents))
 
 

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mtfr.errors import NotBlockDiagonal, RealMatrix
+import mtfr.grid
+from mtfr.errors import GridTooLarge, NotBlockDiagonal, RealMatrix
 from mtfr.certify import (
     alt1_tfr_tensor,
     alt2_certificate,
@@ -296,6 +297,14 @@ class TestCounterexample:
         cert = alt2_certificate(canonical_alt2_input())
         with pytest.raises(NotBlockDiagonal):
             counterexample_alt1(cert)
+
+    def test_tensor_size_guard(self, monkeypatch):
+        # the tensor comes from tfr_grid, so the grid's size guard holds
+        cert = certify(make_rotation(1j * np.eye(2)))
+        cx = counterexample_alt1(cert, points=64)
+        monkeypatch.setattr(mtfr.grid, "MAX_ELEMENTS", 2**10)
+        with pytest.raises(GridTooLarge):
+            alt1_tfr_tensor(cx)
 
 
 class TestQuadraticReduce:

@@ -1,7 +1,10 @@
+import ast
+import glob
 import importlib
 import json
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
 import textwrap
@@ -318,8 +321,14 @@ class TestMalformedInput:
         write_field(wide, tmp_path / "wide.bin")
         truncated = tmp_path / "truncated.bin"
         truncated.write_bytes(field.read_bytes()[:-16])
+        data = (tmp_path / "wide.bin").read_bytes()  # the first extent sits at 20..28
+        nan_extent = tmp_path / "nan_extent.bin"
+        nan_extent.write_bytes(data[:20] + struct.pack("<d", float("nan")) + data[28:])
+        zero_axes = tmp_path / "zero_axes.bin"
+        zero_axes.write_bytes(b"MTFR" + struct.pack("<II", 1, 0) + bytes(16))
         paths = {"truncated": str(truncated), "missing": str(tmp_path / "missing.bin"),
-                 "wide": str(tmp_path / "wide.bin")}
+                 "wide": str(tmp_path / "wide.bin"), "nan_extent": str(nan_extent),
+                 "zero_axes": str(zero_axes)}
         for alt in ("I", "II"):
             cert = tmp_path / f"cert{alt}.json"
             cert.write_text(f'{{"alternative": "{alt}", "d": 1}}')
@@ -370,6 +379,10 @@ class TestMalformedInput:
             ["check", "beurling", "--radii", "1,2,4,8,16"],
             ["check", "hardy", "--grid", "64x8@16"],
             ["counterexample", "{alt1_cert}", "--grid", "256x3@16"],
+            ["check", "beurling", "--field", "{nan_extent}"],
+            ["check", "hardy", "--field", "{zero_axes}"],
+            # a 2^28-value tensor: tfr_grid refuses it before allocating
+            ["counterexample", "{alt1_cert}", "--grid", "16384@64"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -377,7 +390,8 @@ class TestMalformedInput:
              "nan-tol", "negative-seed", "zero-resolution", "negative-resolution",
              "nan-exponent", "bad-flag", "nan-pre-iwasawa-u", "nan-gamma1",
              "nan-word-a-letter", "edited-word-bold", "radius-exceeds-grid",
-             "check-grid-two-counts", "cx-grid-two-counts"],
+             "check-grid-two-counts", "cx-grid-two-counts", "nan-extent", "zero-axes",
+             "cx-grid-too-large"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
@@ -443,6 +457,26 @@ class TestPackage:
             module = importlib.import_module(f"mtfr.{name}")
             for export in getattr(module, "__all__", ()):
                 assert hasattr(module, export), f"mtfr.{name}.{export}"
+
+    def test_no_function_imports_a_package_module(self):
+        # `import mtfr` loads every module, so an import in a function defers nothing
+        found = []
+        for path in sorted(glob.glob(os.path.join(os.path.dirname(mtfr.__file__), "*.py"))):
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.ImportFrom):
+                        names = [node.module or ""] if node.level == 0 else ["mtfr"]
+                    elif isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    else:
+                        continue
+                    if any(name.split(".")[0] == "mtfr" for name in names):
+                        found.append(f"{os.path.basename(path)}:{node.lineno}")
+        assert found == []
 
     def test_submodules_are_not_shadowed(self):
         import mtfr.certify as C

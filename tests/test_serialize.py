@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,36 @@ def test_field_binary_round_trip(tmp_path, rng):
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_field_binary_round_trip_is_bit_exact(tmp_path, rng):
+    values = rng.standard_normal((8, 16)) + 0j
+    values.imag[::2] = -0.0
+    values[0, 0] = complex(-0.0, -0.0)
+    field = SampledField(values, (8.0, 4.0))
+    path = tmp_path / "field.bin"
+    write_field(field, path)
+    assert read_field(path).values.tobytes() == field.values.tobytes()
+
+
+def test_field_binary_peak_memory(tmp_path, rng):
+    shape = (512, 512)
+    field = SampledField(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), (8.0, 8.0)
+    )
+    path = tmp_path / "field.bin"
+    tracemalloc.start()
+    try:
+        write_field(field, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_field(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the write sends the values themselves; the read holds the payload and one copy
+    assert write_peak <= 0.1 * field.values.nbytes
+    assert read_peak <= 2.1 * back.values.nbytes
 
 
 def test_field_binary_is_checked_before_use(tmp_path, rng):
