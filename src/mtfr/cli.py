@@ -37,6 +37,7 @@ from .checks import (
     nazarov_bound,
 )
 from .errors import (
+    DimensionMismatch,
     MtfrError,
     NotSymplectic,
     NumericalFailure,
@@ -205,6 +206,9 @@ def cmd_check(args) -> int:
     half, rmax = min(field.extents) / 2.0, max(args.radii)
     if rmax > half:
         raise RadiusExceedsGrid(f"radius {rmax} exceeds the field's half extent {half}")
+    if field.n % 2:
+        # both sweeps split the field's axes into (x, omega) halves
+        raise DimensionMismatch("phase-space dimension must be even")
     if args.kind == "beurling":
         d = field.n // 2
         m = np.zeros((field.n, field.n))

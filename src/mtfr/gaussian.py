@@ -13,6 +13,7 @@ and for the certificate identities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,10 @@ class GeneralizedGaussian:
             raise DimensionMismatch("quadratic form must be square")
         if b.shape[0] != m.shape[0]:
             raise DimensionMismatch("linear term size does not match")
-        asym = np.linalg.norm(m - m.T)
-        if asym > 1e-10 * max(1.0, np.linalg.norm(m)):
+        skew = m - m.T
+        # Frobenius norms: vdot flattens and conjugates its first argument
+        asym = math.sqrt(np.vdot(skew, skew).real)
+        if asym > 1e-10 * max(1.0, math.sqrt(np.vdot(m, m).real)):
             raise NumericalFailure(f"quadratic form asymmetry {asym:.3e}")
         m = 0.5 * (m + m.T)
         if np.linalg.eigvalsh(m.real)[0] <= 0.0:
@@ -128,11 +131,26 @@ def l1_norm(g: GeneralizedGaussian) -> float:
 
 
 def apply_chirp(g: GeneralizedGaussian, q) -> GeneralizedGaussian:
-    """Multiply by e^{i pi x.Qx}: M <- M - iQ; the modulus is unchanged."""
+    """Multiply by e^{i pi x.Qx}: M <- M - iQ; the modulus is unchanged.
+
+    A finite, exactly symmetric Q (every `Chirp` letter's: the letter
+    symmetrizes it exactly) leaves M - iQ exactly symmetric with the real
+    part of M, so the input's checks carry over and the constructor, whose
+    symmetrization would be the identity, is skipped.  Any other Q goes
+    through the constructor.
+    """
     q = np.asarray(q, dtype=float)
     if q.shape != (g.n, g.n):
         raise DimensionMismatch("chirp size does not match")
-    return GeneralizedGaussian(g.m - 1j * q, g.b, g.logamp)
+    m = g.m - 1j * q
+    if not (np.isfinite(q).all() and (q == q.T).all()):
+        return GeneralizedGaussian(m, g.b, g.logamp)
+    m.flags.writeable = False
+    out = object.__new__(GeneralizedGaussian)
+    object.__setattr__(out, "m", m)
+    object.__setattr__(out, "b", g.b)
+    object.__setattr__(out, "logamp", g.logamp)
+    return out
 
 
 def apply_dilation(g: GeneralizedGaussian, l) -> GeneralizedGaussian:
@@ -166,8 +184,10 @@ def apply_partial_fourier(g: GeneralizedGaussian, axes) -> GeneralizedGaussian:
         raise DimensionMismatch(f"bad axis set {axes} for dimension {g.n}")
     idx_s = np.array(axes, dtype=int)
     idx_r = np.array([a for a in range(g.n) if a not in axes], dtype=int)
-    mss = g.m[np.ix_(idx_s, idx_s)]
-    cond = np.linalg.cond(mss)
+    ss = np.ix_(idx_s, idx_s)
+    mss = g.m[ss]
+    sv = np.linalg.svd(mss, compute_uv=False)
+    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
     if not np.isfinite(cond) or cond > COND_MAX:
         raise NumericalFailure(f"transform block condition {cond:.3e} beyond cutoff")
     k = np.linalg.inv(mss)
@@ -175,13 +195,13 @@ def apply_partial_fourier(g: GeneralizedGaussian, axes) -> GeneralizedGaussian:
     bs = g.b[idx_s]
     m_new = np.zeros_like(g.m)
     b_new = np.zeros_like(g.b)
-    m_new[np.ix_(idx_s, idx_s)] = k
+    m_new[ss] = k
     if idx_r.size:
-        msr = g.m[np.ix_(idx_s, idx_r)]
-        mrr = g.m[np.ix_(idx_r, idx_r)]
-        m_new[np.ix_(idx_s, idx_r)] = -1j * k @ msr
+        sr, rr = np.ix_(idx_s, idx_r), np.ix_(idx_r, idx_r)
+        msr = g.m[sr]
+        m_new[sr] = -1j * k @ msr
         m_new[np.ix_(idx_r, idx_s)] = -1j * msr.T @ k
-        m_new[np.ix_(idx_r, idx_r)] = mrr - msr.T @ k @ msr
+        m_new[rr] = g.m[rr] - msr.T @ k @ msr
         b_new[idx_r] = g.b[idx_r] - msr.T @ k @ bs
     b_new[idx_s] = -1j * k @ bs
     sign, logdet = np.linalg.slogdet(mss)

@@ -498,13 +498,16 @@ def intertwining_check(
 
 def mass_outside(field: SampledField, region) -> float:
     """Fraction of the squared mass outside region = (lows, highs), per-axis bounds."""
-    pts = field.mesh().reshape(-1, field.n)
-    lows, highs = region
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    inside = np.all((pts >= lows) & (pts <= highs), axis=1)
+    lows, highs = (np.broadcast_to(np.asarray(v, dtype=float), (field.n,)) for v in region)
+    # the box is separable: one mask per axis, broadcast to the grid shape
+    inside = np.ones((1,) * field.n, dtype=bool)
+    for a in range(field.n):
+        x = field.coords(a)
+        shape = [1] * field.n
+        shape[a] = x.size
+        inside = inside & ((x >= lows[a]) & (x <= highs[a])).reshape(shape)
     dens = np.abs(field.values.ravel()) ** 2
     total = float(np.sum(dens))
     if total == 0.0:
         return 0.0
-    return float(np.sum(dens[~inside]) / total)
+    return float(np.sum(dens[~inside.ravel()]) / total)

@@ -52,31 +52,30 @@ __all__ = [
 
 
 def _fmt_float(x: float) -> str:
-    if np.isnan(x) or np.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("JSON output cannot carry NaN or infinity")
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x), ".17g")
+
+
+def _quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _render(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    # a certificate is mostly plain floats in rows, then dicts and lists:
+    # those types are tested first (no type is both a container and a
+    # scalar); numpy scalars and subclasses take the isinstance tests
+    kind = type(obj)
+    if kind is float:
         out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif (kind is list or kind is tuple) and all(type(val) is float for val in obj):
+        out.append("[" + ",".join(map(_fmt_float, obj)) + "]")
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            _render(str(key), out)
+            out.append(_quote(str(key)))
             out.append(":")
             _render(val, out)
         out.append("}")
@@ -87,6 +86,18 @@ def _render(obj, out: list):
                 out.append(",")
             _render(val, out)
         out.append("]")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_fmt_float(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
 

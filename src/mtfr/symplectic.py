@@ -118,8 +118,9 @@ class Dilation:
         l = np.asarray(self.l, dtype=float)
         if l.ndim != 2 or l.shape[0] != l.shape[1]:
             raise DimensionMismatch("dilation matrix must be square")
-        smin = np.linalg.svd(l, compute_uv=False)[-1]
-        if smin <= TOL_INV * max(1.0, np.linalg.norm(l, 2)):
+        # sigma_min against ||L||_2 = sigma_max, both from one SVD
+        sv = np.linalg.svd(l, compute_uv=False)
+        if sv[-1] <= TOL_INV * max(1.0, sv[0]):
             raise Singular("Dilation: matrix is singular at tolerance")
         object.__setattr__(self, "l", _freeze(l))
 

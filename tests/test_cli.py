@@ -326,9 +326,14 @@ class TestMalformedInput:
         nan_extent.write_bytes(data[:20] + struct.pack("<d", float("nan")) + data[28:])
         zero_axes = tmp_path / "zero_axes.bin"
         zero_axes.write_bytes(b"MTFR" + struct.pack("<II", 1, 0) + bytes(16))
+        # odd-dimensional fields have no (x, omega) split for the sweeps
+        for n in (1, 3):
+            write_field(sample(standard_gaussian(n), (16,) * n, (16.0,) * n),
+                        tmp_path / f"odd{n}.bin")
         paths = {"truncated": str(truncated), "missing": str(tmp_path / "missing.bin"),
                  "wide": str(tmp_path / "wide.bin"), "nan_extent": str(nan_extent),
-                 "zero_axes": str(zero_axes)}
+                 "zero_axes": str(zero_axes), "odd1": str(tmp_path / "odd1.bin"),
+                 "odd3": str(tmp_path / "odd3.bin")}
         for alt in ("I", "II"):
             cert = tmp_path / f"cert{alt}.json"
             cert.write_text(f'{{"alternative": "{alt}", "d": 1}}')
@@ -383,6 +388,8 @@ class TestMalformedInput:
             ["check", "hardy", "--field", "{zero_axes}"],
             # a 2^28-value tensor: tfr_grid refuses it before allocating
             ["counterexample", "{alt1_cert}", "--grid", "16384@64"],
+            ["check", "beurling", "--field", "{odd1}", "--resolution", "16"],
+            ["check", "beurling", "--field", "{odd3}", "--resolution", "16"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -391,7 +398,7 @@ class TestMalformedInput:
              "nan-exponent", "bad-flag", "nan-pre-iwasawa-u", "nan-gamma1",
              "nan-word-a-letter", "edited-word-bold", "radius-exceeds-grid",
              "check-grid-two-counts", "cx-grid-two-counts", "nan-extent", "zero-axes",
-             "cx-grid-too-large"],
+             "cx-grid-too-large", "beurling-1d-field", "beurling-3d-field"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])

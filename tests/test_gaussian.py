@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mtfr.errors import DimensionMismatch, NumericalFailure
 from mtfr.gaussian import (
@@ -21,6 +24,7 @@ from mtfr.gaussian import (
     tensor,
 )
 from mtfr.symplectic import (
+    Chirp,
     GeneratorWord,
     SymplecticMatrix,
     factor_to_word,
@@ -29,7 +33,7 @@ from mtfr.symplectic import (
     standard_j,
 )
 
-from conftest import haar_orthogonal, random_spd
+from conftest import gaussians, haar_orthogonal, random_spd
 
 
 def quadrature_ft(g, omega, axis_extent=20.0, n=40001):
@@ -71,6 +75,57 @@ class TestChirpAction:
         out = apply_chirp(g, 0.5 * (q + q.T))
         pts = rng.uniform(-2, 2, size=(20, 2))
         np.testing.assert_allclose(modulus(out, pts), modulus(g, pts), rtol=1e-14)
+
+    @given(gaussians(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_letter_equals_constructor_bitwise(self, g, data):
+        t = data.draw(hnp.arrays(np.float64, (g.n, g.n), elements=st.floats(-1e3, 1e3)))
+        q = Chirp(0.5 * (t + t.T)).q  # exactly symmetric, as every letter's
+        out = apply_chirp(g, q)
+        ref = GeneralizedGaussian(g.m - 1j * q, g.b, g.logamp)
+        assert out.m.tobytes() == ref.m.tobytes()
+        assert out.b.tobytes() == ref.b.tobytes()
+        assert np.float64(out.logamp).tobytes() == np.float64(ref.logamp).tobytes()
+        assert not out.m.flags.writeable
+
+    def test_asymmetric_chirp_is_checked(self, rng):
+        # a Q that no Chirp letter holds still goes through the constructor
+        with pytest.raises(NumericalFailure):
+            apply_chirp(random_gaussian(2, rng), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestChecksKept:
+    """Re M changes under a dilation, a partial Fourier letter and a tensor
+    product, so each re-checks positive definiteness once; a chirp keeps
+    Re M and carries its input's checks over."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(1)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "apply,expected",
+        [
+            (lambda g: apply_chirp(g, np.array([[0.5, -0.2], [-0.2, 1.5]])), 0),
+            (lambda g: apply_dilation(g, np.array([[1.5, 0.3], [0.0, 0.7]])), 1),
+            (lambda g: apply_partial_fourier(g, (1,)), 1),
+            (lambda g: tensor(g, g), 1),
+        ],
+        ids=["chirp", "dilation", "partial-fourier", "tensor"],
+    )
+    def test_eigvalsh_calls(self, rng, eigvalsh_calls, apply, expected):
+        g = random_gaussian(2, rng)
+        eigvalsh_calls.clear()
+        apply(g)
+        assert len(eigvalsh_calls) == expected
 
 
 class TestDilationAction:

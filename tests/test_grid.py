@@ -440,7 +440,45 @@ class TestTfrGrid:
         assert np.max(rel / np.abs(oracle.values[idx])) < 1e-6
 
 
+def mesh_mass_outside(field, region):
+    """Reference for `mass_outside`: the box mask over the full coordinate mesh."""
+    pts = field.mesh().reshape(-1, field.n)
+    lows, highs = (np.asarray(v, dtype=float) for v in region)
+    inside = np.all((pts >= lows) & (pts <= highs), axis=1)
+    dens = np.abs(field.values.ravel()) ** 2
+    total = float(np.sum(dens))
+    if total == 0.0:
+        return 0.0
+    return float(np.sum(dens[~inside]) / total)
+
+
 class TestMassOutside:
+    @pytest.mark.parametrize("points", [(64,), (32, 16), (8, 16, 8)])
+    def test_matches_mesh_reference_bitwise(self, rng, points):
+        spacing = 0.25
+        f = SampledField(
+            rng.standard_normal(points) + 1j * rng.standard_normal(points),
+            tuple(spacing * p for p in points),
+        )
+        # bounds on grid nodes (where >= and <= decide), between nodes, and a scalar box
+        boxes = [
+            (np.full(len(points), -2 * spacing), np.full(len(points), 3 * spacing)),
+            (rng.uniform(-3.0, 0.0, len(points)), rng.uniform(0.0, 3.0, len(points))),
+            (-1.0, 1.0),
+        ]
+        for box in boxes:
+            assert mass_outside(f, box) == mesh_mass_outside(f, box)
+
+    def test_peak_memory(self, rng):
+        f = random_field(rng, (512, 512), 16.0)
+        tracemalloc.start()
+        try:
+            mass_outside(f, ([-2.0, -2.0], [2.0, 2.0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * f.values.nbytes
+
     def test_full_grid(self, phi_field):
         assert mass_outside(phi_field, ([-T / 2], [T / 2])) == 0.0
 

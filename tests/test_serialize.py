@@ -41,6 +41,88 @@ from mtfr.symplectic import (
 from conftest import gaussians, generator_words, haar_orthogonal, haar_unitary
 
 
+def reference_fmt_float(x):
+    if np.isnan(x) or np.isinf(x):
+        raise ValueError("JSON output cannot carry NaN or infinity")
+    return format(float(x), ".17g")
+
+
+def reference_render(obj, out):
+    """Reference for `canonical_json`: the plain isinstance chain, one call per value."""
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(reference_fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (key, val) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            reference_render(str(key), out)
+            out.append(":")
+            reference_render(val, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, val in enumerate(obj):
+            if i:
+                out.append(",")
+            reference_render(val, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)}")
+
+
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+_json_leaves = st.one_of(
+    _finite_floats,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1 + 0.2]),
+    _finite_floats.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", 'a"b\\c"', ""]),
+    st.lists(_finite_floats),  # a row of plain floats
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner),
+    ),
+    max_leaves=25,
+)
+
+
+@given(_json_values)
+@settings(max_examples=100, deadline=None)
+def test_canonical_json_matches_reference_renderer(obj):
+    out = []
+    reference_render(obj, out)
+    assert canonical_json(obj).encode() == ("".join(out) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [float("nan"), [1.0, float("inf")], {"x": [0.5, -float("inf")]},
+     [np.float64("nan")], (True, np.float64("-inf"))],
+)
+def test_canonical_json_rejects_non_finite(obj):
+    with pytest.raises(ValueError):
+        canonical_json(obj)
+
+
 def test_canonical_json_is_valid_and_deterministic():
     obj = {"a": 1, "b": [0.1, 2.5e-17, -3.0], "c": {"nested": True, "s": 'q"uote'}}
     text1 = canonical_json(obj)

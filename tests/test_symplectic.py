@@ -74,6 +74,29 @@ class TestDilation:
         with pytest.raises(Singular):
             make_dilation(np.array([[1.0, 0.0], [1.0, 1e-12]]))
 
+    def test_one_svd_per_letter(self, monkeypatch):
+        # sigma_min and ||L||_2 come from one SVD; np.linalg.norm(l, 2)
+        # would run a second through the module-level name
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counted)
+        Dilation(np.array([[2.0, 0.3], [0.1, 0.5]]))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [0.5, 1e3])
+    def test_singular_threshold(self, scale):
+        # sigma_min <= TOL_INV * max(1, sigma_max) is singular
+        bound = TOL_INV * max(1.0, scale)
+        Dilation(np.diag([scale, 1.01 * bound]))
+        with pytest.raises(Singular):
+            Dilation(np.diag([scale, 0.99 * bound]))
+
     def test_homomorphism(self, rng):
         l1 = random_spd(3, rng)
         l2 = haar_orthogonal(3, rng)
