@@ -242,7 +242,23 @@ def beurling_weight(m: np.ndarray, n_exponent: float):
     m = np.asarray(m, dtype=float)
 
     def weight(pts: np.ndarray) -> np.ndarray:
-        quad = np.abs(np.einsum("...i,ij,...j->...", pts, m, pts))
+        pts = np.asarray(pts, dtype=float)
+        if m.shape != (pts.shape[-1],) * 2:
+            raise DimensionMismatch("weight matrix does not match the point dimension")
+        if pts.size < 8 * pts.shape[-1]:
+            # a handful of points: einsum orders its sum differently here
+            # (dim 2, one or two points), and its cost does not matter
+            quad = np.einsum("...i,ij,...j->...", pts, m, pts)
+        else:
+            # lambda.M lambda term by term in (i, j) order, each term
+            # (l_i M_ij) l_j: the order and bits of einsum's "...i,ij,...j"
+            # at a third of its time; an overflow gives inf or nan silently,
+            # as there
+            quad = np.zeros(pts.shape[:-1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i, j in np.ndindex(m.shape):
+                    quad += (pts[..., i] * m[i, j]) * pts[..., j]
+        quad = np.abs(quad)
         return np.exp(np.pi * quad) / (1.0 + np.linalg.norm(pts, axis=-1)) ** n_exponent
 
     return weight
@@ -267,14 +283,21 @@ def gelfand_shilov_weight(p: float, coeff: float, half: int, part: str):
     return weight
 
 
-def _ball_sums(integrand, r2, radii, cell: float, jac: float = 1.0) -> np.ndarray:
-    """Midpoint sums of integrand over the balls r2 <= R^2, one row per radius.
+def _ball_masks(r2, radii) -> list:
+    """One node mask r2 <= R^2 per radius, shared by every weight of a sweep."""
+    return [r2 <= r * r for r in radii]
+
+
+def _ball_sums(integrand, masks, cell: float, jac: float = 1.0) -> np.ndarray:
+    """Midpoint sums of integrand over each ball mask, one row per mask.
 
     The node axis is the last one; every leading index is a sweep of its
-    own, summed exactly as it would be alone.
+    own, summed exactly as it would be alone: `np.compress` gathers the
+    kept nodes into one contiguous run per sweep.
     """
     return np.array(
-        [np.sum(integrand[..., r2 <= r * r], axis=-1) * cell * jac for r in radii]
+        [np.sum(np.compress(mask, integrand, axis=-1), axis=-1) * cell * jac
+         for mask in masks]
     )
 
 
@@ -310,7 +333,8 @@ def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transfor
     r2 = np.einsum("ij,ij->i", nodes, nodes)
     # only nodes of the largest ball enter a sum; the sums keep their order
     inside = r2 <= radii[-1] * radii[-1]
-    nodes, r2 = nodes[inside], r2[inside]
+    nodes, r2 = np.compress(inside, nodes, axis=0), np.compress(inside, r2)
+    masks = _ball_masks(r2, radii)
     pts, jac = nodes, 1.0
     if point_transform is not None:
         t = np.asarray(point_transform, dtype=float)
@@ -323,7 +347,7 @@ def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transfor
         # freed before the next weight runs, which keeps the peak memory down
         integrand = np.asarray(weight(pts), dtype=float)
         integrand *= modulus
-        values = _ball_sums(integrand, r2, radii, cell, jac)
+        values = _ball_sums(integrand, masks, cell, jac)
         del integrand
         ratios = _ratios(values)
         sweep = tuple(zip(radii, values.tolist()))
@@ -391,7 +415,7 @@ def hardy_fit(points: np.ndarray, values: np.ndarray, omega=None) -> HardyFit:
     keep = values > VALUE_FLOOR
     if not np.any(keep):
         raise DegenerateFit("all samples below the value floor")
-    points, values = points[keep], values[keep]
+    points, values = np.compress(keep, points, axis=0), np.compress(keep, values)
     r = np.linalg.norm(points, axis=1)
     if np.any(r <= 0.0):
         raise DegenerateFit("samples at the origin cannot enter the radial fit")
@@ -420,7 +444,7 @@ def hardy_fit_field(
     vals = np.abs(field.values).ravel()
     r = np.linalg.norm(pts, axis=1)
     keep = (r >= rmin) & (r <= rmax)
-    return hardy_fit(pts[keep], vals[keep], omega)
+    return hardy_fit(np.compress(keep, pts, axis=0), np.compress(keep, vals), omega)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +636,7 @@ def cross_section_sweep(
         np.abs(field.values), slice_axes, list(range(field.n - 2 * k, field.n))
     ).reshape(tail + (-1,))
     integrand = modulus * np.asarray(beurling_weight(m, n_exponent)(pts), dtype=float)
-    ratios = _ratios(_ball_sums(integrand, r2, radii, cell))
+    ratios = _ratios(_ball_sums(integrand, _ball_masks(r2, radii), cell))
     verdicts = _verdicts(ratios) != "divergent-looking"
 
     cross_axes = list(range(k, d)) + list(range(d + k, 2 * d))

@@ -13,6 +13,7 @@ numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -157,17 +158,30 @@ def _default_stft_field(grid_spec):
     return partial_stft_slice(phi, phi, 1)
 
 
-def cmd_check(args) -> int:
-    field = read_field(args.field) if args.field else _default_stft_field(args.grid)
+def _nearest_grid_modulus(field):
+    """Evaluator of |field| at the grid point nearest each node.
+
+    Each node becomes one flat C-order index, clipped to the grid axis by
+    axis, into |values| taken once over the whole field.
+    """
 
     def evaluator(pts):
-        # nearest-grid lookup for field-backed evaluators
-        idx = []
-        for a in range(field.n):
-            j = np.rint(pts[:, a] / field.spacing(a)).astype(int) + field.points[a] // 2
-            idx.append(np.clip(j, 0, field.points[a] - 1))
-        return np.abs(field.values[tuple(idx)])
+        flat = np.zeros(len(pts), dtype=np.intp)
+        for a, npts in enumerate(field.points):
+            j = pts[:, a] / field.spacing(a)
+            np.rint(j, out=j)
+            j = j.astype(np.intp)
+            j += npts // 2
+            np.clip(j, 0, npts - 1, out=j)
+            flat *= npts
+            flat += j
+        return np.abs(field.values).ravel().take(flat)
 
+    return evaluator
+
+
+def cmd_check(args) -> int:
+    field = read_field(args.field) if args.field else _default_stft_field(args.grid)
     if args.kind == "hardy":
         fit = hardy_fit_field(field, rmin=args.rmin, rmax=args.rmax)
         obj = {
@@ -215,12 +229,12 @@ def cmd_check(args) -> int:
         m[:d, d:] = 0.5 * np.eye(d)
         m[d:, :d] = 0.5 * np.eye(d)
         report = beurling_sweep(
-            evaluator, m, args.n_exponent, args.radii, dim=field.n,
+            _nearest_grid_modulus(field), m, args.n_exponent, args.radii, dim=field.n,
             resolution=args.resolution,
         )
     else:
         report = gelfand_shilov_sweep(
-            evaluator, args.p, args.alpha, args.beta, args.radii, dim=field.n,
+            _nearest_grid_modulus(field), args.p, args.alpha, args.beta, args.radii, dim=field.n,
             resolution=args.resolution,
         )
 
@@ -323,7 +337,13 @@ class _Parser(argparse.ArgumentParser):
         raise MtfrError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mtfr` argument parser, built on first use and then reused.
+
+    Parsing leaves no state on the parser, so every in-process `main`
+    call shares this one; importing the module builds nothing.
+    """
     parser = _Parser(
         prog="mtfr",
         description="Symplectic factorizations, time-frequency representation "
@@ -334,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="pre-Iwasawa decomposition and generator word")
     p.add_argument("matrix", help="symplectic matrix JSON")
     p.add_argument("--out", default=None, help="output directory")
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("classify", help="Alternative I/II certificate")
     p.add_argument("matrix", help="symplectic matrix JSON (doubled dimension)")
     p.add_argument("--tol-blk", type=_POSITIVE, default=TOL_BLK,
                    help="block-diagonality tolerance (default 1e-8)")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="check the reduction identity of a certificate")
     p.add_argument("certificate", help="certificate JSON")
@@ -352,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_POSITIVE, default=3.0, help="sample box half-width")
     p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="uncertainty-principle condition sweeps")
     p.add_argument("kind", choices=["beurling", "hardy", "gs", "nazarov"])
@@ -373,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", type=_FLOAT, default=1.0, help="Nazarov constant C")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("counterexample",
                        help="compactly supported pair for an Alternative I certificate")
@@ -382,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bump-halfwidth", type=_POSITIVE, default=2.0)
     p.add_argument("--format", choices=["json", "bin", "both"], default="both")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_counterexample)
 
     return parser
 
@@ -396,8 +411,11 @@ def main(argv=None) -> int:
     """
     try:
         args = build_parser().parse_args(argv)
+        # looked up by name on each call, so a rebound cmd_* (a test's
+        # monkeypatch, the benchmark's tracer) runs under the shared parser
+        command = globals()[f"cmd_{args.command}"]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+            return command(args)
     except _ASSERTION_ERRORS as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 3

@@ -59,9 +59,18 @@ class GeneralizedGaussian:
         if b.shape[0] != m.shape[0]:
             raise DimensionMismatch("linear term size does not match")
         skew = m - m.T
-        # Frobenius norms: vdot flattens and conjugates its first argument
+        # Frobenius norms: vdot flattens and conjugates its first argument;
+        # a norm that is not finite sends the entries to an isfinite check
         asym = math.sqrt(np.vdot(skew, skew).real)
-        if asym > 1e-10 * max(1.0, math.sqrt(np.vdot(m, m).real)):
+        size = math.sqrt(np.vdot(m, m).real)
+        if not math.isfinite(size) and not np.isfinite(m).all():
+            raise DimensionMismatch("quadratic form entries must be finite")
+        if not math.isfinite(np.vdot(b, b).real) and not np.isfinite(b).all():
+            raise DimensionMismatch("linear term entries must be finite")
+        logamp = float(self.logamp)
+        if not math.isfinite(logamp):
+            raise DimensionMismatch("logamp must be finite")
+        if asym > 1e-10 * max(1.0, size):
             raise NumericalFailure(f"quadratic form asymmetry {asym:.3e}")
         m = 0.5 * (m + m.T)
         if np.linalg.eigvalsh(m.real)[0] <= 0.0:
@@ -70,7 +79,7 @@ class GeneralizedGaussian:
         b.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "logamp", float(self.logamp))
+        object.__setattr__(self, "logamp", logamp)
 
     @property
     def n(self) -> int:

@@ -173,7 +173,7 @@ def _centered_fft_axis(values: np.ndarray, axis: int, extent: float, inverse=Fal
     return buf, _fft_axis_inplace(buf, axis, extent, inverse)
 
 
-def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
+def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, out=None):
     """Band-limited evaluation of f(x/scale) |scale|^{-1/2} on the same grid.
 
     With the centered spectrum F_p (p, q in [-N/2, N/2)), the value at
@@ -182,20 +182,35 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
     chirp-z form e^{i a q^2} sum_p (F_p e^{i a p^2}) e^{-i a (q - p)^2},
     a = pi / (N scale): one linear convolution, done by FFTs of length 2N,
     so the cost is O(N log N) per line along the axis.
+
+    The FFTs run in place in one zero-padded buffer, the axis last; the
+    result goes into out (an array, or a view, of values' shape) when given
+    and into a new array otherwise, and is returned.
     """
     npts = values.shape[axis]
-    spec, _ = _centered_fft_axis(values, axis, extent)
     alpha = np.pi / (npts * scale)
-    p = np.arange(npts) - npts // 2
-    chirp = np.exp(1j * alpha * p**2)
+    chirp = np.exp(1j * alpha * (np.arange(npts) - npts // 2) ** 2)
     # e^{-i a m^2} for m in [-N, N), laid out circularly; q - p never
     # reaches m = -N
-    m = np.fft.fftfreq(2 * npts, 1.0 / (2 * npts))
-    kernel = np.fft.fft(np.exp(-1j * alpha * m**2))
-    moved = np.moveaxis(spec, axis, -1)
-    conv = np.fft.ifft(np.fft.fft(moved * chirp, n=2 * npts) * kernel)
-    out = conv[..., :npts] * (chirp / (extent * np.sqrt(abs(scale))))
-    return np.moveaxis(out, -1, axis)
+    kernel = -1j * alpha * np.fft.fftfreq(2 * npts, 1.0 / (2 * npts)) ** 2
+    np.exp(kernel, out=kernel)
+    np.fft.fft(kernel, out=kernel)
+    moved = np.moveaxis(values, axis, -1)
+    buf = np.zeros(moved.shape[:-1] + (2 * npts,), dtype=complex)
+    head = buf[..., :npts]
+    last = values.ndim - 1
+    np.multiply(moved, _ramp(npts, last, values.ndim), out=head)
+    _fft_axis_inplace(head, last, extent)  # the centered spectrum
+    head *= chirp
+    np.fft.fft(buf, out=buf)
+    buf *= kernel
+    del kernel
+    np.fft.ifft(buf, out=buf)
+    chirp /= extent * np.sqrt(abs(scale))
+    if out is None:
+        out = np.empty(values.shape, dtype=complex)
+    np.multiply(head, chirp, out=np.moveaxis(out, axis, -1))
+    return out
 
 
 def _monomial_decompose(l: np.ndarray):
@@ -251,17 +266,23 @@ def apply_letter_grid(field: SampledField, letter) -> SampledField:
         if letter.n != field.n:
             raise DimensionMismatch("dilation size does not match field")
         rows, diag = _monomial_decompose(letter.l)
-        values = field.values
-        for ax in range(field.n):
-            values = _resample_axis(values, ax, field.extents[ax], diag[ax])
         # result(x) = f1(P^t x): axis a of the output reads axis source[a] of f1,
         # where source[a] is the column with its nonzero in row a
         source = [0] * field.n
         for col, row in enumerate(rows):
             source[row] = col
-        values = np.transpose(values, source)
+        # the last pass writes f1 straight into the result, which is laid
+        # out in the output's axis order and handed over without a copy
+        result = np.empty(tuple(field.points[s] for s in source), dtype=complex)
+        values = field.values
+        for ax in range(field.n):
+            last = ax == field.n - 1
+            values = _resample_axis(
+                values, ax, field.extents[ax], diag[ax],
+                out=np.transpose(result, np.argsort(source)) if last else None,
+            )
         extents = tuple(field.extents[s] for s in source)
-        return SampledField(values, extents)
+        return SampledField(result, extents)
     raise TypeError(f"unknown letter {letter!r}")
 
 

@@ -14,6 +14,7 @@ partial Fourier letters (rotations by diag(i on S, 1 off S)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _reject_non_finite(a: np.ndarray, what: str):
+    """Raise DimensionMismatch unless every entry of a is finite.
+
+    The fallback for a norm of a that came out inf or nan: only then are
+    the entries looked at, so a huge but finite a still passes.
+    """
+    if not np.isfinite(a).all():
+        raise DimensionMismatch(f"{what}: entries must be finite")
+
+
 def _symmetrize_checked(q: np.ndarray, tol: float, what: str) -> np.ndarray:
-    defect = np.linalg.norm(q - q.T)
-    if defect > tol * max(1.0, np.linalg.norm(q)):
+    skew = q - q.T
+    # Frobenius norms: vdot flattens its arguments
+    defect = math.sqrt(np.vdot(skew, skew))
+    size = math.sqrt(np.vdot(q, q))
+    if not math.isfinite(size):
+        _reject_non_finite(q, what)
+    if defect > tol * max(1.0, size):
         raise NotSymmetric(f"{what}: asymmetry {defect:.3e} exceeds tolerance")
     return 0.5 * (q + q.T)
 
@@ -119,7 +135,13 @@ class Dilation:
         if l.ndim != 2 or l.shape[0] != l.shape[1]:
             raise DimensionMismatch("dilation matrix must be square")
         # sigma_min against ||L||_2 = sigma_max, both from one SVD
-        sv = np.linalg.svd(l, compute_uv=False)
+        try:
+            sv = np.linalg.svd(l, compute_uv=False)
+        except np.linalg.LinAlgError:
+            _reject_non_finite(l, "Dilation")  # a nan entry stops the SVD
+            raise
+        if not math.isfinite(sv[0]):  # an infinite entry makes it nan
+            _reject_non_finite(l, "Dilation")
         if sv[-1] <= TOL_INV * max(1.0, sv[0]):
             raise Singular("Dilation: matrix is singular at tolerance")
         object.__setattr__(self, "l", _freeze(l))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mtfr import checks as C
 from mtfr.checks import (
     Ball,
     Box,
+    HardyFit,
     LinearImage,
     beurling_sweep,
     beurling_weight,
@@ -431,3 +435,185 @@ class TestCrossSection:
         assert rep.fraction_passing == np.count_nonzero(want) / want.size
         failing = want.size - np.count_nonzero(want)
         assert rep.exception_measure == failing * rep.cell_measure
+
+
+# ---------------------------------------------------------------------------
+# the sweep engine against its boolean-mask and einsum forms, bit for bit
+
+
+def reference_beurling_weight(m, n_exponent):
+    """beurling_weight with the three-operand einsum."""
+    m = np.asarray(m, dtype=float)
+
+    def weight(pts):
+        quad = np.abs(np.einsum("...i,ij,...j->...", pts, m, pts))
+        return np.exp(np.pi * quad) / (1.0 + np.linalg.norm(pts, axis=-1)) ** n_exponent
+
+    return weight
+
+
+def reference_ball_sums(integrand, r2, radii, cell, jac=1.0):
+    """_ball_sums by 2-D boolean indexing, one mask per radius and call."""
+    return np.array(
+        [np.sum(integrand[..., r2 <= r * r], axis=-1) * cell * jac for r in radii]
+    )
+
+
+def reference_truncated_sweeps(evaluator, weights, radii, dim, resolution,
+                               point_transform=None):
+    """_truncated_sweeps with boolean-mask gathers."""
+    radii = C._increasing_radii(radii)
+    nodes, cell = C._ball_nodes(dim, radii[-1], resolution)
+    r2 = np.einsum("ij,ij->i", nodes, nodes)
+    inside = r2 <= radii[-1] * radii[-1]
+    nodes, r2 = nodes[inside], r2[inside]
+    pts, jac = nodes, 1.0
+    if point_transform is not None:
+        t = np.asarray(point_transform, dtype=float)
+        pts = nodes @ t.T
+        jac = abs(np.linalg.det(t))
+    modulus = np.asarray(evaluator(pts), dtype=float)
+    sweeps = []
+    for weight in weights:
+        integrand = np.asarray(weight(pts), dtype=float)
+        integrand *= modulus
+        values = reference_ball_sums(integrand, r2, radii, cell, jac)
+        ratios = C._ratios(values)
+        sweep = tuple(zip(radii, values.tolist()))
+        sweeps.append((sweep, tuple(ratios.tolist()), str(C._verdicts(ratios))))
+    return sweeps
+
+
+def reference_hardy_fit(points, values, omega=None):
+    """hardy_fit with boolean-mask gathers."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if omega is None:
+        omega = np.eye(points.shape[1])
+    omega = np.asarray(omega, dtype=float)
+    keep = values > C.VALUE_FLOOR
+    points, values = points[keep], values[keep]
+    r = np.linalg.norm(points, axis=1)
+    scaled = points @ np.linalg.inv(omega).T
+    y = np.log(values)
+    design = np.column_stack(
+        [np.ones_like(r), np.log(r), -0.5 * np.pi * np.einsum("ij,ij->i", scaled, scaled)]
+    )
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
+    return HardyFit(alpha=float(coef[2]), n_hat=float(coef[1]), log_c=float(coef[0]),
+                    residual=resid)
+
+
+def reference_hardy_fit_field(field, omega=None, rmin=1.5, rmax=4.0):
+    pts = field.mesh().reshape(-1, field.n)
+    vals = np.abs(field.values).ravel()
+    r = np.linalg.norm(pts, axis=1)
+    keep = (r >= rmin) & (r <= rmax)
+    return reference_hardy_fit(pts[keep], vals[keep], omega)
+
+
+def _matrix(seed, dim, scale=1.0):
+    return scale * np.random.default_rng(seed).normal(size=(dim, dim))
+
+
+def _invertible(seed, dim):
+    # diagonally dominant, so invertible and well conditioned
+    return np.eye(dim) + 0.2 * _matrix(seed, dim)
+
+
+def _smooth_evaluator(seed, dim):
+    c = np.random.default_rng(seed).uniform(0.2, 1.5, size=dim)
+    return lambda pts: np.exp(-np.pi * ((pts * c) ** 2).sum(axis=-1)) * (1.0 + pts[:, 0] ** 2)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A dimension, resolution, radii, weight matrix and optional point transform."""
+    dim = draw(st.sampled_from([2, 4]))
+    resolution = draw(st.integers(4, 96 if dim == 2 else 14))
+    radii = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5, unique=True))
+    seed = draw(st.integers(0, 2**16))
+    transform = _invertible(seed + 1, dim) if draw(st.booleans()) else None
+    return dim, resolution, tuple(sorted(radii)), seed, transform
+
+
+class TestSweepEngineBitwise:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_cases(), st.sampled_from([0.0, 1.0, 3.5]))
+    def test_truncated_sweeps_match_mask_reference(self, case, n_exponent):
+        dim, resolution, radii, seed, transform = case
+        ev = _smooth_evaluator(seed, dim)
+        m = _matrix(seed, dim, 0.3)
+        weights = (
+            C.beurling_weight(m, n_exponent),
+            C.gelfand_shilov_weight(2.5, 0.8, dim // 2, "x"),
+            C.gelfand_shilov_weight(2.5, 0.8, dim // 2, "omega"),
+        )
+        ref_weights = (reference_beurling_weight(m, n_exponent),) + weights[1:]
+        got = C._truncated_sweeps(ev, weights, radii, dim, resolution, transform)
+        want = reference_truncated_sweeps(ev, ref_weights, radii, dim, resolution, transform)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3, 4, 6]),
+        st.sampled_from([(), (1,), (7,), (5, 3), (129,)]),
+        st.integers(0, 2**16),
+        st.sampled_from([0.0, 2.0]),
+    )
+    def test_beurling_weight_matches_einsum(self, dim, lead, seed, n_exponent):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(scale=3.0, size=lead + (dim,))
+        m = rng.normal(size=(dim, dim))
+        got = C.beurling_weight(m, n_exponent)(pts)
+        want = reference_beurling_weight(m, n_exponent)(pts)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_beurling_weight_special_values_match_einsum(self, dim):
+        m = _matrix(3, dim)
+        pts = np.array([[np.inf] + [1.0] * (dim - 1), [np.nan] * dim, [-0.0] * dim,
+                        [1e200] * dim, [-1e-200] * dim])
+        pts = np.tile(pts, (4, 1))  # enough points for the term-by-term path
+        got = C.beurling_weight(m, 1.0)(pts)
+        want = reference_beurling_weight(m, 1.0)(pts)
+        assert got.tobytes() == want.tobytes()
+
+    def test_beurling_weight_rejects_a_mismatched_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            C.beurling_weight(np.eye(2), 0.0)(np.zeros((5, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from([(), (3,), (2, 5)]),
+           st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4, unique=True))
+    def test_ball_sums_match_mask_reference(self, seed, lead, radii):
+        rng = np.random.default_rng(seed)
+        radii = tuple(sorted(radii))
+        r2 = rng.uniform(0.0, 4.0, size=4099)
+        integrand = rng.uniform(size=lead + (4099,))
+        got = C._ball_sums(integrand, C._ball_masks(r2, radii), 0.01, 1.5)
+        if not lead:
+            want = reference_ball_sums(integrand, r2, radii, 0.01, 1.5)
+            assert got.tobytes() == want.tobytes()
+        # every leading index is summed exactly as it would be alone
+        for idx in np.ndindex(*lead):
+            alone = C._ball_sums(integrand[idx], C._ball_masks(r2, radii), 0.01, 1.5)
+            assert got[(slice(None),) + idx].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("rmin,rmax", [(1.5, 4.0), (0.5, 2.5), (2.0, 7.0)])
+    @pytest.mark.parametrize("omega", [None, np.array([[1.3, 0.2], [0.0, 0.8]])])
+    def test_hardy_fit_field_matches_mask_reference(self, rmin, rmax, omega):
+        phi = sample(standard_gaussian(1), (128,), (16.0,))
+        v = partial_stft_slice(phi, phi, 1)
+        got = hardy_fit_field(v, omega, rmin, rmax)
+        assert repr(got) == repr(reference_hardy_fit_field(v, omega, rmin, rmax))
+
+    def test_hardy_fit_matches_mask_reference(self, rng):
+        pts = rng.normal(scale=2.0, size=(3000, 4))
+        vals = np.exp(-np.pi * (pts**2).sum(axis=1)) * (rng.uniform(size=3000) > 0.3)
+        assert repr(hardy_fit(pts, vals)) == repr(reference_hardy_fit(pts, vals))

@@ -12,12 +12,14 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtfr
 from mtfr.certify import identity_errors
 from mtfr.cli import main
 from mtfr.gaussian import random_gaussian, standard_gaussian
-from mtfr.grid import sample, sample_function
+from mtfr.grid import SampledField, sample, sample_function
 from mtfr.serialize import canonical_json, certificate_from_obj, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
@@ -490,3 +492,92 @@ class TestPackage:
 
         assert isinstance(C, types.ModuleType)
         assert callable(C.certify)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+class TestParserReuse:
+    def test_one_parser(self):
+        from mtfr.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        first, last = tmp_path / "first", tmp_path / "last"
+        assert main(["check", "gs", "--p", "3", "--radii", "1,2,3", "--resolution", "64",
+                     "--out", str(first)]) == 0
+        assert main(["check", "gs", "--no-such-flag"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(["check", "gs", "--radii", "1,2,3", "--resolution", "64", "--out", str(last)]) == 0
+        assert json.loads((first / "report.json").read_text())["parameters"]["p"] == 3.0
+        assert json.loads((last / "report.json").read_text())["parameters"]["p"] == 2.0
+
+    def test_import_builds_no_parser(self):
+        probe = "import mtfr.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = _run_python(["-c", probe])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_rebound_command_runs(self, monkeypatch):
+        import mtfr.cli as cli
+
+        cli.build_parser()  # built before the rebinding
+        seen = []
+        monkeypatch.setattr(cli, "cmd_factor", lambda args: seen.append(args.matrix) or 0)
+        assert main(["factor", "m.json"]) == 0
+        assert seen == ["m.json"]
+
+
+# ---------------------------------------------------------------------------
+# the check evaluator against its tuple-indexed form, bit for bit
+
+
+def reference_nearest_grid_modulus(field):
+    """Nearest-grid lookup by a tuple of clipped axis indices, abs after the gather."""
+
+    def evaluator(pts):
+        idx = []
+        for a in range(field.n):
+            j = np.rint(pts[:, a] / field.spacing(a)).astype(int) + field.points[a] // 2
+            idx.append(np.clip(j, 0, field.points[a] - 1))
+        return np.abs(field.values[tuple(idx)])
+
+    return evaluator
+
+
+class TestNearestGridModulus:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.sampled_from([8, 16, 32]), min_size=1, max_size=4),
+        st.integers(0, 2**16),
+        st.integers(1, 3000),
+        st.floats(0.2, 1.6),
+    )
+    def test_matches_tuple_index_reference(self, points, seed, count, reach):
+        from mtfr.cli import _nearest_grid_modulus
+
+        rng = np.random.default_rng(seed)
+        extents = tuple(rng.uniform(2.0, 20.0, size=len(points)))
+        values = rng.normal(size=points) + 1j * rng.normal(size=points)
+        field = SampledField(values, extents)
+        # nodes inside and outside the grid, which both clip to its edge
+        pts = rng.uniform(-reach, reach, size=(count, len(points))) * np.array(extents)
+        got = _nearest_grid_modulus(field)(pts)
+        want = reference_nearest_grid_modulus(field)(pts)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["beurling", "gs"])
+    def test_report_matches_reference_sweep(self, kind, tmp_path, monkeypatch):
+        import mtfr.cli as cli
+
+        f = sample(random_gaussian(2, np.random.default_rng(5)), (32, 32), (8.0, 8.0))
+        write_field(f, tmp_path / "f.bin")
+        argv = ["check", kind, "--field", str(tmp_path / "f.bin"), "--radii", "0.5,1,2,3",
+                "--resolution", "96", "--format", "json"]
+        assert main([*argv, "--out", str(tmp_path / "got")]) == 0
+        monkeypatch.setattr(cli, "_nearest_grid_modulus", reference_nearest_grid_modulus)
+        assert main([*argv, "--out", str(tmp_path / "want")]) == 0
+        got = (tmp_path / "got" / "report.json").read_bytes()
+        assert got == (tmp_path / "want" / "report.json").read_bytes()

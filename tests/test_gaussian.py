@@ -57,6 +57,33 @@ class TestType:
         with pytest.raises(NumericalFailure):
             GeneralizedGaussian(m, np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "m,b",
+        [
+            ([[np.nan]], [0.0]),
+            ([[np.inf]], [0.0]),
+            ([[1.0, np.inf], [np.inf, 1.0]], [0.0, 0.0]),
+            ([[1.0 + 1j * np.nan]], [0.0]),
+            (np.eye(1), [np.nan]),
+            (np.eye(2), [0.0, 1j * np.inf]),
+        ],
+        ids=["nan-m", "inf-m", "inf-offdiag", "nan-imag-m", "nan-b", "inf-imag-b"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_non_finite(self, m, b):
+        with pytest.raises(DimensionMismatch, match="must be finite"):
+            GeneralizedGaussian(m, b)
+
+    @pytest.mark.parametrize("logamp", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_logamp(self, logamp):
+        with pytest.raises(DimensionMismatch, match="logamp must be finite"):
+            GeneralizedGaussian(np.eye(1), [0.0], logamp)
+
+    def test_huge_finite_input_constructs(self):
+        # the norms overflow, the entries are finite
+        g = GeneralizedGaussian(1e200 * np.eye(2), [1e200, -1e200])
+        assert g.m[0, 0] == 1e200 and g.b[1] == -1e200
+
 
 class TestChirpAction:
     def test_zero_chirp(self, rng):

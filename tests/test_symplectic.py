@@ -3,13 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtfr.errors import NotFree, NotSymmetric, NotSymplectic, NotUnitary, Singular
+from mtfr.errors import (
+    DimensionMismatch,
+    NotFree,
+    NotSymmetric,
+    NotSymplectic,
+    NotUnitary,
+    Singular,
+)
 from mtfr.symplectic import (
     Chirp,
     Dilation,
     GeneratorWord,
     PartialFourier,
     TOL_INV,
+    TOL_SYM,
     SymplecticMatrix,
     factor_to_word,
     free_factorize,
@@ -50,6 +58,39 @@ class TestChirp:
         with pytest.raises(NotSymmetric):
             make_chirp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "q", [[[np.inf]], [[np.nan]], [[0.0, np.nan], [np.nan, 0.0]], [[1.0, 2.0], [2.0, -np.inf]]]
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_non_finite(self, q):
+        with pytest.raises(DimensionMismatch, match="Chirp: entries must be finite"):
+            Chirp(q)
+
+    def test_huge_finite_q_constructs(self):
+        q = np.array([[1e200, 3.0], [3.0, -1e200]])
+        assert Chirp(q).q.tobytes() == q.tobytes()
+
+    @given(st.integers(1, 5), st.integers(0, 10**6), st.floats(0.0, 1e-13))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetrized_q_and_tolerance(self, n, seed, skew):
+        # Q = (q + q^T)/2 bit for bit; an asymmetry past TOL_SYM ||q||_F raises
+        r = np.random.default_rng(seed)
+        q = r.normal(size=(n, n))
+        q = q + q.T
+        q[0, -1] += skew * np.linalg.norm(q)
+        assert Chirp(q).q.tobytes() == (0.5 * (q + q.T)).tobytes()
+        if n > 1:
+            q[0, -1] += 2 * TOL_SYM * max(1.0, np.linalg.norm(q))
+            with pytest.raises(NotSymmetric):
+                Chirp(q)
+
+    def test_no_linalg_norm_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+
+        monkeypatch.setattr(np.linalg, "norm", forbidden)
+        Chirp(np.array([[2.0, 0.3], [0.3, 0.5]]))
+
     @given(st.integers(1, 4), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_homomorphism(self, n, seed):
@@ -88,6 +129,17 @@ class TestDilation:
         monkeypatch.setattr(np.linalg._linalg, "svd", counted)
         Dilation(np.array([[2.0, 0.3], [0.1, 0.5]]))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "l", [[[np.inf]], [[np.nan]], [[1.0, np.nan], [0.0, 1.0]], [[1.0, 0.0], [-np.inf, 1.0]]]
+    )
+    def test_rejects_non_finite(self, l):
+        with pytest.raises(DimensionMismatch, match="Dilation: entries must be finite"):
+            Dilation(l)
+
+    def test_huge_finite_l_constructs(self):
+        l = np.diag([1e300, 1e300])
+        assert Dilation(l).l.tobytes() == l.tobytes()
 
     @pytest.mark.parametrize("scale", [0.5, 1e3])
     def test_singular_threshold(self, scale):
