@@ -8,7 +8,14 @@ cocycles and square-root branches stay out of the data model.
 
 The class is closed under chirps, dilations, and partial Fourier
 transforms, which makes it a machine-precision oracle for the grid engine
-and for the certificate identities.
+and for the certificate identities.  A generator word acts through its
+symplectic matrix S = ((A, B), (C, D)) in one Siegel-space step: with
+Z = iM, the image has Z' = (C + DZ)(A + BZ)^{-1}.  The letters' own
+actions are the special cases: a chirp gives Z + Q, a dilation
+L^{-T} Z L^{-1}, and the Fourier transform on every axis -Z^{-1}.  The
+only conditioning guard of a word is cond(A + BZ), so a word whose
+intermediate Fourier block is ill-conditioned does not raise when its
+product is well conditioned.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure, Singular
-from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier
+from .symplectic import GeneratorWord, _symmetrize_checked
 
 COND_MAX = 1e12
 
@@ -35,7 +42,7 @@ __all__ = [
     "apply_chirp",
     "apply_dilation",
     "apply_partial_fourier",
-    "apply_letter",
+    "apply_symplectic",
     "apply_word",
     "tensor",
     "conjugate",
@@ -58,21 +65,12 @@ class GeneralizedGaussian:
             raise DimensionMismatch("quadratic form must be square")
         if b.shape[0] != m.shape[0]:
             raise DimensionMismatch("linear term size does not match")
-        skew = m - m.T
-        # Frobenius norms: vdot flattens and conjugates its first argument;
-        # a norm that is not finite sends the entries to an isfinite check
-        asym = math.sqrt(np.vdot(skew, skew).real)
-        size = math.sqrt(np.vdot(m, m).real)
-        if not math.isfinite(size) and not np.isfinite(m).all():
-            raise DimensionMismatch("quadratic form entries must be finite")
+        m = _symmetrize_checked(m, 1e-10, "quadratic form", NumericalFailure)
         if not math.isfinite(np.vdot(b, b).real) and not np.isfinite(b).all():
             raise DimensionMismatch("linear term entries must be finite")
         logamp = float(self.logamp)
         if not math.isfinite(logamp):
             raise DimensionMismatch("logamp must be finite")
-        if asym > 1e-10 * max(1.0, size):
-            raise NumericalFailure(f"quadratic form asymmetry {asym:.3e}")
-        m = 0.5 * (m + m.T)
         if np.linalg.eigvalsh(m.real)[0] <= 0.0:
             raise NumericalFailure("Re M must be positive definite")
         m.flags.writeable = False
@@ -218,23 +216,46 @@ def apply_partial_fourier(g: GeneralizedGaussian, axes) -> GeneralizedGaussian:
     return GeneralizedGaussian(m_new, b_new, logamp)
 
 
-def apply_letter(g: GeneralizedGaussian, letter) -> GeneralizedGaussian:
-    if isinstance(letter, Chirp):
-        return apply_chirp(g, letter.q)
-    if isinstance(letter, Dilation):
-        return apply_dilation(g, letter.l)
-    if isinstance(letter, PartialFourier):
-        return apply_partial_fourier(g, letter.axes)
-    raise TypeError(f"unknown letter {letter!r}")
+def apply_symplectic(g: GeneralizedGaussian, s) -> GeneralizedGaussian:
+    """The metaplectic operator of S = ((A, B), (C, D)), up to a phase.
+
+    With Z = iM and P = A + BZ, the image has
+
+        Z' = (C + DZ) P^{-1},  b' = P^{-T} b,
+        logamp' = logamp - log|det P| / 2 + Re(i pi b.P^{-1} B b).
+
+    For a symplectic S, P is invertible whenever Re M > 0.  Its condition
+    number is guarded against COND_MAX, and log|det P| comes from the same
+    singular values.  The result goes through the constructor, which checks
+    it in full.
+    """
+    s = np.asarray(s, dtype=float)
+    n = g.n
+    if s.shape != (2 * n, 2 * n):
+        raise DimensionMismatch("symplectic matrix size does not match")
+    a, bb, c, d = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
+    z = 1j * g.m
+    p = a + bb @ z
+    sv = np.linalg.svd(p, compute_uv=False)
+    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
+    if not np.isfinite(cond) or cond > COND_MAX:
+        raise NumericalFailure(f"A + BZ condition {cond:.3e} beyond cutoff")
+    p_inv = np.linalg.inv(p)
+    m = -1j * ((c + d @ z) @ p_inv)
+    logamp = (
+        g.logamp
+        - 0.5 * float(np.sum(np.log(sv)))
+        + float(np.real(1j * np.pi * (g.b @ p_inv @ (bb @ g.b))))
+    )
+    return GeneralizedGaussian(m, p_inv.T @ g.b, logamp)
 
 
 def apply_word(g: GeneralizedGaussian, word: GeneratorWord) -> GeneralizedGaussian:
-    """Apply the word as an operator: the last letter acts first."""
+    """Apply the word as an operator (the last letter acts first), in one
+    step through its matrix; see `apply_symplectic`."""
     if word.n != g.n:
         raise DimensionMismatch("word dimension does not match Gaussian")
-    for letter in reversed(word.letters):
-        g = apply_letter(g, letter)
-    return g
+    return apply_symplectic(g, word.matrix())
 
 
 def tensor(g1: GeneralizedGaussian, g2: GeneralizedGaussian) -> GeneralizedGaussian:
@@ -303,7 +324,8 @@ def partial_stft_log_modulus(
     bg = g.b.conj()
 
     mt = mf[:k, :k] + ng[:k, :k]
-    cond = np.linalg.cond(mt)
+    sv = np.linalg.svd(mt, compute_uv=False)
+    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
     if not np.isfinite(cond) or cond > COND_MAX:
         raise NumericalFailure(f"combined quadratic form condition {cond:.3e}")
 

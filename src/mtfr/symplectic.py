@@ -74,16 +74,32 @@ def _reject_non_finite(a: np.ndarray, what: str):
         raise DimensionMismatch(f"{what}: entries must be finite")
 
 
-def _symmetrize_checked(q: np.ndarray, tol: float, what: str) -> np.ndarray:
-    skew = q - q.T
-    # Frobenius norms: vdot flattens its arguments
-    defect = math.sqrt(np.vdot(skew, skew))
-    size = math.sqrt(np.vdot(q, q))
-    if not math.isfinite(size):
+def _frobenius(a: np.ndarray) -> float:
+    return math.sqrt(np.vdot(a, a).real)  # vdot flattens and conjugates
+
+
+def _symmetrize_checked(
+    q: np.ndarray, tol: float, what: str, error=NotSymmetric
+) -> np.ndarray:
+    """(q + q^T) / 2, once q is finite and ||q - q^T|| <= tol max(1, ||q||).
+
+    When ||q|| overflows and the entries are finite, both norms are taken of
+    q scaled by its largest entry, which keeps their ratio, so an overflowed
+    pair is never compared inf against inf; the halves are then summed, so
+    a huge but symmetric q stays finite.
+    """
+    size = _frobenius(q)
+    if math.isfinite(size):
+        defect = _frobenius(q - q.T)
+        sym = 0.5 * (q + q.T)
+    else:
         _reject_non_finite(q, what)
+        q_scaled = q / max(np.abs(q.real).max(), np.abs(q.imag).max())
+        defect, size = _frobenius(q_scaled - q_scaled.T), _frobenius(q_scaled)
+        sym = 0.5 * q + 0.5 * q.T
     if defect > tol * max(1.0, size):
-        raise NotSymmetric(f"{what}: asymmetry {defect:.3e} exceeds tolerance")
-    return 0.5 * (q + q.T)
+        raise error(f"{what}: asymmetry {defect:.3e} exceeds tolerance")
+    return sym
 
 
 def standard_j(n: int) -> np.ndarray:
@@ -219,9 +235,18 @@ class GeneratorWord:
         object.__setattr__(self, "letters", letters)
 
     def matrix(self) -> np.ndarray:
-        m = np.eye(2 * self.n)
-        for letter in self.letters:
-            m = m @ letter_matrix(letter, self.n)
+        """The product of the letter matrices, read-only.
+
+        A word is immutable, so the product is formed on the first call and
+        every later call returns the same array.
+        """
+        m = self.__dict__.get("_matrix")
+        if m is None:
+            m = np.eye(2 * self.n)
+            for letter in self.letters:
+                m = m @ letter_matrix(letter, self.n)
+            m.flags.writeable = False
+            object.__setattr__(self, "_matrix", m)
         return m
 
     def __len__(self) -> int:

@@ -34,9 +34,10 @@ def _array(draw, shape, lo, hi):
 
 
 @st.composite
-def generator_words(draw, max_letters=6):
-    """Words of up to max_letters well-conditioned letters, n = 1..3."""
-    n = draw(st.integers(1, 3))
+def generator_words(draw, max_letters=6, n=None):
+    """Words of up to max_letters well-conditioned letters, n = 1..3 unless given."""
+    if n is None:
+        n = draw(st.integers(1, 3))
     letters = []
     for kind in draw(st.lists(st.sampled_from("cdf"), max_size=max_letters)):
         if kind == "c":
@@ -55,13 +56,15 @@ def generator_words(draw, max_letters=6):
 
 
 @st.composite
-def gaussians(draw):
-    """Generalized Gaussians, n = 1..3; Re M is diagonally dominant, so positive definite."""
-    n = draw(st.integers(1, 3))
+def gaussians(draw, n=None, spread=1e3):
+    """Generalized Gaussians, n = 1..3 unless given, |Im M| and |b| entries
+    up to spread; Re M is diagonally dominant, so positive definite."""
+    if n is None:
+        n = draw(st.integers(1, 3))
     off = _array(draw, (n, n), -0.2, 0.2)
-    t = _array(draw, (n, n), -1e3, 1e3)
+    t = _array(draw, (n, n), -spread, spread)
     m = np.diag(_array(draw, n, 1.0, 10.0)) + 0.5 * (off + off.T) + 0.5j * (t + t.T)
-    b = _array(draw, n, -1e3, 1e3) + 1j * _array(draw, n, -1e3, 1e3)
+    b = _array(draw, n, -spread, spread) + 1j * _array(draw, n, -spread, spread)
     return GeneralizedGaussian(m, b, draw(st.floats(-50.0, 50.0)))
 
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtfr.errors import DimensionMismatch, NumericalFailure
 from mtfr.gaussian import (
+    COND_MAX,
     GeneralizedGaussian,
     apply_chirp,
     apply_dilation,
     apply_partial_fourier,
+    apply_symplectic,
     apply_word,
     conjugate,
     evaluate,
@@ -17,6 +19,7 @@ from mtfr.gaussian import (
     log_l2_norm,
     log_modulus,
     modulus,
+    partial_stft_log_modulus,
     partial_stft_point,
     random_gaussian,
     restrict,
@@ -25,7 +28,9 @@ from mtfr.gaussian import (
 )
 from mtfr.symplectic import (
     Chirp,
+    Dilation,
     GeneratorWord,
+    PartialFourier,
     SymplecticMatrix,
     factor_to_word,
     random_symplectic,
@@ -33,7 +38,23 @@ from mtfr.symplectic import (
     standard_j,
 )
 
-from conftest import gaussians, haar_orthogonal, random_spd
+from conftest import gaussians, generator_words, haar_orthogonal, random_spd
+
+
+def reference_apply_word(g, word):
+    """The letter walk: each letter's own closed form, the last letter first.
+
+    `apply_word` acts through the word's matrix instead; this keeps the
+    letter calculus as an independent check of that action.
+    """
+    for letter in reversed(word.letters):
+        if isinstance(letter, Chirp):
+            g = apply_chirp(g, letter.q)
+        elif isinstance(letter, Dilation):
+            g = apply_dilation(g, letter.l)
+        else:
+            g = apply_partial_fourier(g, letter.axes)
+    return g
 
 
 def quadrature_ft(g, omega, axis_extent=20.0, n=40001):
@@ -83,6 +104,16 @@ class TestType:
         # the norms overflow, the entries are finite
         g = GeneralizedGaussian(1e200 * np.eye(2), [1e200, -1e200])
         assert g.m[0, 0] == 1e200 and g.b[1] == -1e200
+
+    def test_overflowing_norms_still_measure_asymmetry(self):
+        # ||M|| and ||M - M^T|| overflow; M / max|M| has asymmetry 2 sqrt 2
+        with pytest.raises(NumericalFailure, match="asymmetry"):
+            GeneralizedGaussian([[1.0, 1e308], [-1e308, 1.0]], [0.0, 0.0])
+
+    def test_huge_symmetric_input_stays_finite(self):
+        # M + M^T would overflow; the halves are summed instead
+        m = np.array([[1.7e308, 1.0], [1.0, 1e308 + 1e308j]])
+        assert GeneralizedGaussian(m, [0.0, 0.0]).m.tobytes() == m.tobytes()
 
 
 class TestChirpAction:
@@ -145,8 +176,9 @@ class TestChecksKept:
             (lambda g: apply_dilation(g, np.array([[1.5, 0.3], [0.0, 0.7]])), 1),
             (lambda g: apply_partial_fourier(g, (1,)), 1),
             (lambda g: tensor(g, g), 1),
+            (lambda g: apply_word(g, random_word(2, 6, np.random.default_rng(3))), 1),
         ],
-        ids=["chirp", "dilation", "partial-fourier", "tensor"],
+        ids=["chirp", "dilation", "partial-fourier", "tensor", "word"],
     )
     def test_eigvalsh_calls(self, rng, eigvalsh_calls, apply, expected):
         g = random_gaussian(2, rng)
@@ -263,6 +295,48 @@ class TestWordAction:
             log_modulus(apply_word(g, w2), pts),
             atol=1e-9,
         )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_letter_walk(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        # moderate Im M: the walk's error grows with the condition of each
+        # intermediate Fourier block (|Im M| ~ 200 gives it 1e-10 in log|f|)
+        g = data.draw(gaussians(n=n, spread=3.0), label="g")
+        word = data.draw(generator_words(max_letters=8, n=n), label="word")
+        try:
+            ref = reference_apply_word(g, word)
+        except NumericalFailure:
+            reject()  # an intermediate Fourier block beyond the cutoff
+        out = apply_word(g, word)
+        assert np.linalg.norm(out.m - ref.m) <= 1e-10 * np.linalg.norm(ref.m)
+        assert np.linalg.norm(out.b.real - ref.b.real) <= 1e-10 * np.linalg.norm(ref.b)
+        x = data.draw(hnp.arrays(np.float64, (8, n), elements=st.floats(-2.0, 2.0)))
+        want = log_modulus(ref, x)
+        assert np.all(
+            np.abs(log_modulus(out, x) - want) <= 1e-10 * np.maximum(1.0, np.abs(want))
+        )
+
+    def test_ill_conditioned_intermediate_block(self):
+        # F F is the parity: the walk's first Fourier block has condition
+        # 1e13 and raises, while A + BZ = -I of the product is exact
+        g = GeneralizedGaussian(np.diag([1e6, 1e-7]), [0.3, -0.2j], 0.4)
+        word = GeneratorWord(2, (PartialFourier((0, 1)),) * 2)
+        with pytest.raises(NumericalFailure):
+            reference_apply_word(g, word)
+        out = apply_word(g, word)
+        pts = np.random.default_rng(0).uniform(-2, 2, size=(20, 2))
+        np.testing.assert_array_equal(log_modulus(out, pts), log_modulus(g, -pts))
+
+    def test_symplectic_condition_cutoff(self):
+        # J maps Z to -Z^{-1}: A + BZ = Z, of condition 1e13
+        g = GeneralizedGaussian(np.diag([1e6, 1e-7]), np.zeros(2))
+        with pytest.raises(NumericalFailure, match="condition"):
+            apply_symplectic(g, standard_j(2))
+
+    def test_symplectic_size_checked(self, rng):
+        with pytest.raises(DimensionMismatch):
+            apply_symplectic(random_gaussian(2, rng), np.eye(2))
 
 
 class TestTensorConjugate:
@@ -387,6 +461,23 @@ class TestPartialStft:
         g = GeneralizedGaussian(np.diag([1e6, 1e-7]), np.zeros(2), 0.0)
         with pytest.raises(NumericalFailure):
             apply_partial_fourier(g, (0, 1))
+
+    @given(st.floats(11.0, 13.0), st.floats(0.0, np.pi), st.floats(-1.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_condition_guard_is_linalg_cond(self, e, theta, im):
+        # the guard takes s[0]/s[-1] of one SVD, the quantity np.linalg.cond
+        # computes; the returned values do not depend on it
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        re = rot @ np.diag([1.0, 10.0**-e]) @ rot.T
+        f = GeneralizedGaussian(0.5 * re + 1j * im * 10.0**-e * np.eye(2), np.zeros(2))
+        g = GeneralizedGaussian(0.5 * re, np.zeros(2))
+        cond = np.linalg.cond(f.m + g.m.conj())
+        x, w = np.array([0.3, -0.1]), np.array([0.2, 0.5])
+        if cond > COND_MAX:
+            with pytest.raises(NumericalFailure, match="condition"):
+                partial_stft_log_modulus(f, g, 2, x, w)
+        else:
+            assert np.isfinite(partial_stft_log_modulus(f, g, 2, x, w))
 
     def test_symplectic_covariance_chirp(self, rng):
         # |V_g f(x, w)| = |V_{Cg} Cf(x, cx + w)| for the chirp letter C

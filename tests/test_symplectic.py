@@ -70,6 +70,16 @@ class TestChirp:
         q = np.array([[1e200, 3.0], [3.0, -1e200]])
         assert Chirp(q).q.tobytes() == q.tobytes()
 
+    def test_overflowing_norms_still_measure_asymmetry(self):
+        # ||q|| and ||q - q^T|| overflow; q / max|q| has asymmetry 2 sqrt 2
+        with pytest.raises(NotSymmetric):
+            Chirp(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    def test_huge_symmetric_q_stays_finite(self):
+        # q + q^T would overflow; the halves are summed instead
+        q = np.array([[1.7e308, 1.0], [1.0, -1e308]])
+        assert Chirp(q).q.tobytes() == q.tobytes()
+
     @given(st.integers(1, 5), st.integers(0, 10**6), st.floats(0.0, 1e-13))
     @settings(max_examples=40, deadline=None)
     def test_symmetrized_q_and_tolerance(self, n, seed, skew):
@@ -348,6 +358,31 @@ class TestRandomSymplectic:
         for seed in range(100):
             m = random_symplectic(2, 6, seed=seed)
             assert symplectic_defect(m.entries) <= 1e-11
+
+
+class TestWordMatrix:
+    def test_built_once_and_read_only(self, monkeypatch):
+        import mtfr.symplectic as symplectic
+
+        calls = []
+
+        def counted(letter, n):
+            calls.append(letter)
+            return letter_matrix(letter, n)
+
+        monkeypatch.setattr(symplectic, "letter_matrix", counted)
+        letters = (Chirp(np.eye(2)), Dilation(2.0 * np.eye(2)), PartialFourier((0,)))
+        word = GeneratorWord(2, letters)
+        m = word.matrix()
+        assert word.matrix() is m
+        assert len(calls) == 3
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+        expected = np.eye(4)
+        for letter in letters:
+            expected = expected @ letter_matrix(letter, 2)
+        np.testing.assert_array_equal(m, expected)
 
 
 class TestInvertWord:
