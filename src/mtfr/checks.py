@@ -259,6 +259,10 @@ def beurling_weight(m: np.ndarray, n_exponent: float):
                 for i, j in np.ndindex(m.shape):
                     quad += (pts[..., i] * m[i, j]) * pts[..., j]
         quad = np.abs(quad)
+        if n_exponent == 0:
+            # (1 + ||lambda||)^0 is exactly 1, nan and inf included, and
+            # dividing by 1.0 is exact
+            return np.exp(np.pi * quad)
         return np.exp(np.pi * quad) / (1.0 + np.linalg.norm(pts, axis=-1)) ** n_exponent
 
     return weight

@@ -10,9 +10,12 @@ per line; in higher dimension only monomial matrices (permutation x
 diagonal) are resampled, axis by axis, and everything else is left to the
 Gaussian oracle path.  The partial STFT is one batched FFT over the
 window shifted to every grid point, run in place on a single integrand
-buffer; a slice is the transform of the fields restricted to one
-(x2, omega2) cross-section.  Every tensor field f (x) conj(g) comes from
-`tfr_grid`, under the same size guard.
+buffer, block by block of leading rows so that each block is built,
+transformed and calibrated while it is in cache; its values are proven
+finite by a bound on the inputs rather than by a scan.  A slice is the
+transform of the fields restricted to one (x2, omega2) cross-section.
+Every tensor field f (x) conj(g) comes from `tfr_grid`, under the same
+size guard.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ from .gaussian import GeneralizedGaussian, evaluate, standard_gaussian
 from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier, invert_word
 
 MAX_ELEMENTS = 2**26
+# partial_stft_grid builds, transforms and calibrates its integrand in
+# blocks of leading x1 rows of at most this many bytes (at least one row),
+# so that each block is still in a core's L2 cache for every pass
+_BLOCK_BYTES = 2**19
+# a bound on every |value| at or below this proves the values finite, with
+# 2^24 to spare for the rounding of the norms and of the FFTs
+_FINITE_BOUND = 2.0**1000
 
 __all__ = [
     "SampledField",
@@ -73,6 +83,9 @@ class SampledField:
     extents: tuple
 
     def __post_init__(self):
+        self._settle(scan_values=True)
+
+    def _settle(self, scan_values: bool):
         v = np.asarray(self.values, dtype=complex)
         extents = tuple(float(t) for t in self.extents)
         if v.ndim == 0 or v.ndim != len(extents):
@@ -82,7 +95,7 @@ class SampledField:
         for npts in v.shape:
             if not _is_pow2(npts):
                 raise DimensionMismatch("points per axis must be a power of two >= 8")
-        if not np.all(np.isfinite(v)):
+        if scan_values and not np.all(np.isfinite(v)):
             raise DimensionMismatch("field values must be finite")
         if not v.flags.owndata:
             # a view: copy it, so that no later write to its base reaches the field
@@ -113,6 +126,19 @@ class SampledField:
         """Stacked grid coordinates, shape points + (n,)."""
         axes = [self.coords(a) for a in range(self.n)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _bounded_field(values: np.ndarray, extents: tuple) -> SampledField:
+    """A SampledField of values already proven finite by a bound on their inputs.
+
+    Runs every check of the constructor except the elementwise finiteness
+    scan, the one check a caller's bound carries over.
+    """
+    field = object.__new__(SampledField)
+    object.__setattr__(field, "values", values)
+    object.__setattr__(field, "extents", extents)
+    field._settle(scan_values=False)
+    return field
 
 
 def sample(g: GeneralizedGaussian, points, extents) -> SampledField:
@@ -146,22 +172,30 @@ def _ramp(npts: int, axis: int, ndim: int) -> np.ndarray:
     return ((-1.0) ** np.arange(npts)).reshape(shape)
 
 
+def _calibration(npts: int, axis: int, ndim: int, extent: float, inverse=False):
+    """The output (-1)^j ramp times the calibration phase of a centered FFT.
+
+    Returns the factor, shaped to broadcast over ndim axes, and the new
+    extent of the axis.
+    """
+    if inverse:
+        phase = extent * np.exp(0.5j * np.pi * npts)
+    else:
+        phase = extent / npts * np.exp(-0.5j * np.pi * npts)
+    return _ramp(npts, axis, ndim) * phase, npts / extent
+
+
 def _fft_axis_inplace(buf: np.ndarray, axis: int, extent: float, inverse=False):
     """Centered FFT (or inverse FFT) of buf along one axis, in place.
 
     buf must already carry the input (-1)^j ramp of that axis; the FFT
-    writes into buf and the output ramp times the calibration phase is
-    multiplied in.  Returns the new extent of the axis.
+    writes into buf and the calibration factor is multiplied in.  Returns
+    the new extent of the axis.
     """
-    npts = buf.shape[axis]
-    if inverse:
-        np.fft.ifft(buf, axis=axis, out=buf)
-        phase = extent * np.exp(0.5j * np.pi * npts)
-    else:
-        np.fft.fft(buf, axis=axis, out=buf)
-        phase = extent / npts * np.exp(-0.5j * np.pi * npts)
-    buf *= _ramp(npts, axis, buf.ndim) * phase
-    return npts / extent
+    (np.fft.ifft if inverse else np.fft.fft)(buf, axis=axis, out=buf)
+    factor, new_extent = _calibration(buf.shape[axis], axis, buf.ndim, extent, inverse)
+    buf *= factor
+    return new_extent
 
 
 def _centered_fft_axis(values: np.ndarray, axis: int, extent: float, inverse=False):
@@ -377,8 +411,17 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     lives on the FFT-dual grid.  The integrand over every (x1, x2, t,
     omega2) is written once into a C-contiguous buffer and every t axis is
     transformed in place, so the peak memory is about one output.  The
-    FFT's (-1)^j input ramps go on f before the product: they are signs,
-    so no bit of the result changes.
+    buffer is worked through in blocks of leading x1 rows of at most
+    _BLOCK_BYTES: each block gets its product, then per t axis its FFT and
+    its output-ramp times calibration multiply, while it is in cache.
+    Every value goes through the same operations in the same order as in
+    whole-buffer passes, so no bit changes.  The FFT's (-1)^j input ramps
+    go on f before the product: they are signs, so no bit changes either.
+
+    Every value and every FFT intermediate is at most ||f|| ||g|| times
+    the calibration factors above 1 (Cauchy-Schwarz over each row of the
+    integrand); when that bound is at most _FINITE_BOUND the result skips
+    the constructor's finiteness scan, and otherwise it is scanned.
     """
     _check_stft_args(f, g, k)
     d = f.n
@@ -401,9 +444,28 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
         tuple(range(k)) + tuple(range(d + k, 2 * d)),
     )
     buf = np.empty(np.broadcast_shapes(windows.shape, fr.shape), dtype=complex)
-    np.multiply(windows, fr, out=buf)
-    w_extents = [_fft_axis_inplace(buf, d + a, t) for a, t in enumerate(f.extents[:k])]
-    return SampledField(buf, f.extents + tuple(w_extents) + f.extents[k:])
+    cals = [
+        _calibration(buf.shape[d + a], d + a, buf.ndim, t)
+        for a, t in enumerate(f.extents[:k])
+    ]
+    rows = max(1, _BLOCK_BYTES // buf[0].nbytes)
+    for lo in range(0, buf.shape[0], rows):
+        block = buf[lo : lo + rows]
+        np.multiply(windows[lo : lo + rows], fr, out=block)
+        for a, (factor, _) in enumerate(cals):
+            np.fft.fft(block, axis=d + a, out=block)
+            block *= factor
+    extents = f.extents + tuple(t for _, t in cals) + f.extents[k:]
+    # the bound of the docstring; a norm that overflows (to inf, or to nan
+    # against a zero norm) fails the test silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.prod(
+            [np.sqrt(np.vdot(v, v).real) for v in (f.values, g.values)]
+            + [max(1.0, t / npts) for t, npts in zip(f.extents[:k], f.points[:k])]
+        )
+    if bound <= _FINITE_BOUND:
+        return _bounded_field(buf, extents)
+    return SampledField(buf, extents)
 
 
 def partial_stft_at(

@@ -584,6 +584,23 @@ class TestSweepEngineBitwise:
         want = reference_beurling_weight(m, 1.0)(pts)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("tiles", [1, 4], ids=["einsum", "term-by-term"])
+    @pytest.mark.parametrize("n_exponent", [0.0, 0])
+    def test_beurling_weight_without_decay_matches_the_formula(self, dim, tiles,
+                                                               n_exponent):
+        m = _matrix(5, dim)
+        pts = np.array([[np.inf] + [1.0] * (dim - 1), [np.nan] * dim, [-0.0] * dim,
+                        [1e200] * dim, [-1e-200] * dim, [-np.inf] * dim, [0.5] * dim])
+        pts = np.tile(pts, (tiles, 1))
+        got = C.beurling_weight(m, n_exponent)(pts)
+        want = reference_beurling_weight(m, n_exponent)(pts)
+        assert got.tobytes() == want.tobytes()
+        one = C.beurling_weight(m, n_exponent)(pts[3])
+        assert np.asarray(one).tobytes() == np.asarray(
+            reference_beurling_weight(m, n_exponent)(pts[3])).tobytes()
+
     def test_beurling_weight_rejects_a_mismatched_matrix(self):
         with pytest.raises(DimensionMismatch):
             C.beurling_weight(np.eye(2), 0.0)(np.zeros((5, 4)))

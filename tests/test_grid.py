@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mtfr.errors import (
@@ -24,6 +25,7 @@ from mtfr.gaussian import (
     standard_gaussian,
     tensor,
 )
+import mtfr.grid
 from mtfr.grid import (
     MAX_ELEMENTS,
     SampledField,
@@ -124,15 +126,43 @@ def copying_stft_slice(f, g, k, x2_idx=(), w2_idx=()):
     return out
 
 
-def stft_grid_loop(f, g, k):
-    """Reference for partial_stft_grid: one partial_stft_slice per (x2, omega2)."""
+def stft_grid_loop(f, g, k, cross_section):
+    """Reference for partial_stft_grid: one cross_section(f, g, k, x2, w2)
+    per (x2, omega2)."""
     tail = f.points[k:]
     out = np.empty(f.points[:k] + tail + f.points[:k] + tail, dtype=complex)
     for x2 in np.ndindex(*tail):
         for w2 in np.ndindex(*tail):
             sel = (slice(None),) * k + x2 + (slice(None),) * k + w2
-            out[sel] = partial_stft_slice(f, g, k, x2, w2).values
+            out[sel] = cross_section(f, g, k, x2, w2)
     return out
+
+
+def _pow2(lo, hi):
+    return [2**e for e in range(lo, hi + 1)]
+
+
+@st.composite
+def stft_block_cases(draw):
+    """(points, k, extents) where a block of the integrand buffer holds one,
+    several or all of its leading x1 rows: d = k = 1 at N = 8..2048, d = k = 2
+    at 8..64 per axis, d = k = 3, and k < d."""
+    points, k = draw(st.sampled_from(
+        [((n,), 1) for n in _pow2(3, 11)]
+        + [((a, b), 2) for a in _pow2(3, 6) for b in _pow2(3, 6) if a * b <= 1024]
+        + [((8, 8, 8), 3), ((8, 16, 8), 3), ((16, 8, 8), 3)]
+        + [((n, 8), 1) for n in _pow2(3, 8)]
+        + [((8, 16), 1), ((8, 8, 8), 1), ((8, 8, 8), 2), ((16, 8, 8), 2)]
+    ))
+    extents = tuple(draw(st.sampled_from([1.0, 8.0, 40.0])) for _ in points)
+    return points, k, extents
+
+
+def spike(value, npts=16):
+    """Values with one nonzero entry, at the grid centre."""
+    values = np.zeros(npts, dtype=complex)
+    values[npts // 2] = value
+    return values
 
 
 def random_field(rng, points, extent=8.0):
@@ -420,6 +450,79 @@ class TestPartialStftGrid:
             tracemalloc.stop()
         assert peak <= 1.25 * v.values.nbytes
 
+    @pytest.mark.parametrize("points,k", [((1024,), 1), ((32, 32), 2)])
+    def test_grid_peak_memory_is_the_result(self, rng, points, k):
+        # blocked passes leave no whole-buffer temporary behind
+        f, g = random_field(rng, points, 16.0), random_field(rng, points, 16.0)
+        tracemalloc.start()
+        try:
+            v = partial_stft_grid(f, g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * v.values.nbytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(stft_block_cases(), st.integers(0, 2**16))
+    def test_blocked_grid_bitwise_equals_copying_formula(self, case, seed):
+        points, k, extents = case
+        rng = np.random.default_rng(seed)
+        f, g = (
+            SampledField(rng.standard_normal(points) + 1j * rng.standard_normal(points),
+                         extents)
+            for _ in range(2)
+        )
+        got = partial_stft_grid(f, g, k)
+        want = stft_grid_loop(f, g, k, copying_stft_slice)
+        assert got.values.tobytes() == want.tobytes()
+        w_extents = tuple(n / t for n, t in zip(points[:k], extents))
+        assert got.extents == extents + w_extents + extents[k:]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "f_values,g_values,extent",
+        [
+            (np.full(16, 1e200 + 0j), np.full(16, 1e200 + 0j), 8.0),
+            (spike(1e300), spike(1e10), 8.0),
+            (spike(1e154), spike(1e154), 160.0),  # finite norms
+        ],
+        ids=["full-fields", "one-product", "calibrated-transform"],
+    )
+    def test_overflowing_values_raise(self, f_values, g_values, extent):
+        # products, or a transform times T/N = 10, that leave the doubles
+        f, g = SampledField(f_values, (extent,)), SampledField(g_values, (extent,))
+        with pytest.raises(DimensionMismatch, match="field values must be finite"):
+            partial_stft_grid(f, g, 1)
+
+    @pytest.mark.parametrize("scale,bounded", [(1.0, True), (1e151, False)])
+    def test_finite_result_beyond_the_bound_takes_the_scan(
+        self, rng, monkeypatch, scale, bounded
+    ):
+        # at 1e151 per entry ||f|| ||g|| = 1e302 misses 2^1000, but every
+        # value stays finite
+        values = spike(scale)
+        if bounded:
+            values = values + rng.standard_normal(16)
+        f, g = SampledField(values, (1.0,)), SampledField(values.copy(), (1.0,))
+        calls = []
+        unscanned = mtfr.grid._bounded_field
+        monkeypatch.setattr(
+            mtfr.grid, "_bounded_field", lambda *a: calls.append(1) or unscanned(*a)
+        )
+        got = partial_stft_grid(f, g, 1)
+        assert len(calls) == int(bounded)
+        assert got.values.tobytes() == copying_stft_slice(f, g, 1).tobytes()
+        assert not got.values.flags.writeable and got.values.flags.owndata
+
+    @pytest.mark.parametrize("g_entry", [0.0, 1e-200])
+    def test_overflowing_norm_warns_nothing(self, g_entry):
+        # ||f||^2 overflows to inf, and inf * ||g|| is inf or nan
+        f, g = SampledField(spike(1e200), (8.0,)), SampledField(spike(g_entry), (8.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = partial_stft_grid(f, g, 1)
+        assert np.all(np.isfinite(got.values))
+
     @pytest.mark.parametrize(
         "points,k", [((16, 16), 1), ((16, 16), 2), ((8, 8, 8), 1), ((8, 16, 8), 2)]
     )
@@ -427,7 +530,8 @@ class TestPartialStftGrid:
         f, g = random_field(rng, points), random_field(rng, points)
         got = partial_stft_grid(f, g, k)
         # a slice is a cross-section of the grid, computed by the same kernel
-        assert got.values.tobytes() == stft_grid_loop(f, g, k).tobytes()
+        want = stft_grid_loop(f, g, k, lambda *a: partial_stft_slice(*a).values)
+        assert got.values.tobytes() == want.tobytes()
         w_extents = tuple(n / t for n, t in zip(points[:k], f.extents))
         assert got.extents == f.extents + w_extents + f.extents[k:]
 
