@@ -37,6 +37,7 @@ from .errors import (
 from .gaussian import (
     GeneralizedGaussian,
     apply_partial_fourier,
+    apply_symplectic,
     apply_word,
     conjugate,
     log_modulus,
@@ -57,6 +58,7 @@ from .symplectic import (
     factor_to_word,
     free_factorize,
     invert_word,
+    make_rotation,
     pre_iwasawa,
     rotation_word,
     select_tau_balanced,
@@ -525,8 +527,7 @@ def verify_pair_identity(
     """Max relative error of |f| (x) |R_V f| = D_Omega(|Bf| (x) |F_k Bf|)."""
     d = cert.d
     lam = np.asarray(points, dtype=float).reshape(-1, 2 * d)
-    word_v = GeneratorWord(d, tuple(rotation_word(cert.v)))
-    rvf = apply_word(f, word_v)
+    rvf = apply_symplectic(f, make_rotation(cert.v).entries)
     lhs = log_modulus(f, lam[:, :d]) + log_modulus(rvf, lam[:, d:])
     mu = lam @ np.linalg.inv(cert.omega).T
     bf = apply_word(f, cert.word_b)

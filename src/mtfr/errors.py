@@ -69,10 +69,6 @@ class RadiusExceedsGrid(MtfrError):
     pass
 
 
-class OffGridPoint(MtfrError):
-    pass
-
-
 class UnsupportedShape(MtfrError):
     pass
 

@@ -1,4 +1,4 @@
-"""Closed-form calculus of generalized Gaussians under metaplectic letters.
+"""Closed-form calculus of generalized Gaussians under metaplectic operators.
 
 A generalized Gaussian is f(x) = exp(-pi x.Mx + 2pi b.x + logamp) with
 complex symmetric M, Re M positive definite, complex b, and real logamp.
@@ -8,11 +8,14 @@ cocycles and square-root branches stay out of the data model.
 
 The class is closed under chirps, dilations, and partial Fourier
 transforms, which makes it a machine-precision oracle for the grid engine
-and for the certificate identities.  A generator word acts through its
-symplectic matrix S = ((A, B), (C, D)) in one Siegel-space step: with
-Z = iM, the image has Z' = (C + DZ)(A + BZ)^{-1}.  The letters' own
-actions are the special cases: a chirp gives Z + Q, a dilation
-L^{-T} Z L^{-1}, and the Fourier transform on every axis -Z^{-1}.  The
+and for the certificate identities.  Every metaplectic action here goes
+through its symplectic matrix S = ((A, B), (C, D)) in one Siegel-space
+step: with Z = iM, the image has Z' = (C + DZ)(A + BZ)^{-1}.  A word acts
+through its product matrix, and `apply_dilation` and
+`apply_partial_fourier` are the one-letter words.  The letters' closed
+forms are the special cases: a chirp gives Z + Q, a dilation
+L^{-T} Z L^{-1}, and the Fourier transform on every axis -Z^{-1}; the
+test suite walks them letter by letter as an independent reference.  The
 only conditioning guard of a word is cond(A + BZ), so a word whose
 intermediate Fourier block is ill-conditioned does not raise when its
 product is well conditioned.
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure, Singular
-from .symplectic import GeneratorWord, _symmetrize_checked
+from .errors import DimensionMismatch, NumericalFailure
+from .symplectic import Dilation, GeneratorWord, PartialFourier, _symmetrize_checked
 
 COND_MAX = 1e12
 
@@ -39,7 +42,6 @@ __all__ = [
     "modulus",
     "log_l2_norm",
     "l1_norm",
-    "apply_chirp",
     "apply_dilation",
     "apply_partial_fourier",
     "apply_symplectic",
@@ -137,83 +139,15 @@ def l1_norm(g: GeneralizedGaussian) -> float:
     return float(np.exp(g.logamp - 0.5 * logdet + np.pi * quad))
 
 
-def apply_chirp(g: GeneralizedGaussian, q) -> GeneralizedGaussian:
-    """Multiply by e^{i pi x.Qx}: M <- M - iQ; the modulus is unchanged.
-
-    A finite, exactly symmetric Q (every `Chirp` letter's: the letter
-    symmetrizes it exactly) leaves M - iQ exactly symmetric with the real
-    part of M, so the input's checks carry over and the constructor, whose
-    symmetrization would be the identity, is skipped.  Any other Q goes
-    through the constructor.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (g.n, g.n):
-        raise DimensionMismatch("chirp size does not match")
-    m = g.m - 1j * q
-    if not (np.isfinite(q).all() and (q == q.T).all()):
-        return GeneralizedGaussian(m, g.b, g.logamp)
-    m.flags.writeable = False
-    out = object.__new__(GeneralizedGaussian)
-    object.__setattr__(out, "m", m)
-    object.__setattr__(out, "b", g.b)
-    object.__setattr__(out, "logamp", g.logamp)
-    return out
-
-
 def apply_dilation(g: GeneralizedGaussian, l) -> GeneralizedGaussian:
-    """|det L|^{-1/2} f(L^{-1} x)."""
-    l = np.asarray(l, dtype=float)
-    if l.shape != (g.n, g.n):
-        raise DimensionMismatch("dilation size does not match")
-    sign, logdet = np.linalg.slogdet(l)
-    if sign == 0.0:
-        raise Singular("dilation matrix is singular")
-    linv = np.linalg.inv(l)
-    m = linv.T @ g.m @ linv
-    return GeneralizedGaussian(0.5 * (m + m.T), linv.T @ g.b, g.logamp - 0.5 * logdet)
+    """|det L|^{-1/2} f(L^{-1} x): `apply_word` of the one-letter word D_L."""
+    return apply_word(g, GeneratorWord(g.n, (Dilation(l),)))
 
 
 def apply_partial_fourier(g: GeneralizedGaussian, axes) -> GeneralizedGaussian:
-    """Fourier transform over the axis subset, in closed form.
-
-    With M partitioned into the transform block S and the rest R and
-    K = M_SS^{-1}, the image has
-
-        M'_SS = K,  M'_SR = -i K M_SR,  M'_RR = M_RR - M_RS K M_SR,
-        b'_S = -i K b_S,  b'_R = b_R - M_RS K b_S,
-        logamp' += Re(pi b_S.K b_S) - log|det M_SS| / 2,
-
-    the completed-square image of exp(-pi x.Mx + 2pi b.x) under
-    int exp(-2pi i x_S.w_S) dx_S.
-    """
-    axes = tuple(sorted(set(int(a) for a in axes)))
-    if not axes or axes[-1] >= g.n or axes[0] < 0:
-        raise DimensionMismatch(f"bad axis set {axes} for dimension {g.n}")
-    idx_s = np.array(axes, dtype=int)
-    idx_r = np.array([a for a in range(g.n) if a not in axes], dtype=int)
-    ss = np.ix_(idx_s, idx_s)
-    mss = g.m[ss]
-    sv = np.linalg.svd(mss, compute_uv=False)
-    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
-    if not np.isfinite(cond) or cond > COND_MAX:
-        raise NumericalFailure(f"transform block condition {cond:.3e} beyond cutoff")
-    k = np.linalg.inv(mss)
-    k = 0.5 * (k + k.T)
-    bs = g.b[idx_s]
-    m_new = np.zeros_like(g.m)
-    b_new = np.zeros_like(g.b)
-    m_new[ss] = k
-    if idx_r.size:
-        sr, rr = np.ix_(idx_s, idx_r), np.ix_(idx_r, idx_r)
-        msr = g.m[sr]
-        m_new[sr] = -1j * k @ msr
-        m_new[np.ix_(idx_r, idx_s)] = -1j * msr.T @ k
-        m_new[rr] = g.m[rr] - msr.T @ k @ msr
-        b_new[idx_r] = g.b[idx_r] - msr.T @ k @ bs
-    b_new[idx_s] = -1j * k @ bs
-    sign, logdet = np.linalg.slogdet(mss)
-    logamp = g.logamp + np.real(np.pi * bs @ k @ bs) - 0.5 * np.real(logdet)
-    return GeneralizedGaussian(m_new, b_new, logamp)
+    """Fourier transform over the axis subset: `apply_word` of the one-letter
+    word of that `PartialFourier` letter."""
+    return apply_word(g, GeneratorWord(g.n, (PartialFourier(axes),)))
 
 
 def apply_symplectic(g: GeneralizedGaussian, s) -> GeneralizedGaussian:

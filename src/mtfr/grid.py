@@ -30,11 +30,10 @@ from .errors import (
     ChirpAliasingWarning,
     DimensionMismatch,
     GridTooLarge,
-    OffGridPoint,
     UnsupportedDilation,
 )
-from .gaussian import GeneralizedGaussian, evaluate, standard_gaussian
-from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier, invert_word
+from .gaussian import GeneralizedGaussian, evaluate
+from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier
 
 MAX_ELEMENTS = 2**26
 # partial_stft_grid builds, transforms and calibrates its integrand in
@@ -56,8 +55,6 @@ __all__ = [
     "partial_stft_grid",
     "partial_stft_at",
     "tfr_grid",
-    "tf_shift",
-    "intertwining_check",
     "mass_outside",
 ]
 
@@ -172,39 +169,36 @@ def _ramp(npts: int, axis: int, ndim: int) -> np.ndarray:
     return ((-1.0) ** np.arange(npts)).reshape(shape)
 
 
-def _calibration(npts: int, axis: int, ndim: int, extent: float, inverse=False):
+def _calibration(npts: int, axis: int, ndim: int, extent: float):
     """The output (-1)^j ramp times the calibration phase of a centered FFT.
 
     Returns the factor, shaped to broadcast over ndim axes, and the new
     extent of the axis.
     """
-    if inverse:
-        phase = extent * np.exp(0.5j * np.pi * npts)
-    else:
-        phase = extent / npts * np.exp(-0.5j * np.pi * npts)
+    phase = extent / npts * np.exp(-0.5j * np.pi * npts)
     return _ramp(npts, axis, ndim) * phase, npts / extent
 
 
-def _fft_axis_inplace(buf: np.ndarray, axis: int, extent: float, inverse=False):
-    """Centered FFT (or inverse FFT) of buf along one axis, in place.
+def _fft_axis_inplace(buf: np.ndarray, axis: int, extent: float):
+    """Centered FFT of buf along one axis, in place.
 
     buf must already carry the input (-1)^j ramp of that axis; the FFT
     writes into buf and the calibration factor is multiplied in.  Returns
     the new extent of the axis.
     """
-    (np.fft.ifft if inverse else np.fft.fft)(buf, axis=axis, out=buf)
-    factor, new_extent = _calibration(buf.shape[axis], axis, buf.ndim, extent, inverse)
+    np.fft.fft(buf, axis=axis, out=buf)
+    factor, new_extent = _calibration(buf.shape[axis], axis, buf.ndim, extent)
     buf *= factor
     return new_extent
 
 
-def _centered_fft_axis(values: np.ndarray, axis: int, extent: float, inverse=False):
-    """Continuous-FT approximation along one axis (or its inverse).
+def _centered_fft_axis(values: np.ndarray, axis: int, extent: float):
+    """Continuous-FT approximation along one axis.
 
     Returns (values, new extent); the input is left untouched.
     """
     buf = values * _ramp(values.shape[axis], axis, values.ndim)
-    return buf, _fft_axis_inplace(buf, axis, extent, inverse)
+    return buf, _fft_axis_inplace(buf, axis, extent)
 
 
 def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, out=None):
@@ -503,76 +497,6 @@ def tfr_grid(word: GeneratorWord, f: SampledField, g: SampledField) -> SampledFi
     big = np.multiply.outer(f.values, np.conj(g.values))
     field = SampledField(big, tuple(f.extents) + tuple(g.extents))
     return apply_word_grid(field, word)
-
-
-# ---------------------------------------------------------------------------
-# time-frequency shifts and the intertwining check
-
-
-def tf_shift(field: SampledField, x, omega) -> SampledField:
-    """rho(x, omega) f = e^{-i pi x.omega} e^{2 pi i omega.t} f(t - x).
-
-    Whole-cell translations shift indices with zero fill; fractional
-    remainders use an exact spectral phase ramp (band-limited translation).
-    """
-    x = np.asarray(x, dtype=float).reshape(field.n)
-    omega = np.asarray(omega, dtype=float).reshape(field.n)
-    values = field.values
-    for a in range(field.n):
-        cells = x[a] / field.spacing(a)
-        s = int(round(cells))
-        frac = (cells - s) * field.spacing(a)
-        if s:
-            out = np.zeros_like(values)
-            npts = values.shape[a]
-            if abs(s) < npts:
-                src = [slice(None)] * field.n
-                dst = [slice(None)] * field.n
-                if s > 0:
-                    src[a], dst[a] = slice(0, npts - s), slice(s, npts)
-                else:
-                    src[a], dst[a] = slice(-s, npts), slice(0, npts + s)
-                out[tuple(dst)] = values[tuple(src)]
-            values = out
-        if abs(frac) > 1e-15 * max(1.0, abs(x[a])):
-            spec, fext = _centered_fft_axis(values, a, field.extents[a])
-            npts = values.shape[a]
-            freqs = (np.arange(npts) - npts // 2) / field.extents[a]
-            shape = [1] * field.n
-            shape[a] = npts
-            spec = spec * np.exp(-2j * np.pi * freqs * frac).reshape(shape)
-            values, _ = _centered_fft_axis(spec, a, fext, inverse=True)
-    mesh = field.mesh()
-    phase = np.exp(2j * np.pi * (mesh @ omega) - 1j * np.pi * float(x @ omega))
-    return SampledField(values * phase, field.extents)
-
-
-def intertwining_check(
-    word: GeneratorWord, lam, points: int = 256, extent: float = 16.0
-) -> float:
-    """Deviation in the covariance rho(M lam) = W rho(lam) W^{-1} on a test Gaussian.
-
-    Returns || rho(M lam) f - c W rho(lam) W^{-1} f || / ||f|| minimized over
-    unimodular c.  Both lam and M lam must be grid points (d = 1).
-    """
-    if word.n != 1:
-        raise DimensionMismatch("intertwining check is implemented for d = 1")
-    lam = np.asarray(lam, dtype=float).reshape(2)
-    mlam = word.matrix() @ lam
-    f = sample(standard_gaussian(1), (points,), (extent,))
-    cells = lam[0] / f.spacing(0)
-    if abs(cells - round(cells)) > 1e-9:
-        raise OffGridPoint(f"lambda shift {lam[0]} is not a grid multiple")
-    u = apply_word_grid(f, invert_word(word))
-    u = tf_shift(u, lam[:1], lam[1:])
-    u = apply_word_grid(u, word)
-    v = tf_shift(f, mlam[:1], mlam[1:])
-    cell = f.cell_volume()
-    uu = np.vdot(u.values, u.values).real * cell
-    vv = np.vdot(v.values, v.values).real * cell
-    uv = abs(np.vdot(u.values, v.values)) * cell
-    dev_sq = max(uu + vv - 2.0 * uv, 0.0)
-    return float(np.sqrt(dev_sq) / field_l2(f))
 
 
 # ---------------------------------------------------------------------------

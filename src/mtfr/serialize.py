@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from .certify import AltIData, AltIIData, Certificate
-from .errors import DimensionMismatch, GridTooLarge, MtfrError
+from .errors import DimensionMismatch, GridTooLarge, MtfrError, Singular
 from .grid import MAX_ELEMENTS, SampledField
 from .gaussian import GeneralizedGaussian
 from .symplectic import (
@@ -181,11 +181,9 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
     for item in obj:
         kind = item["kind"]
         if kind == "chirp":
-            letters.append(Chirp(_finite(np.asarray(item["q"], dtype=float), "chirp")))
+            letters.append(Chirp(np.asarray(item["q"], dtype=float)))
         elif kind == "dilation":
-            letters.append(
-                Dilation(_finite(np.asarray(item["l"], dtype=float), "dilation"))
-            )
+            letters.append(Dilation(np.asarray(item["l"], dtype=float)))
         elif kind == "pfourier":
             letters.append(PartialFourier(tuple(item["axes"])))
         else:
@@ -205,15 +203,16 @@ def gaussian_to_obj(g: GeneralizedGaussian) -> dict:
 
 
 def gaussian_from_obj(obj) -> GeneralizedGaussian:
-    """Inverse of `gaussian_to_obj`; malformed or non-finite input raises `MtfrError`."""
-    with _malformed("Gaussian"):
+    """Inverse of `gaussian_to_obj`; malformed or non-finite input raises `MtfrError`.
+
+    The constructor rejects non-finite entries; an infinite imaginary part
+    turns into a nan real part on the way there, silently.
+    """
+    with _malformed("Gaussian"), np.errstate(invalid="ignore"):
         m_re, m_im, b_re, b_im = (
             np.asarray(obj[key], dtype=float) for key in ("M_re", "M_im", "b_re", "b_im")
         )
-        logamp = float(obj["logamp"])
-        if not all(np.isfinite(x).all() for x in (m_re, m_im, b_re, b_im, logamp)):
-            raise ValueError("entries must be finite")
-        return GeneralizedGaussian(m_re + 1j * m_im, b_re + 1j * b_im, logamp)
+        return GeneralizedGaussian(m_re + 1j * m_im, b_re + 1j * b_im, float(obj["logamp"]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +260,50 @@ def certificate_to_obj(cert) -> dict:
     return obj
 
 
+def _shaped(values, shape: tuple, what: str):
+    """values itself when it has the given shape; otherwise `DimensionMismatch`."""
+    if values.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {values.shape}, need {shape}")
+    return values
+
+
 def certificate_from_obj(obj) -> Certificate:
     """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`.
 
-    Every number must be finite, and word_bold must reproduce bold_matrix
-    within WORD_TOL, the word gate of the factorization.
+    Every number must be finite, every block must have its shape for the
+    certificate's d (Gamma1 has k entries, 1 <= k <= d), Omega must be
+    invertible, and word_bold must reproduce bold_matrix within WORD_TOL,
+    the word gate of the factorization.
     """
     with _malformed("certificate"):
         inter = obj["intermediates"]
         d = int(obj["d"])
+        full, half = (2 * d, 2 * d), (d, d)
         alternative = obj["alternative"]
         alt1 = alt2 = None
         if alternative == "I":
             alt1 = AltIData(
-                w=matrix_from_obj(obj["W"]),
-                v1=complex_matrix_from_obj(obj["V1"]),
-                v2=complex_matrix_from_obj(obj["V2"]),
+                w=_shaped(matrix_from_obj(obj["W"]), full, "W"),
+                v1=_shaped(complex_matrix_from_obj(obj["V1"]), half, "V1"),
+                v2=_shaped(complex_matrix_from_obj(obj["V2"]), half, "V2"),
             )
         elif alternative == "II":
+            k = int(obj["k"])
+            if not 1 <= k <= d:
+                raise DimensionMismatch(f"need 1 <= k <= d, got k = {k}, d = {d}")
+            omega = _shaped(matrix_from_obj(obj["Omega"]), full, "Omega")
+            if np.linalg.slogdet(omega)[0] == 0.0:
+                raise Singular("Omega is singular")
+            gamma1 = _finite(np.asarray(inter["Gamma1"], dtype=float), "Gamma1")
             alt2 = AltIIData(
                 tau=_finite(complex(obj["tau"]["re"], obj["tau"]["im"]), "tau"),
-                k=int(obj["k"]),
-                p=matrix_from_obj(inter["P"]),
-                w1=matrix_from_obj(inter["W1"]),
-                gamma1=_finite(np.asarray(inter["Gamma1"], dtype=float), "Gamma1"),
-                w2=matrix_from_obj(inter["W2"]),
-                pi=matrix_from_obj(inter["Pi"]),
-                omega=matrix_from_obj(obj["Omega"]),
+                k=k,
+                p=_shaped(matrix_from_obj(inter["P"]), full, "P"),
+                w1=_shaped(matrix_from_obj(inter["W1"]), half, "W1"),
+                gamma1=_shaped(gamma1, (k,), "Gamma1"),
+                w2=_shaped(matrix_from_obj(inter["W2"]), half, "W2"),
+                pi=_shaped(matrix_from_obj(inter["Pi"]), full, "Pi"),
+                omega=omega,
                 word_a=word_from_obj(d, obj["word_A"]),
                 word_b=word_from_obj(d, obj["word_B"]),
                 chirp_sign=str(inter.get("chirp_sign", "-P22")),
@@ -295,7 +311,8 @@ def certificate_from_obj(obj) -> Certificate:
         else:
             raise MtfrError(f"unknown certificate alternative {alternative!r}")
         pre = inter["pre_iwasawa"]
-        bold = SymplecticMatrix.from_array(matrix_from_obj(inter["bold_matrix"]))
+        bold = matrix_from_obj(inter["bold_matrix"])
+        bold = SymplecticMatrix.from_array(_shaped(bold, (4 * d, 4 * d), "bold_matrix"))
         word_bold = word_from_obj(2 * d, inter["word_bold"])
         defect = np.linalg.norm(word_bold.matrix() - bold.entries)
         if not defect <= WORD_TOL * max(1.0, np.linalg.norm(bold.entries)):
@@ -305,9 +322,9 @@ def certificate_from_obj(obj) -> Certificate:
             d=d,
             offdiag_norm=_finite(float(obj["offdiag_norm"]), "offdiag_norm"),
             pre=PreIwasawa(
-                matrix_from_obj(pre["Q"]),
-                matrix_from_obj(pre["L"]),
-                complex_matrix_from_obj(pre["U"]),
+                _shaped(matrix_from_obj(pre["Q"]), full, "Q"),
+                _shaped(matrix_from_obj(pre["L"]), full, "L"),
+                _shaped(complex_matrix_from_obj(pre["U"]), full, "U"),
             ),
             bold=bold,
             word_bold=word_bold,

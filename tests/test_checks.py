@@ -24,8 +24,8 @@ from mtfr.checks import (
 )
 from mtfr.errors import DegenerateFit, DimensionMismatch, Singular
 from mtfr.gaussian import (
-    apply_chirp,
     apply_partial_fourier,
+    apply_symplectic,
     l1_norm,
     modulus,
     partial_stft_point,
@@ -88,7 +88,7 @@ class TestBeurlingSweep:
         phi = standard_gaussian(1)
         c = 0.7
         a = np.array([[1.0, 0.0], [c, 1.0]])  # symplectic for d = 1
-        cphi = apply_chirp(phi, np.array([[c]]))
+        cphi = apply_symplectic(phi, a)
         ev1 = vphiphi_evaluator()
         ev2 = lambda pts: partial_stft_point(cphi, cphi, 1, pts[:, :1], pts[:, 1:])
         ainv = np.linalg.inv(a)

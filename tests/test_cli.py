@@ -305,13 +305,20 @@ class TestMalformedInput:
                     '"b_re": [0, 0], "b_im": [0, 0], "logamp": 0}',
     }
 
-    # (key path into the honest alt2 certificate, new value)
+    # (honest certificate, key path into it, new value); both have d = 1
     CERT_EDITS = {
-        "nan_u": (("intermediates", "pre_iwasawa", "U", "re", 0, 0), float("nan")),
-        "nan_gamma1": (("intermediates", "Gamma1", 0), float("nan")),
-        "nan_word_a": (("word_A", 2, "q", 0, 0), float("nan")),  # a chirp letter
+        "nan_u": ("alt2_cert", ("intermediates", "pre_iwasawa", "U", "re", 0, 0),
+                  float("nan")),
+        "nan_gamma1": ("alt2_cert", ("intermediates", "Gamma1", 0), float("nan")),
+        "nan_word_a": ("alt2_cert", ("word_A", 2, "q", 0, 0), float("nan")),  # a chirp
         # word_bold starts with the chirp [[0, 1], [1, 0]]
-        "edited_word": (("intermediates", "word_bold", 0, "q", 0, 0), 0.5),
+        "edited_word": ("alt2_cert", ("intermediates", "word_bold", 0, "q", 0, 0), 0.5),
+        "omega_3x3": ("alt2_cert", ("Omega",), {"n": 1, "rows": np.eye(3).tolist()}),
+        "omega_zero": ("alt2_cert", ("Omega",), {"n": 1, "rows": [[0, 0], [0, 0]]}),
+        "w_3x3": ("alt1_cert", ("W",), {"n": 1, "rows": np.eye(3).tolist()}),
+        "l_1x1": ("alt1_cert", ("intermediates", "pre_iwasawa", "L"),
+                  {"n": 1, "rows": [[1.0]]}),
+        "empty_v1": ("alt1_cert", ("V1",), {"n": 1, "re": [], "im": []}),
     }
 
     @pytest.fixture
@@ -347,8 +354,8 @@ class TestMalformedInput:
         paths["alt2_cert"] = str(tmp_path / "c2" / "certificate.json")
         assert main(["classify", alt1_matrix, "--out", str(tmp_path / "c1")]) == 0
         paths["alt1_cert"] = str(tmp_path / "c1" / "certificate.json")
-        for name, (keys, value) in self.CERT_EDITS.items():
-            obj = json.loads(open(paths["alt2_cert"]).read())
+        for name, (base, keys, value) in self.CERT_EDITS.items():
+            obj = json.loads(open(paths[base]).read())
             inner = obj
             for key in keys[:-1]:
                 inner = inner[key]
@@ -392,6 +399,11 @@ class TestMalformedInput:
             ["counterexample", "{alt1_cert}", "--grid", "16384@64"],
             ["check", "beurling", "--field", "{odd1}", "--resolution", "16"],
             ["check", "beurling", "--field", "{odd3}", "--resolution", "16"],
+            ["verify", "{omega_3x3}"],
+            ["verify", "{omega_zero}"],
+            ["counterexample", "{w_3x3}"],
+            ["counterexample", "{l_1x1}"],
+            ["counterexample", "{empty_v1}"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -400,7 +412,8 @@ class TestMalformedInput:
              "nan-exponent", "bad-flag", "nan-pre-iwasawa-u", "nan-gamma1",
              "nan-word-a-letter", "edited-word-bold", "radius-exceeds-grid",
              "check-grid-two-counts", "cx-grid-two-counts", "nan-extent", "zero-axes",
-             "cx-grid-too-large", "beurling-1d-field", "beurling-3d-field"],
+             "cx-grid-too-large", "beurling-1d-field", "beurling-3d-field",
+             "omega-3x3", "omega-zero", "cx-w-3x3", "cx-l-1x1", "cx-empty-v1"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])

@@ -8,7 +8,6 @@ from mtfr.errors import DimensionMismatch, NumericalFailure
 from mtfr.gaussian import (
     COND_MAX,
     GeneralizedGaussian,
-    apply_chirp,
     apply_dilation,
     apply_partial_fourier,
     apply_symplectic,
@@ -41,20 +40,83 @@ from mtfr.symplectic import (
 from conftest import gaussians, generator_words, haar_orthogonal, random_spd
 
 
+def reference_chirp(g, q):
+    """e^{i pi x.Qx} f: M <- M - iQ, the modulus unchanged."""
+    return GeneralizedGaussian(g.m - 1j * q, g.b, g.logamp)
+
+
+def reference_dilation(g, l):
+    """|det L|^{-1/2} f(L^{-1} x): M <- L^{-T} M L^{-1}, b <- L^{-T} b."""
+    sign, logdet = np.linalg.slogdet(l)
+    linv = np.linalg.inv(l)
+    m = linv.T @ g.m @ linv
+    return GeneralizedGaussian(0.5 * (m + m.T), linv.T @ g.b, g.logamp - 0.5 * logdet)
+
+
+def reference_partial_fourier(g, axes):
+    """Fourier transform over the axis subset by completing the square.
+
+    With M partitioned into the transform block S and the rest R and
+    K = M_SS^{-1}, the image has
+
+        M'_SS = K,  M'_SR = -i K M_SR,  M'_RR = M_RR - M_RS K M_SR,
+        b'_S = -i K b_S,  b'_R = b_R - M_RS K b_S,
+        logamp' += Re(pi b_S.K b_S) - log|det M_SS| / 2,
+
+    the image of exp(-pi x.Mx + 2pi b.x) under int exp(-2pi i x_S.w_S) dx_S.
+    A transform block of condition beyond COND_MAX raises NumericalFailure.
+    """
+    idx_s = np.array(axes, dtype=int)
+    idx_r = np.array([a for a in range(g.n) if a not in axes], dtype=int)
+    ss = np.ix_(idx_s, idx_s)
+    mss = g.m[ss]
+    if np.linalg.cond(mss) > COND_MAX:
+        raise NumericalFailure("transform block beyond the condition cutoff")
+    k = np.linalg.inv(mss)
+    k = 0.5 * (k + k.T)
+    bs = g.b[idx_s]
+    m_new = np.zeros_like(g.m)
+    b_new = np.zeros_like(g.b)
+    m_new[ss] = k
+    if idx_r.size:
+        sr, rr = np.ix_(idx_s, idx_r), np.ix_(idx_r, idx_r)
+        msr = g.m[sr]
+        m_new[sr] = -1j * k @ msr
+        m_new[np.ix_(idx_r, idx_s)] = -1j * msr.T @ k
+        m_new[rr] = g.m[rr] - msr.T @ k @ msr
+        b_new[idx_r] = g.b[idx_r] - msr.T @ k @ bs
+    b_new[idx_s] = -1j * k @ bs
+    sign, logdet = np.linalg.slogdet(mss)
+    logamp = g.logamp + np.real(np.pi * bs @ k @ bs) - 0.5 * np.real(logdet)
+    return GeneralizedGaussian(m_new, b_new, logamp)
+
+
 def reference_apply_word(g, word):
     """The letter walk: each letter's own closed form, the last letter first.
 
-    `apply_word` acts through the word's matrix instead; this keeps the
-    letter calculus as an independent check of that action.
+    `apply_word` (and with it every letter action of the library) acts
+    through the word's matrix instead; this keeps the letter calculus as an
+    independent check of that action.
     """
     for letter in reversed(word.letters):
         if isinstance(letter, Chirp):
-            g = apply_chirp(g, letter.q)
+            g = reference_chirp(g, letter.q)
         elif isinstance(letter, Dilation):
-            g = apply_dilation(g, letter.l)
+            g = reference_dilation(g, letter.l)
         else:
-            g = apply_partial_fourier(g, letter.axes)
+            g = reference_partial_fourier(g, letter.axes)
     return g
+
+
+def assert_same_gaussian(out, ref, tol=1e-12):
+    np.testing.assert_allclose(out.m, ref.m, rtol=tol, atol=tol)
+    np.testing.assert_allclose(out.b, ref.b, rtol=tol, atol=tol)
+    assert out.logamp == pytest.approx(ref.logamp, abs=tol)
+
+
+def act(g, letter):
+    """The action of one letter: `apply_word` of the one-letter word."""
+    return apply_word(g, GeneratorWord(g.n, (letter,)))
 
 
 def quadrature_ft(g, omega, axis_extent=20.0, n=40001):
@@ -119,18 +181,18 @@ class TestType:
 class TestChirpAction:
     def test_zero_chirp(self, rng):
         g = random_gaussian(2, rng)
-        out = apply_chirp(g, np.zeros((2, 2)))
+        out = act(g, Chirp(np.zeros((2, 2))))
         np.testing.assert_allclose(out.m, g.m)
 
     def test_standard_plus_identity_chirp(self):
         g = standard_gaussian(2)
-        out = apply_chirp(g, np.eye(2))
+        out = act(g, Chirp(np.eye(2)))
         np.testing.assert_allclose(out.m, np.eye(2) - 1j * np.eye(2))
 
     def test_modulus_unchanged(self, rng):
         g = random_gaussian(2, rng)
         q = random_spd(2, rng) - np.eye(2)
-        out = apply_chirp(g, 0.5 * (q + q.T))
+        out = act(g, Chirp(0.5 * (q + q.T)))
         pts = rng.uniform(-2, 2, size=(20, 2))
         np.testing.assert_allclose(modulus(out, pts), modulus(g, pts), rtol=1e-14)
 
@@ -139,23 +201,28 @@ class TestChirpAction:
     def test_letter_equals_constructor_bitwise(self, g, data):
         t = data.draw(hnp.arrays(np.float64, (g.n, g.n), elements=st.floats(-1e3, 1e3)))
         q = Chirp(0.5 * (t + t.T)).q  # exactly symmetric, as every letter's
-        out = apply_chirp(g, q)
+        out = act(g, Chirp(q))
         ref = GeneralizedGaussian(g.m - 1j * q, g.b, g.logamp)
-        assert out.m.tobytes() == ref.m.tobytes()
-        assert out.b.tobytes() == ref.b.tobytes()
+        # A + BZ = I, so the matrix action is exact; only the sign of a
+        # zero may differ, and adding 0.0 makes every zero +0
+        assert (out.m + 0.0).tobytes() == (ref.m + 0.0).tobytes()
+        assert (out.b + 0.0).tobytes() == (ref.b + 0.0).tobytes()
         assert np.float64(out.logamp).tobytes() == np.float64(ref.logamp).tobytes()
         assert not out.m.flags.writeable
 
     def test_asymmetric_chirp_is_checked(self, rng):
-        # a Q that no Chirp letter holds still goes through the constructor
-        with pytest.raises(NumericalFailure):
-            apply_chirp(random_gaussian(2, rng), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # a Q that no Chirp letter holds (so the matrix is not symplectic)
+        # still goes through the constructor, which rejects M - iQ
+        s = np.eye(4)
+        s[2:, :2] = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(NumericalFailure, match="asymmetry"):
+            apply_symplectic(random_gaussian(2, rng), s)
 
 
 class TestChecksKept:
-    """Re M changes under a dilation, a partial Fourier letter and a tensor
-    product, so each re-checks positive definiteness once; a chirp keeps
-    Re M and carries its input's checks over."""
+    """Every action, a single letter's included, and a tensor product build
+    their result through the constructor once, so each re-checks positive
+    definiteness once."""
 
     @pytest.fixture
     def eigvalsh_calls(self, monkeypatch):
@@ -172,7 +239,7 @@ class TestChecksKept:
     @pytest.mark.parametrize(
         "apply,expected",
         [
-            (lambda g: apply_chirp(g, np.array([[0.5, -0.2], [-0.2, 1.5]])), 0),
+            (lambda g: act(g, Chirp(np.array([[0.5, -0.2], [-0.2, 1.5]]))), 1),
             (lambda g: apply_dilation(g, np.array([[1.5, 0.3], [0.0, 0.7]])), 1),
             (lambda g: apply_partial_fourier(g, (1,)), 1),
             (lambda g: tensor(g, g), 1),
@@ -208,6 +275,12 @@ class TestDilationAction:
             out = apply_dilation(g, l)
             assert abs(log_l2_norm(out) - log_l2_norm(g)) < 1e-12
 
+    def test_matches_closed_form(self, rng):
+        for n in (1, 2, 3):
+            g = random_gaussian(n, rng)
+            l = rng.uniform(-1.0, 1.0, size=(n, n)) + 1.5 * np.eye(n)
+            assert_same_gaussian(apply_dilation(g, l), reference_dilation(g, l))
+
 
 class TestPartialFourier:
     def test_standard_self_dual(self):
@@ -242,6 +315,13 @@ class TestPartialFourier:
             vals = evaluate(g, np.stack([t, np.full_like(t, y)], axis=-1))
             num = abs(np.sum(vals * np.exp(-2j * np.pi * t * w)) * dt)
             assert abs(modulus(out, [w, y])[()] - num) < 1e-10 * max(num, 1e-8)
+
+    @pytest.mark.parametrize("axes", [(0,), (1,), (2,), (0, 2), (0, 1, 2)])
+    def test_matches_closed_form(self, rng, axes):
+        g = random_gaussian(3, rng)
+        assert_same_gaussian(
+            apply_partial_fourier(g, axes), reference_partial_fourier(g, axes)
+        )
 
     def test_axis_compositionality(self, rng):
         # the transform over {0, 1} equals the two single-axis transforms
@@ -372,8 +452,8 @@ class TestOperatorEmbedding:
         block = np.zeros((3, 3))
         block[:1, :1] = q1
         block[1:, 1:] = q2
-        lhs = apply_chirp(tensor(g1, g2), block)
-        rhs = tensor(apply_chirp(g1, q1), apply_chirp(g2, q2))
+        lhs = act(tensor(g1, g2), Chirp(block))
+        rhs = tensor(act(g1, Chirp(q1)), act(g2, Chirp(q2)))
         np.testing.assert_allclose(lhs.m, rhs.m, atol=1e-13)
 
     def test_dilation_embedding(self, rng):
@@ -483,8 +563,8 @@ class TestPartialStft:
         # |V_g f(x, w)| = |V_{Cg} Cf(x, cx + w)| for the chirp letter C
         f, g = random_gaussian(1, rng), random_gaussian(1, rng)
         c = 0.8
-        cf = apply_chirp(f, np.array([[c]]))
-        cg = apply_chirp(g, np.array([[c]]))
+        cf = act(f, Chirp(np.array([[c]])))
+        cg = act(g, Chirp(np.array([[c]])))
         for (x, w) in [(0.5, -0.3), (-1.1, 0.9)]:
             lhs = partial_stft_point(f, g, 1, [x], [w])[()]
             rhs = partial_stft_point(cf, cg, 1, [x], [c * x + w])[()]

@@ -11,7 +11,6 @@ from mtfr.errors import (
     ChirpAliasingWarning,
     DimensionMismatch,
     GridTooLarge,
-    OffGridPoint,
     UnsupportedDilation,
 )
 from mtfr.gaussian import (
@@ -36,14 +35,12 @@ from mtfr.grid import (
     apply_letter_grid,
     apply_word_grid,
     field_l2,
-    intertwining_check,
     mass_outside,
     partial_stft_at,
     partial_stft_grid,
     partial_stft_slice,
     sample,
     sample_function,
-    tf_shift,
     tfr_grid,
 )
 from mtfr.symplectic import (
@@ -660,41 +657,3 @@ class TestMassOutside:
 
         f = sample_function(bump, (N,), (T,))
         assert mass_outside(f, ([-2.0], [2.0])) <= 1e-12
-
-
-class TestIntertwining:
-    def test_identity_word(self):
-        assert intertwining_check(GeneratorWord(1, ()), (0.5, 0.0)) < 1e-14
-
-    def test_fourier_shift_theorem(self):
-        word = GeneratorWord(1, (PartialFourier((0,)),))
-        assert intertwining_check(word, (0.5, 0.0)) < 1e-6
-
-    def test_random_words(self, rng):
-        devs = []
-        for _ in range(10):
-            letters = []
-            for _ in range(4):
-                r = rng.random()
-                if r < 1 / 3:
-                    letters.append(PartialFourier((0,)))
-                elif r < 2 / 3:
-                    letters.append(Chirp(np.array([[rng.uniform(-0.8, 0.8)]])))
-                else:
-                    letters.append(
-                        Dilation(np.array([[np.exp(rng.uniform(-0.4, 0.4))]]))
-                    )
-            word = GeneratorWord(1, tuple(letters))
-            lam = (T / N * int(rng.integers(-8, 9)), T / N * int(rng.integers(-8, 9)))
-            devs.append(intertwining_check(word, lam))
-        assert max(devs) <= 1e-5
-
-    def test_off_grid_point(self):
-        with pytest.raises(OffGridPoint):
-            intertwining_check(GeneratorWord(1, ()), (0.013, 0.0))
-
-    def test_fractional_shift_modulus(self, phi_field):
-        out = tf_shift(phi_field, [0.33], [0.7])
-        t = phi_field.coords(0)
-        ref = np.exp(-np.pi * (t - 0.33) ** 2 + 0.25 * np.log(2.0))
-        np.testing.assert_allclose(np.abs(out.values), ref, atol=1e-10)

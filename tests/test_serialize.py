@@ -269,6 +269,48 @@ def test_certificate_from_obj_malformed(obj):
         certificate_from_obj(obj)
 
 
+def _rows(m):
+    return {"n": 1, "rows": np.asarray(m, dtype=float).tolist()}
+
+
+@pytest.mark.parametrize(
+    "alternative, keys, value, match",
+    [
+        ("I", ("W",), _rows(np.eye(3)), "W has shape"),
+        ("I", ("V1",), {"n": 1, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+         "V1 has shape"),
+        ("I", ("V2",), {"n": 1, "re": [], "im": []}, "V2 has shape"),
+        ("I", ("intermediates", "pre_iwasawa", "Q"), _rows(np.eye(3)), "Q has shape"),
+        ("I", ("intermediates", "pre_iwasawa", "L"), _rows([[1]]), "L has shape"),
+        ("I", ("intermediates", "pre_iwasawa", "U"), {"n": 1, "re": [[1]], "im": [[0]]},
+         "U has shape"),
+        ("I", ("intermediates", "bold_matrix"), _rows(np.eye(2)), "bold_matrix has shape"),
+        ("II", ("k",), 0, "1 <= k <= d"),
+        ("II", ("k",), 2, "1 <= k <= d"),
+        ("II", ("intermediates", "Gamma1"), [1.0, 1.0], "Gamma1 has shape"),
+        ("II", ("Omega",), _rows(np.eye(3)), "Omega has shape"),
+        ("II", ("Omega",), _rows(np.zeros((2, 2))), "Omega is singular"),
+        ("II", ("intermediates", "P"), _rows(np.eye(4)), "P has shape"),
+        ("II", ("intermediates", "W1"), _rows(np.eye(2)), "W1 has shape"),
+        ("II", ("intermediates", "W2"), _rows(np.eye(2)), "W2 has shape"),
+        ("II", ("intermediates", "Pi"), _rows([[1]]), "Pi has shape"),
+    ],
+)
+def test_certificate_blocks_checked_against_d(alternative, keys, value, match):
+    if alternative == "I":
+        u = 1j * np.eye(2)
+    else:
+        u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    obj = json.loads(canonical_json(certificate_to_obj(certify(make_rotation(u)))))
+    assert obj["alternative"] == alternative and obj["d"] == 1
+    inner = obj
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    with pytest.raises(MtfrError, match=match):
+        certificate_from_obj(obj)
+
+
 GAUSSIAN_1 = {"n": 1, "M_re": [[1.0]], "M_im": [[0.0]], "b_re": [0.0], "b_im": [0.0],
               "logamp": 0.0}
 
