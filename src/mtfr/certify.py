@@ -13,8 +13,8 @@ whether U^t U is d x d block-diagonal:
 
       |W(f, g)| = |det Omega|^{-1/2} |V^k_{Bg} Af| o Omega^{-1}.
 
-The Alternative II data is assembled from a free factorization of a
-rotated unitary tau U, the symmetric matrix P = Im(tau U)^{-1} Re(tau U),
+The Alternative II data is assembled from a rotated unitary tau U with
+invertible imaginary part, the symmetric matrix P = Im(tau U)^{-1} Re(tau U),
 the SVD of its off-diagonal block, and a fixed block permutation.  Every
 certificate is validated numerically against the exact Gaussian oracle
 before it is returned.
@@ -32,7 +32,6 @@ from .errors import (
     NumericalFailure,
     RankZero,
     RealMatrix,
-    RealnessFailure,
 )
 from .gaussian import (
     GeneralizedGaussian,
@@ -54,16 +53,16 @@ from .symplectic import (
     PreIwasawa,
     SymplecticMatrix,
     _scalar_rotation_word,
+    _symmetrize_checked,
     assert_unitary,
     factor_to_word,
-    free_factorize,
     invert_word,
     make_rotation,
     pre_iwasawa,
     rotation_word,
     select_tau_balanced,
 )
-from .unitary import block_diag_test, odo_svd, sort_by_imag, takagi_symmetric_unitary
+from .unitary import block_diag_test, odo_svd, real_factor, sort_by_imag, takagi_symmetric_unitary
 
 TOL_BLK = 1e-8
 BORDERLINE_FACTOR = 100.0
@@ -147,29 +146,15 @@ def alt1_decompose(u: np.ndarray, d: int):
     """Split U = W diag(V1, V2) with W real orthogonal, Vj unitary.
 
     Requires U^t U block-diagonal; Vj is a Takagi factor of the j-th
-    diagonal block, and W = U diag(V1, V2)^{-1} is then automatically real.
+    diagonal block, and W = U diag(V1, V2)^* is then real (`real_factor`).
     """
-    u = assert_unitary(u, what="alt1_decompose")
     is_blk, _ = block_diag_test(u, d, tol=TOL_BLK * BORDERLINE_FACTOR)
     if not is_blk:
         raise NotBlockDiagonal("U^t U is not block-diagonal at tolerance")
     s = u.T @ u
     v1 = takagi_symmetric_unitary(s[:d, :d])
     v2 = takagi_symmetric_unitary(s[d:, d:])
-    vinv = np.zeros((2 * d, 2 * d), dtype=complex)
-    vinv[:d, :d] = v1.conj().T
-    vinv[d:, d:] = v2.conj().T
-    w = u @ vinv
-    imag = np.linalg.norm(w.imag)
-    if imag > 1e-8 * max(1.0, np.linalg.norm(w)):
-        raise RealnessFailure(f"orthogonal factor kept imaginary part {imag:.3e}")
-    w = w.real
-    recon = np.zeros((2 * d, 2 * d), dtype=complex)
-    recon[:, :d] = w[:, :d] @ v1
-    recon[:, d:] = w[:, d:] @ v2
-    if np.linalg.norm(recon - u) > 1e-9 * max(1.0, np.linalg.norm(u)):
-        raise NumericalFailure("alt1 reconstruction failed")
-    return w, v1, v2
+    return real_factor(u, _blkdiag(v1, v2), "alt1 orthogonal factor W"), v1, v2
 
 
 def _pi_permutation(d: int, k: int) -> np.ndarray:
@@ -186,7 +171,7 @@ def _pi_permutation(d: int, k: int) -> np.ndarray:
 
 def _blkdiag(*mats) -> np.ndarray:
     n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n))
+    out = np.zeros((n, n), dtype=np.result_type(*mats))
     at = 0
     for m in mats:
         s = m.shape[0]
@@ -252,9 +237,8 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
         )
 
     tau = select_tau_balanced(pre.u)
-    free = free_factorize(tau * pre.u)
     b_tau = (tau * pre.u).imag
-    p = free.letters[3].q  # B^{-1} A, already symmetrized
+    p = _symmetrize_checked(np.linalg.solve(b_tau, (tau * pre.u).real), 1e-8, "P = B^-1 A")
     p11 = p[:d, :d]
     p12 = p[:d, d:]
     p22 = p[d:, d:]

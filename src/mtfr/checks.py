@@ -18,10 +18,11 @@ import numpy as np
 from .errors import (
     DegenerateFit,
     DimensionMismatch,
+    GridTooLarge,
     Singular,
     UnsupportedShape,
 )
-from .grid import SampledField
+from .grid import MAX_ELEMENTS, SampledField
 
 GROWTH_TOL = 0.2
 CONVERGENT_TOL = 0.05
@@ -230,7 +231,12 @@ _RULE = (
 
 
 def _ball_nodes(dim: int, rmax: float, resolution: int):
-    """Midpoint nodes of [-rmax, rmax]^dim and the cell volume."""
+    """Midpoint nodes of [-rmax, rmax]^dim and the cell volume.
+
+    More than MAX_ELEMENTS nodes raise GridTooLarge before anything is allocated.
+    """
+    if int(resolution) ** int(dim) > MAX_ELEMENTS:
+        raise GridTooLarge(f"{resolution}^{dim} nodes exceed {MAX_ELEMENTS}")
     h = 2.0 * rmax / resolution
     axis = -rmax + h * (np.arange(resolution) + 0.5)
     mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)

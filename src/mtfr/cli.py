@@ -181,19 +181,7 @@ def _nearest_grid_modulus(field):
 
 
 def cmd_check(args) -> int:
-    field = read_field(args.field) if args.field else _default_stft_field(args.grid)
-    if args.kind == "hardy":
-        fit = hardy_fit_field(field, rmin=args.rmin, rmax=args.rmax)
-        obj = {
-            "condition": "hardy",
-            "alpha_hat": fit.alpha,
-            "N_hat": fit.n_hat,
-            "log_c": fit.log_c,
-            "residual": fit.residual,
-        }
-        _emit(obj, args.out, "report.json")
-        return 0
-    if args.kind == "nazarov":
+    if args.kind == "nazarov":  # a fixed Gaussian pair: no field is read or built
         points, extent = args.grid
         phi = standard_gaussian(1)
         f1 = sample(phi, (points,), (extent,))
@@ -214,6 +202,18 @@ def cmd_check(args) -> int:
             "complement_s": rep.complement_s,
             "complement_t": rep.complement_t,
             "ball_width_check": mean_width(Ball((0.0,), 1.0))[0],
+        }
+        _emit(obj, args.out, "report.json")
+        return 0
+    field = read_field(args.field) if args.field else _default_stft_field(args.grid)
+    if args.kind == "hardy":
+        fit = hardy_fit_field(field, rmin=args.rmin, rmax=args.rmax)
+        obj = {
+            "condition": "hardy",
+            "alpha_hat": fit.alpha,
+            "N_hat": fit.n_hat,
+            "log_c": fit.log_c,
+            "residual": fit.residual,
         }
         _emit(obj, args.out, "report.json")
         return 0

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .certify import AltIData, AltIIData, Certificate
+from .certify import AltIData, AltIIData, Certificate, _blkdiag
 from .errors import DimensionMismatch, GridTooLarge, MtfrError, Singular
 from .grid import MAX_ELEMENTS, SampledField
 from .gaussian import GeneralizedGaussian
@@ -27,11 +27,13 @@ from .symplectic import (
     PartialFourier,
     PreIwasawa,
     SymplecticMatrix,
+    assert_unitary,
 )
+from .unitary import assert_product
 
 FIELD_MAGIC = b"MTFR"
 FIELD_VERSION = 1
-WORD_TOL = 1e-9  # word_bold must reproduce bold_matrix, relative to max(1, ||M||_F)
+WORD_TOL = 1e-9  # word_bold and Q, L, U must rebuild bold_matrix, relative to max(1, ||M||_F)
 
 __all__ = [
     "canonical_json",
@@ -272,8 +274,10 @@ def certificate_from_obj(obj) -> Certificate:
 
     Every number must be finite, every block must have its shape for the
     certificate's d (Gamma1 has k entries, 1 <= k <= d), Omega must be
-    invertible, and word_bold must reproduce bold_matrix within WORD_TOL,
-    the word gate of the factorization.
+    invertible, and word_bold and the pre-Iwasawa factors must each
+    reproduce bold_matrix within WORD_TOL, the word gate of the
+    factorization.  An Alternative I certificate's V1 and V2 must be
+    unitary with W diag(V1, V2) = U, the split's residual gate.
     """
     with _malformed("certificate"):
         inter = obj["intermediates"]
@@ -310,22 +314,28 @@ def certificate_from_obj(obj) -> Certificate:
             )
         else:
             raise MtfrError(f"unknown certificate alternative {alternative!r}")
-        pre = inter["pre_iwasawa"]
+        factors = inter["pre_iwasawa"]
+        pre = PreIwasawa(
+            _shaped(matrix_from_obj(factors["Q"]), full, "Q"),
+            _shaped(matrix_from_obj(factors["L"]), full, "L"),
+            _shaped(complex_matrix_from_obj(factors["U"]), full, "U"),
+        )
         bold = matrix_from_obj(inter["bold_matrix"])
         bold = SymplecticMatrix.from_array(_shaped(bold, (4 * d, 4 * d), "bold_matrix"))
         word_bold = word_from_obj(2 * d, inter["word_bold"])
-        defect = np.linalg.norm(word_bold.matrix() - bold.entries)
-        if not defect <= WORD_TOL * max(1.0, np.linalg.norm(bold.entries)):
-            raise MtfrError(f"word_bold is off bold_matrix by {defect:.3e}")
+        gate = WORD_TOL * max(1.0, np.linalg.norm(bold.entries))
+        for what, product in (("word_bold", word_bold.matrix), ("pre_iwasawa", pre.reconstruct)):
+            defect = np.linalg.norm(product() - bold.entries)
+            if not defect <= gate:
+                raise MtfrError(f"{what} is off bold_matrix by {defect:.3e}")
+        if alt1 is not None:
+            v = _blkdiag(assert_unitary(alt1.v1, what="V1"), assert_unitary(alt1.v2, what="V2"))
+            assert_product(alt1.w, v, pre.u, "W diag(V1, V2) = U")
         return Certificate(
             alternative=alternative,
             d=d,
             offdiag_norm=_finite(float(obj["offdiag_norm"]), "offdiag_norm"),
-            pre=PreIwasawa(
-                _shaped(matrix_from_obj(pre["Q"]), full, "Q"),
-                _shaped(matrix_from_obj(pre["L"]), full, "L"),
-                _shaped(complex_matrix_from_obj(pre["U"]), full, "U"),
-            ),
+            pre=pre,
             bold=bold,
             word_bold=word_bold,
             alt1=alt1,

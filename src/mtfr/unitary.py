@@ -4,7 +4,8 @@ The workhorse is the observation that S = U^t U is symmetric unitary, so
 its real and imaginary parts are commuting real symmetric matrices with
 X^2 + Y^2 = I.  Jointly diagonalizing the pair by one real orthogonal
 matrix yields both the real-orthogonal x diagonal-unitary x real-orthogonal
-(ODO) factorization of U and the Takagi factorization of S.
+(ODO) factorization of U and the Takagi factorization of S.  Every split
+U = W V with V^t V = U^t U gets its real orthogonal W from `real_factor`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     RealnessFailure,
     TrailingNotReal,
 )
-from .symplectic import TOL_UNIT, assert_unitary
+from .symplectic import assert_unitary
 
 TOL_RECON = 1e-9
 CLUSTER_TOL = 1e-8
@@ -30,9 +31,11 @@ IMAG_TOL = 1e-10  # |Im sigma| at or below it counts as real
 __all__ = [
     "ODOFactorization",
     "SortedDiagonal",
+    "assert_product",
     "block_diag_test",
     "joint_diagonalize_commuting_symmetric",
     "odo_svd",
+    "real_factor",
     "takagi_symmetric_unitary",
     "sort_by_imag",
 ]
@@ -110,57 +113,54 @@ def _realify(w: np.ndarray, what: str, tol: float = 1e-8) -> np.ndarray:
     return np.ascontiguousarray(w.real)
 
 
+def assert_product(a: np.ndarray, b: np.ndarray, m: np.ndarray, what: str):
+    """Raise NumericalFailure unless ||A B - M|| <= TOL_RECON max(1, ||M||)."""
+    recon = np.linalg.norm(a @ b - m)
+    if not recon <= TOL_RECON * max(1.0, np.linalg.norm(m)):
+        raise NumericalFailure(f"{what} reconstruction residual {recon:.3e}")
+
+
+def real_factor(u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
+    """Real orthogonal W = U V^* of U = W V, V unitary with V^t V = U^t U.
+
+    Such a W is unitary and complex orthogonal, hence real: its imaginary
+    part must vanish and W V must reproduce U.
+    """
+    w = _realify(u @ v.conj().T, what)
+    assert_product(w, v, u, what)
+    return w
+
+
+def _takagi(s: np.ndarray):
+    """(sigma, W) with S = W diag(sigma)^2 W^t for symmetric unitary S.
+
+    W jointly diagonalizes Re S and Im S; sigma is the principal square
+    root of diag(W^t S W).
+    """
+    w = joint_diagonalize_commuting_symmetric(s.real, s.imag)
+    diag = np.diag(w.T @ s.real @ w) + 1j * np.diag(w.T @ s.imag @ w)
+    return np.exp(0.5j * np.angle(diag)), w
+
+
 def odo_svd(u: np.ndarray) -> ODOFactorization:
     """Factor a unitary U as real-orthogonal x diagonal-unitary x real-orthogonal.
 
-    Route: S = U^t U = X + iY has commuting symmetric parts; a joint
-    diagonalizer W gives S = W diag(sigma^2) W^t.  With sigma the principal
-    square roots, W2 = W^t and W1 = U W diag(conj(sigma)) is automatically
-    real: it is unitary and complex-orthogonal at exact arithmetic.
-    Residual column phases are absorbed into sigma before realness is
-    enforced.
+    The Takagi step U^t U = W diag(sigma)^2 W^t gives W2 = W^t, and W1 is
+    the real factor of U = W1 (diag(sigma) W^t).
     """
     u = assert_unitary(u, what="odo_svd")
-    s = u.T @ u
-    w = joint_diagonalize_commuting_symmetric(s.real, s.imag)
-    sigma_sq = np.diag(w.T @ s.real @ w) + 1j * np.diag(w.T @ s.imag @ w)
-    mod = np.abs(sigma_sq)
-    if np.any(np.abs(mod - 1.0) > 1e-8):
-        raise NumericalFailure("eigenvalues of U^t U drifted off the unit circle")
-    sigma = np.exp(0.5j * np.angle(sigma_sq))
-    w1 = u @ w * sigma.conj()
-    # absorb per-column phases (any diagonal-unitary branch keeps the product)
-    phases = np.ones_like(sigma)
-    for j in range(w1.shape[1]):
-        z = np.sum(w1[:, j] ** 2)
-        if abs(z) > 1e-12:
-            phases[j] = np.exp(-0.5j * np.angle(z))
-    w1 = w1 * phases
-    sigma = sigma * phases.conj()
-    w1 = _realify(w1, "odo_svd W1")
-    fact = ODOFactorization(w1, sigma, w.T)
-    recon = np.linalg.norm(fact.reconstruct() - u)
-    if recon > TOL_RECON * max(1.0, np.linalg.norm(u)):
-        raise NumericalFailure(f"odo_svd reconstruction residual {recon:.3e}")
-    return fact
+    sigma, w = _takagi(u.T @ u)
+    return ODOFactorization(real_factor(u, sigma[:, None] * w.T, "odo_svd W1"), sigma, w.T)
 
 
 def takagi_symmetric_unitary(s: np.ndarray) -> np.ndarray:
     """Unitary V with V^t V = S for symmetric unitary S."""
-    s = np.asarray(s, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatch("takagi input must be square")
+    s = assert_unitary(s, what="takagi input")
     if np.linalg.norm(s - s.T) > 1e-10 * max(1.0, np.linalg.norm(s)):
         raise NotSymmetric("takagi input is not symmetric")
-    defect = np.linalg.norm(s.conj().T @ s - np.eye(s.shape[0]))
-    if defect > TOL_UNIT * max(1.0, np.linalg.norm(s)):
-        raise NotUnitary(f"takagi input is not unitary (defect {defect:.3e})")
-    w = joint_diagonalize_commuting_symmetric(s.real, s.imag)
-    diag = np.diag(w.T @ s.real @ w) + 1j * np.diag(w.T @ s.imag @ w)
-    v = np.exp(0.5j * np.angle(diag))[:, None] * w.T
-    recon = np.linalg.norm(v.T @ v - s)
-    if recon > TOL_RECON * max(1.0, np.linalg.norm(s)):
-        raise NumericalFailure(f"takagi reconstruction residual {recon:.3e}")
+    sigma, w = _takagi(s)
+    v = sigma[:, None] * w.T
+    assert_product(v.T, v, s, "takagi")
     return v
 
 
@@ -184,13 +184,9 @@ def sort_by_imag(sigma) -> SortedDiagonal:
 
     Sign flips make every entry satisfy Im > 0 or equal +1; a permutation
     then orders the imaginary parts descending (ties broken by real part
-    descending).  Accepts a vector of diagonal entries or a diagonal matrix.
+    descending).
     """
     sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim == 2:
-        if np.linalg.norm(sigma - np.diag(np.diag(sigma))) > 1e-12:
-            raise DimensionMismatch("sort_by_imag expects a diagonal matrix")
-        sigma = np.diag(sigma)
     n = sigma.size
     if np.any(np.abs(np.abs(sigma) - 1.0) > 1e-8):
         raise NotUnitary("diagonal entries are not unit modulus")

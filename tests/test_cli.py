@@ -243,6 +243,19 @@ class TestCheck:
         assert main(["check", "nazarov", "--imu", "0"]) == 2
         assert "hypothesis" in capsys.readouterr().err
 
+    def test_nazarov_builds_no_field(self, monkeypatch, capsys):
+        import mtfr.cli as cli
+
+        assert main(["check", "nazarov"]) == 0
+        want = capsys.readouterr().out
+
+        def no_field(grid):
+            raise AssertionError("check nazarov built the default field")
+
+        monkeypatch.setattr(cli, "_default_stft_field", no_field)
+        assert main(["check", "nazarov"]) == 0
+        assert capsys.readouterr().out == want
+
     def test_nazarov_report(self, tmp_path):
         out = tmp_path / "n"
         assert main(["check", "nazarov", "--grid", "512@32", "--out", str(out)]) == 0
@@ -319,6 +332,15 @@ class TestMalformedInput:
         "l_1x1": ("alt1_cert", ("intermediates", "pre_iwasawa", "L"),
                   {"n": 1, "rows": [[1.0]]}),
         "empty_v1": ("alt1_cert", ("V1",), {"n": 1, "re": [], "im": []}),
+        # factors off their matrix: L no longer rebuilds bold_matrix, and
+        # V1 or W no longer rebuilds U
+        "l_off": ("alt1_cert", ("intermediates", "pre_iwasawa", "L"),
+                  {"n": 1, "rows": [[5.0, 0.0], [0.0, 0.2]]}),
+        "alt2_l_off": ("alt2_cert", ("intermediates", "pre_iwasawa", "L"),
+                       {"n": 1, "rows": [[5.0, 0.0], [0.0, 0.2]]}),
+        "v1_off": ("alt1_cert", ("V1",),
+                   {"n": 1, "re": [[float(np.cos(0.7))]], "im": [[float(np.sin(0.7))]]}),
+        "w_off": ("alt1_cert", ("W",), {"n": 1, "rows": [[0.0, 1.0], [1.0, 0.0]]}),
     }
 
     @pytest.fixture
@@ -404,6 +426,13 @@ class TestMalformedInput:
             ["counterexample", "{w_3x3}"],
             ["counterexample", "{l_1x1}"],
             ["counterexample", "{empty_v1}"],
+            ["counterexample", "{l_off}"],
+            ["verify", "{alt2_l_off}"],
+            ["counterexample", "{v1_off}"],
+            ["counterexample", "{w_off}"],
+            # 10^16 nodes: refused before the node axis is allocated
+            ["check", "beurling", "--resolution", "100000000"],
+            ["check", "gs", "--resolution", "100000000"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -413,7 +442,9 @@ class TestMalformedInput:
              "nan-word-a-letter", "edited-word-bold", "radius-exceeds-grid",
              "check-grid-two-counts", "cx-grid-two-counts", "nan-extent", "zero-axes",
              "cx-grid-too-large", "beurling-1d-field", "beurling-3d-field",
-             "omega-3x3", "omega-zero", "cx-w-3x3", "cx-l-1x1", "cx-empty-v1"],
+             "omega-3x3", "omega-zero", "cx-w-3x3", "cx-l-1x1", "cx-empty-v1",
+             "cx-l-off-bold", "verify-l-off-bold", "cx-v1-off-u", "cx-w-off-u",
+             "beurling-resolution-too-large", "gs-resolution-too-large"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])

@@ -207,7 +207,7 @@ class TestChirpAction:
         # zero may differ, and adding 0.0 makes every zero +0
         assert (out.m + 0.0).tobytes() == (ref.m + 0.0).tobytes()
         assert (out.b + 0.0).tobytes() == (ref.b + 0.0).tobytes()
-        assert np.float64(out.logamp).tobytes() == np.float64(ref.logamp).tobytes()
+        assert np.float64(out.logamp + 0.0).tobytes() == np.float64(ref.logamp + 0.0).tobytes()
         assert not out.m.flags.writeable
 
     def test_asymmetric_chirp_is_checked(self, rng):

@@ -273,6 +273,21 @@ def _rows(m):
     return {"n": 1, "rows": np.asarray(m, dtype=float).tolist()}
 
 
+def _edited_certificate(alternative, keys, value):
+    """An honest d = 1 certificate of R_U with the block at keys set to value."""
+    if alternative == "I":
+        u = 1j * np.eye(2)
+    else:
+        u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
+    obj = json.loads(canonical_json(certificate_to_obj(certify(make_rotation(u)))))
+    assert obj["alternative"] == alternative and obj["d"] == 1
+    inner = obj
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return obj
+
+
 @pytest.mark.parametrize(
     "alternative, keys, value, match",
     [
@@ -297,18 +312,40 @@ def _rows(m):
     ],
 )
 def test_certificate_blocks_checked_against_d(alternative, keys, value, match):
-    if alternative == "I":
-        u = 1j * np.eye(2)
-    else:
-        u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)
-    obj = json.loads(canonical_json(certificate_to_obj(certify(make_rotation(u)))))
-    assert obj["alternative"] == alternative and obj["d"] == 1
-    inner = obj
-    for key in keys[:-1]:
-        inner = inner[key]
-    inner[keys[-1]] = value
     with pytest.raises(MtfrError, match=match):
-        certificate_from_obj(obj)
+        certificate_from_obj(_edited_certificate(alternative, keys, value))
+
+
+def _phase(theta):
+    return {"n": 1, "re": [[np.cos(theta)]], "im": [[np.sin(theta)]]}
+
+
+@pytest.mark.parametrize(
+    "alternative, keys, value, match",
+    [
+        # the pre-Iwasawa factors of both alternatives must reproduce bold_matrix
+        ("I", ("intermediates", "pre_iwasawa", "L"), _rows(np.diag([5.0, 0.2])),
+         "pre_iwasawa is off bold_matrix"),
+        ("II", ("intermediates", "pre_iwasawa", "L"), _rows(np.diag([5.0, 0.2])),
+         "pre_iwasawa is off bold_matrix"),
+        ("I", ("intermediates", "pre_iwasawa", "Q"), _rows([[0.0, 1.0], [1.0, 0.0]]),
+         "pre_iwasawa is off bold_matrix"),
+        ("II", ("intermediates", "pre_iwasawa", "U"),
+         {"n": 1, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+         "pre_iwasawa is off bold_matrix"),
+        # Alternative I: V1, V2 unitary and W diag(V1, V2) = U
+        ("I", ("V1",), _phase(0.7), r"W diag\(V1, V2\) = U reconstruction residual"),
+        ("I", ("V2",), _phase(-0.4), r"W diag\(V1, V2\) = U reconstruction residual"),
+        ("I", ("W",), _rows([[0.0, 1.0], [1.0, 0.0]]),
+         r"W diag\(V1, V2\) = U reconstruction residual"),
+        ("I", ("V1",), {"n": 1, "re": [[2.0]], "im": [[0.0]]}, "V1: unitarity defect"),
+    ],
+    ids=["alt1-l", "alt2-l", "alt1-q", "alt2-u", "alt1-v1", "alt1-v2", "alt1-w",
+         "alt1-v1-not-unitary"],
+)
+def test_certificate_factors_checked_against_bold(alternative, keys, value, match):
+    with pytest.raises(MtfrError, match=match):
+        certificate_from_obj(_edited_certificate(alternative, keys, value))
 
 
 GAUSSIAN_1 = {"n": 1, "M_re": [[1.0]], "M_im": [[0.0]], "b_re": [0.0], "b_im": [0.0],

@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtfr.certify import alt1_decompose
 from mtfr.errors import NotSymmetric, NotUnitary, RealMatrix
 from mtfr.unitary import (
+    TOL_RECON,
     block_diag_test,
     joint_diagonalize_commuting_symmetric,
     odo_svd,
@@ -90,6 +94,47 @@ class TestOdoSvd:
             x, y = s.real, s.imag
             assert np.linalg.norm(x @ y - y @ x) <= 1e-10
             assert np.linalg.norm(x @ x + y @ y - np.eye(n)) <= 1e-10
+
+
+REPEATED_PHASES = (0.0, 0.3, 1.1, np.pi / 2, np.pi)
+
+
+@st.composite
+def unitaries(draw, n):
+    """Haar unitaries, or O1 diag(e^{i theta}) O2 with theta drawn (with repeats)
+    from REPEATED_PHASES and O1, O2 Haar orthogonal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return haar_unitary(n, rng)
+    theta = np.array(draw(st.lists(st.sampled_from(REPEATED_PHASES), min_size=n, max_size=n)))
+    return haar_orthogonal(n, rng) * np.exp(1j * theta) @ haar_orthogonal(n, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_takagi_splits_hold(data):
+    # repeated phases leave clusters in U^t U, where the real factor's
+    # realness rests on the joint diagonalization alone
+    n = data.draw(st.integers(1, 6))
+    u = data.draw(unitaries(n))
+    fact = odo_svd(u)
+    assert np.linalg.norm(fact.reconstruct() - u) <= TOL_RECON * max(1.0, np.linalg.norm(u))
+    assert np.isrealobj(fact.w1)
+    np.testing.assert_allclose(fact.w1.T @ fact.w1, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose(np.abs(fact.sigma), 1.0, atol=1e-12)
+
+    s = u.T @ u
+    v = takagi_symmetric_unitary(s)
+    assert np.linalg.norm(v.T @ v - s) <= TOL_RECON * max(1.0, np.linalg.norm(s))
+
+    d = max(1, n // 2)
+    v1, v2 = data.draw(unitaries(d)), data.draw(unitaries(d))
+    w0 = haar_orthogonal(2 * d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    big = np.hstack([w0[:, :d] @ v1, w0[:, d:] @ v2])
+    w, got1, got2 = alt1_decompose(big, d)
+    recon = np.hstack([w[:, :d] @ got1, w[:, d:] @ got2])
+    assert np.isrealobj(w)
+    assert np.linalg.norm(recon - big) <= TOL_RECON * max(1.0, np.linalg.norm(big))
 
 
 class TestTakagi:
