@@ -454,6 +454,8 @@ def hardy_fit_field(
     vals = np.abs(field.values).ravel()
     r = np.linalg.norm(pts, axis=1)
     keep = (r >= rmin) & (r <= rmax)
+    if not np.any(keep):
+        raise DegenerateFit(f"no grid point lies in the annulus {rmin} <= r <= {rmax}")
     return hardy_fit(np.compress(keep, pts, axis=0), np.compress(keep, vals), omega)
 
 

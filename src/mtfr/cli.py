@@ -152,6 +152,15 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _json_float(value, what):
+    """A report number as JSON can carry it: JSON has no infinity, so an
+    infinite value (only +inf arises in the reports) is the sweep CSV's
+    token "inf"; NaN is an input error."""
+    if math.isnan(value):
+        raise MtfrError(f"{what} is not a number: the parameters overflow the report")
+    return value if math.isfinite(value) else "inf"
+
+
 def _default_stft_field(grid_spec):
     points, extent = grid_spec
     phi = sample(standard_gaussian(1), (points,), (extent,))
@@ -192,17 +201,11 @@ def cmd_check(args) -> int:
             f1, f2, s_shape, t_shape, np.eye(1), np.eye(1),
             args.imu * np.eye(1), c=args.constant,
         )
-        obj = {
-            "condition": "nazarov",
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "ratio": rep.ratio,
-            "nc": rep.nc,
-            "calibration_c0": rep.calibration_c0,
-            "complement_s": rep.complement_s,
-            "complement_t": rep.complement_t,
-            "ball_width_check": mean_width(Ball((0.0,), 1.0))[0],
-        }
+        obj = {"condition": "nazarov"}
+        for key in ("lhs", "rhs", "ratio", "nc", "calibration_c0",
+                    "complement_s", "complement_t"):
+            obj[key] = _json_float(getattr(rep, key), key)
+        obj["ball_width_check"] = mean_width(Ball((0.0,), 1.0))[0]
         _emit(obj, args.out, "report.json")
         return 0
     field = read_field(args.field) if args.field else _default_stft_field(args.grid)
@@ -243,8 +246,7 @@ def cmd_check(args) -> int:
         # tuples render as JSON arrays: gs's sweep_omega is [[R, value], ...]
         "parameters": report.parameters,
         "sweep": report.sweep,
-        # the CSV's token for an infinite ratio; JSON has no infinity
-        "ratios": [r if math.isfinite(r) else "inf" for r in report.ratios],
+        "ratios": [_json_float(r, "ratio") for r in report.ratios],
         "verdict": report.verdict,
         "rule": report.rule,
     }

@@ -235,10 +235,13 @@ def partial_stft_log_modulus(
 ) -> np.ndarray:
     """log |V^k_g f(x1, x2, omega1, omega2)| for Gaussian f, g.
 
-    The transform integrates f(t, x2) conj(g(t - x1, -omega2))
-    e^{-2pi i t.omega1} over t in R^k; the integrand is a k-dimensional
-    generalized Gaussian in t, so the integral has a closed form.  Points
-    may be batched: x, omega of shape (..., d).
+    The transform integrates F = f (x) conj(g) times e^{-2pi i t.omega1}
+    over the affine slice u = (t, x2, t - x1, -omega2) = Pt + q, t in R^k,
+    where P puts t on the axes :k and d:d+k.  F has M = diag(M_f, conj M_g)
+    and b = (b_f, conj b_g); with r = b - Mq the integrand is
+    exp(-pi t.(P^T M P)t + 2pi t.(P^T r - i omega1) + logamps + pi q.(r + b)),
+    so the integral has a closed form.  Points may be batched: x, omega of
+    shape (..., d).
     """
     d = f.n
     if g.n != d:
@@ -249,41 +252,23 @@ def partial_stft_log_modulus(
     omega = np.asarray(omega, dtype=float)
     if x.shape[-1] != d or omega.shape[-1] != d:
         raise DimensionMismatch("points must have d coordinates")
-    x1, x2 = x[..., :k], x[..., k:]
-    w1, w2 = omega[..., :k], omega[..., k:]
-
-    mf = f.m
-    ng = g.m.conj()
-    bf = f.b
-    bg = g.b.conj()
-
-    mt = mf[:k, :k] + ng[:k, :k]
+    m = np.zeros((2 * d, 2 * d), dtype=complex)
+    m[:d, :d] = f.m
+    m[d:, d:] = g.m.conj()
+    b = np.concatenate([f.b, g.b.conj()])
+    mt = m[:k, :k] + m[d : d + k, d : d + k]
     sv = np.linalg.svd(mt, compute_uv=False)
     cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
     if not np.isfinite(cond) or cond > COND_MAX:
         raise NumericalFailure(f"combined quadratic form condition {cond:.3e}")
 
-    # linear coefficient of 2pi t.( ) in the integrand
-    w = (
-        bf[:k]
-        + bg[:k]
-        - x2 @ mf[:k, k:].T
-        + x1 @ ng[:k, :k].T
-        + w2 @ ng[:k, k:].T
-        - 1j * w1
-    )
-    # t-independent part of the exponent
-    const = (
-        f.logamp
-        + g.logamp
-        - np.pi * np.einsum("...i,ij,...j->...", x2, mf[k:, k:], x2)
-        + 2.0 * np.pi * (x2 @ bf[k:])
-        - np.pi * np.einsum("...i,ij,...j->...", x1, ng[:k, :k], x1)
-        - 2.0 * np.pi * np.einsum("...i,ij,...j->...", x1, ng[:k, k:], w2)
-        - np.pi * np.einsum("...i,ij,...j->...", w2, ng[k:, k:], w2)
-        - 2.0 * np.pi * (x1 @ bg[:k])
-        - 2.0 * np.pi * (w2 @ bg[k:])
-    )
+    q = np.zeros(np.broadcast_shapes(x.shape, omega.shape)[:-1] + (2 * d,))
+    q[..., k:d] = x[..., k:]
+    q[..., d : d + k] = -x[..., :k]
+    q[..., d + k :] = -omega[..., k:]
+    r = b - q @ m
+    w = r[..., :k] + r[..., d : d + k] - 1j * omega[..., :k]
+    const = f.logamp + g.logamp + np.pi * np.sum(q * (r + b), axis=-1)
     mt_inv = np.linalg.inv(mt)
     quad = np.einsum("...i,ij,...j->...", w, 0.5 * (mt_inv + mt_inv.T), w)
     sign, logdet = np.linalg.slogdet(mt)

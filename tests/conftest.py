@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtfr.gaussian import GeneralizedGaussian
-from mtfr.symplectic import Chirp, Dilation, GeneratorWord, PartialFourier
+from mtfr.symplectic import Chirp, Dilation, GeneratorWord, PartialFourier, SymplecticMatrix
 
 
 @pytest.fixture
@@ -89,3 +89,34 @@ def grid_words(draw):
         else:
             letters.append(PartialFourier((0,)))
     return GeneratorWord(1, tuple(letters))
+
+
+# ---------------------------------------------------------------------------
+# named representations: W(f, g)(x, omega) is the Fourier transform over t of
+# F(M(x, t)), F = f (x) conj(g), for a linear change of variables M
+
+
+def tau_wigner_matrix(taus):
+    """M(x, t) = (x + tau t, x - (1 - tau) t), axis i pairing x_i with t_i.
+
+    tau = 1/2 is the Wigner distribution, tau = 0 and tau = 1 are the
+    Rihaczek distribution and its conjugate; one tau per axis gives their
+    tensor mixtures.
+    """
+    taus = np.asarray(taus, dtype=float)
+    eye = np.eye(taus.size)
+    return np.block([[eye, np.diag(taus)], [eye, -np.diag(1.0 - taus)]])
+
+
+def stft_matrix():
+    """M(x, t) = (t, t - x): V_g f(x, omega) = int f(t) conj(g(t - x)) e^{-2 pi i t omega} dt."""
+    return np.array([[0.0, 1.0], [-1.0, 1.0]])
+
+
+def representation_bold(m):
+    """The doubled symplectic matrix of `PartialFourier` on the t axes after
+    `Dilation(M^{-1})`, which takes F to F(M(x, t)) up to |det M|^{1/2}."""
+    n = m.shape[0]
+    t_axes = tuple(range(n // 2, n))
+    word = GeneratorWord(n, (PartialFourier(t_axes), Dilation(np.linalg.inv(m))))
+    return SymplecticMatrix.from_array(word.matrix())

@@ -210,6 +210,15 @@ class TestHardyFit:
         with pytest.raises(DegenerateFit):
             hardy_fit(pts, np.zeros(2))
 
+    @pytest.mark.parametrize("rmin,rmax", [(5.0, 1.0), (20.0, 30.0)])
+    def test_empty_annulus_named(self, rmin, rmax):
+        # an annulus with no grid node is named, not reported as samples
+        # below the value floor
+        phi = sample(standard_gaussian(1), (64,), (16.0,))
+        v = partial_stft_slice(phi, phi, 1)
+        with pytest.raises(DegenerateFit, match="annulus"):
+            hardy_fit_field(v, rmin=rmin, rmax=rmax)
+
 
 class TestGelfandShilov:
     def test_p2_weights_reduce_to_hardy_type(self):

@@ -23,6 +23,8 @@ from mtfr.grid import SampledField, sample, sample_function
 from mtfr.serialize import canonical_json, certificate_from_obj, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
+from conftest import representation_bold, tau_wigner_matrix
+
 
 @pytest.fixture
 def j_matrix(tmp_path):
@@ -87,6 +89,22 @@ class TestClassify:
         obj = json.loads((out / "certificate.json").read_text())
         assert obj["alternative"] == "II"
         assert obj["k"] == 1
+
+    def test_wigner_rihaczek_sign_verifies(self, tmp_path, capsys):
+        # Wigner on the first axis, Rihaczek on the second (d = 2, k = 1):
+        # f = g = phi scores both chirp signs at round-off level here, and
+        # only -P22 verifies
+        bold = representation_bold(tau_wigner_matrix([0.5, 0.0]))
+        path = tmp_path / "wr.json"
+        path.write_text(canonical_json(matrix_to_obj(bold.entries)))
+        out = tmp_path / "wr"
+        assert main(["classify", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        obj = json.loads((out / "certificate.json").read_text())
+        assert (obj["k"], obj["intermediates"]["chirp_sign"]) == (1, "-P22")
+        for seed in range(4):
+            assert main(["verify", str(out / "certificate.json"), "--seed", str(seed)]) == 0
+            assert capsys.readouterr().out.startswith("PASS")
 
     def test_odd_half_dimension_exit_2(self, j_matrix):
         assert main(["classify", j_matrix]) == 2
@@ -255,6 +273,41 @@ class TestCheck:
         monkeypatch.setattr(cli, "_default_stft_field", no_field)
         assert main(["check", "nazarov"]) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "argv,infinite",
+        [
+            # every node inside both boxes: nothing outside, so C0 is infinite
+            (["--grid", "64@4"], ["calibration_c0"]),
+            (["--s-halfwidth", "10", "--t-halfwidth", "10"], ["calibration_c0"]),
+            # the Nazarov constant overflows
+            (["--imu", "1e-7"], ["rhs", "ratio", "nc"]),
+            (["--constant", "1e300"], ["rhs", "ratio", "nc"]),
+        ],
+        ids=["grid-inside-boxes", "wide-boxes", "small-imu", "huge-constant"],
+    )
+    def test_nazarov_infinite_written_as_inf(self, tmp_path, argv, infinite):
+        out = tmp_path / "n"
+        assert main(["check", "nazarov", *argv, "--out", str(out)]) == 0
+        obj = json.loads((out / "report.json").read_text())
+        assert [key for key, value in obj.items() if value == "inf"] == infinite
+
+    def test_nazarov_nan_exit_2(self, capsys):
+        # an infinite constant times empty complements: rhs is NaN
+        argv = ["check", "nazarov", "--s-halfwidth", "10", "--t-halfwidth", "10",
+                "--imu", "1e-7"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: rhs is not a number: the parameters overflow the report\n"
+        )
+
+    def test_hardy_empty_annulus_exit_2(self, capsys):
+        assert main(["check", "hardy", "--rmin", "5", "--rmax", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no grid point lies in the annulus 5.0 <= r <= 1.0\n"
+        )
 
     def test_nazarov_report(self, tmp_path):
         out = tmp_path / "n"

@@ -510,6 +510,22 @@ class TestPartialStft:
         got = partial_stft_point(f, g, 1, x, om)[()]
         assert abs(got - num) < 1e-10 * max(num, 1e-8)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_quadrature_oracle_k2(self, rng, d):
+        # a direct trapezoid sum over t in R^2 on [-8, 8]^2
+        f, g = random_gaussian(d, rng), random_gaussian(d, rng)
+        x = rng.uniform(-0.6, 0.6, size=d)
+        om = rng.uniform(-0.6, 0.6, size=d)
+        t = np.linspace(-8, 8, 401)
+        dt = t[1] - t[0]
+        tt = np.stack(np.meshgrid(t, t, indexing="ij"), -1)
+        rest = tt.shape[:2] + (d - 2,)
+        fv = evaluate(f, np.concatenate([tt, np.broadcast_to(x[2:], rest)], -1))
+        gv = evaluate(g, np.concatenate([tt - x[:2], np.broadcast_to(-om[2:], rest)], -1))
+        num = abs(np.sum(fv * np.conj(gv) * np.exp(-2j * np.pi * (tt @ om[:2]))) * dt * dt)
+        got = partial_stft_point(f, g, 2, x, om)[()]
+        assert abs(got - num) < 1e-10 * max(num, 1e-8)
+
     def test_cauchy_schwarz_at_origin(self, rng):
         f, g = random_gaussian(2, rng), random_gaussian(2, rng)
         x2, w2 = 0.3, -0.7
