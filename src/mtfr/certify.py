@@ -22,7 +22,7 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,14 +159,7 @@ def alt1_decompose(u: np.ndarray, d: int):
 
 def _pi_permutation(d: int, k: int) -> np.ndarray:
     """Block permutation sending (omega1, x2, x1, omega2) to (x1, x2, omega1, omega2)."""
-    pi = np.zeros((2 * d, 2 * d))
-    for i in range(k):
-        pi[i, d + i] = 1.0  # out x1 <- in block 3 (x1)
-        pi[d + i, i] = 1.0  # out omega1 <- in block 1 (omega1)
-    for i in range(k, d):
-        pi[i, i] = 1.0  # x2 stays
-        pi[d + i, d + i] = 1.0  # omega2 stays
-    return pi
+    return np.eye(2 * d)[np.r_[d : d + k, k:d, :k, d + k : 2 * d]]
 
 
 def _blkdiag(*mats) -> np.ndarray:
@@ -180,39 +173,6 @@ def _blkdiag(*mats) -> np.ndarray:
     return out
 
 
-def _word_a_letters(d, k, gamma1, w1, p11, tau):
-    letters = [Dilation(_blkdiag(np.diag(gamma1), np.eye(d - k)))]
-    if k < d:
-        letters.append(PartialFourier(tuple(range(k, d))))
-    letters.append(Dilation(w1.T))
-    letters.append(Chirp(p11))
-    letters.extend(_scalar_rotation_word(np.conj(tau), d))
-    return letters
-
-
-def _word_b_letters(d, w2, p22, tau, sign):
-    letters = [PartialFourier(tuple(range(d)))]
-    letters.append(Dilation(w2.T))
-    letters.append(Chirp(sign * p22))
-    letters.extend(_scalar_rotation_word(tau, d))
-    return letters
-
-
-def _identity_errors(word_bold, omega, word_a, word_b, k, d, f, g, points):
-    lam = np.asarray(points, dtype=float).reshape(-1, 2 * d)
-    big = apply_word(tensor(f, conjugate(g)), word_bold)
-    lhs = log_modulus(big, lam)
-    mu = lam @ np.linalg.inv(omega).T
-    af = apply_word(f, word_a)
-    bg = apply_word(g, word_b)
-    sign, logdet = np.linalg.slogdet(omega)
-    rhs = (
-        partial_stft_log_modulus(af, bg, k, mu[:, :d], mu[:, d:]) - 0.5 * logdet
-    )
-    # |L - R| / max(L, R) = 1 - exp(-|log L - log R|), stable in log space
-    return -np.expm1(-np.abs(lhs - rhs))
-
-
 def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certificate:
     """Full Alternative II certificate via the free-factorization pipeline.
 
@@ -221,9 +181,10 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
     with numerical rank k >= 1; assemble Omega = L B diag(W1, W2)
     diag(G1, I) Pi and the generator words for the two half-size operators.
     The window-side chirp block is -P22, since word_B acts on conj(g); a
-    probe of both signs on a generic Gaussian pair confirms it.  The
-    certificate records -P22 whenever it passes, and +P22, with a warning,
-    only when -P22 fails and +P22 passes.
+    probe confirms it, scoring the -P22 certificate and its +P22 copy with
+    `identity_errors` on a generic Gaussian pair.  The -P22 certificate is
+    returned whenever it passes, and the +P22 one, with a warning, only
+    when -P22 fails and +P22 passes.
     """
     d = _split_dims(bold)
     pre = pre_iwasawa(bold)
@@ -238,17 +199,13 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
         )
 
     tau = select_tau_balanced(pre.u)
-    b_tau = (tau * pre.u).imag
-    p = _symmetrize_checked(np.linalg.solve(b_tau, (tau * pre.u).real), 1e-8, "P = B^-1 A")
-    p11 = p[:d, :d]
-    p12 = p[:d, d:]
-    p22 = p[d:, d:]
-    w1, svals, w2t = np.linalg.svd(p12)
+    tau_u = tau * pre.u
+    b_tau = tau_u.imag
+    p = _symmetrize_checked(np.linalg.solve(b_tau, tau_u.real), 1e-8, "P = B^-1 A")
+    w1, svals, w2t = np.linalg.svd(p[:d, d:])
     if svals[0] <= 1e-12:
         raise RankZero("P12 vanished although U^t U is not block-diagonal")
-    k = int(np.sum(svals > RANK_TOL * svals[0]))
-    if k < 1:
-        raise RankZero("numerical rank of the off-diagonal block is zero")
+    k = int(np.sum(svals > RANK_TOL * svals[0]))  # k >= 1: RANK_TOL < 1
     gamma1 = svals[:k]
     if gamma1[-1] <= 2e-8 * max(1.0, gamma1[0]):
         raise NumericalFailure(
@@ -266,33 +223,15 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
         @ pi
     )
 
-    word_bold = factor_to_word(bold, tau=tau)
-    word_a = GeneratorWord(d, tuple(_word_a_letters(d, k, gamma1, w1, p11, tau)))
-    candidates = []
-    for sign, tag in ((-1.0, "-P22"), (1.0, "+P22")):
-        word_b = GeneratorWord(d, tuple(_word_b_letters(d, w2, p22, tau, sign)))
-        candidates.append((tag, word_b))
-
-    # a generic pair (f != g, complex M, nonzero b): a symmetric pair such as
-    # f = g = phi can score both signs at round-off level
-    rng = np.random.default_rng(0)
-    probe = rng.uniform(-1.5, 1.5, size=(8, 2 * d))
-    f0, g0 = random_gaussian(d, rng), random_gaussian(d, rng)
-    errs = {}
-    for tag, word_b in candidates:
-        errors = _identity_errors(word_bold, omega, word_a, word_b, k, d, f0, g0, probe)
-        errs[tag] = float(np.max(errors))
-    if errs["-P22"] <= 1e-6:
-        tag = "-P22"
-    elif errs["+P22"] <= 1e-6:
-        tag = "+P22"
-        warnings_list.append("window chirp sign resolved to +P22")
-    else:
-        raise NumericalFailure(
-            f"certificate identity failed under both chirp signs ({errs})"
-        )
-    word_b = dict(candidates)[tag]
-
+    word_a = GeneratorWord(d, (
+        Dilation(_blkdiag(np.diag(gamma1), np.eye(d - k))),
+        *([PartialFourier(tuple(range(k, d)))] if k < d else []),
+        Dilation(w1.T),
+        Chirp(p[:d, :d]),
+        *_scalar_rotation_word(np.conj(tau), d),
+    ))
+    fourier_b, dilation_b = PartialFourier(tuple(range(d))), Dilation(w2.T)
+    rotation_b = tuple(_scalar_rotation_word(tau, d))
     alt2 = AltIIData(
         tau=complex(tau),
         k=k,
@@ -303,19 +242,43 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
         pi=pi,
         omega=omega,
         word_a=word_a,
-        word_b=word_b,
-        chirp_sign=tag,
+        word_b=GeneratorWord(d, (fourier_b, dilation_b, Chirp(-p[d:, d:]), *rotation_b)),
+        chirp_sign="-P22",
     )
-    return Certificate(
+    minus = Certificate(
         alternative="II",
         d=d,
         offdiag_norm=offdiag,
         pre=pre,
         bold=bold,
-        word_bold=word_bold,
+        word_bold=factor_to_word(bold, tau=tau),
         alt2=alt2,
         warnings=tuple(warnings_list),
     )
+    plus = replace(
+        minus,
+        alt2=replace(
+            alt2,
+            word_b=GeneratorWord(d, (fourier_b, dilation_b, Chirp(p[d:, d:]), *rotation_b)),
+            chirp_sign="+P22",
+        ),
+        warnings=(*minus.warnings, "window chirp sign resolved to +P22"),
+    )
+
+    # a generic pair (f != g, complex M, nonzero b): a symmetric pair such as
+    # f = g = phi can score both signs at round-off level
+    rng = np.random.default_rng(0)
+    probe = rng.uniform(-1.5, 1.5, size=(8, 2 * d))
+    f0, g0 = random_gaussian(d, rng), random_gaussian(d, rng)
+    errs = {
+        cert.alt2.chirp_sign: float(np.max(identity_errors(cert, f0, g0, probe)))
+        for cert in (minus, plus)
+    }
+    if errs["-P22"] <= 1e-6:
+        return minus
+    if errs["+P22"] <= 1e-6:
+        return plus
+    raise NumericalFailure(f"certificate identity failed under both chirp signs ({errs})")
 
 
 def certify(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certificate:
@@ -352,10 +315,16 @@ def identity_errors(
     """
     if cert.alternative != "II" or cert.alt2 is None:
         raise NotBlockDiagonal("the identity needs an Alternative II certificate")
-    a2 = cert.alt2
-    return _identity_errors(
-        cert.word_bold, a2.omega, a2.word_a, a2.word_b, a2.k, cert.d, f, g, points
-    )
+    a2, d = cert.alt2, cert.d
+    lam = np.asarray(points, dtype=float).reshape(-1, 2 * d)
+    lhs = log_modulus(apply_word(tensor(f, conjugate(g)), cert.word_bold), lam)
+    mu = lam @ np.linalg.inv(a2.omega).T
+    af = apply_word(f, a2.word_a)
+    bg = apply_word(g, a2.word_b)
+    _, logdet = np.linalg.slogdet(a2.omega)
+    rhs = partial_stft_log_modulus(af, bg, a2.k, mu[:, :d], mu[:, d:]) - 0.5 * logdet
+    # |L - R| / max(L, R) = 1 - exp(-|log L - log R|), stable in log space
+    return -np.expm1(-np.abs(lhs - rhs))
 
 
 def verify_identity(
@@ -413,10 +382,8 @@ def counterexample_alt1(
         lambda m: _bump(m[..., 0], center, half), (points,), (extent,)
     )
     g0 = f0
-    v1 = complex(cert.alt1.v1[0, 0])
-    v2bar = complex(np.conj(cert.alt1.v2[0, 0]))
-    word_f = GeneratorWord(1, tuple(rotation_word(np.array([[v1]]))))
-    word_g = GeneratorWord(1, tuple(rotation_word(np.array([[v2bar]]))))
+    word_f = GeneratorWord(1, tuple(rotation_word(cert.alt1.v1)))
+    word_g = GeneratorWord(1, tuple(rotation_word(cert.alt1.v2.conj())))
     f = apply_word_grid(f0, invert_word(word_f))
     g = apply_word_grid(g0, invert_word(word_g))
     predicted_map = cert.pre.l @ cert.alt1.w

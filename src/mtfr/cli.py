@@ -39,6 +39,7 @@ from .checks import (
 )
 from .errors import (
     DimensionMismatch,
+    GridTooLarge,
     MtfrError,
     NotSymplectic,
     NumericalFailure,
@@ -47,7 +48,7 @@ from .errors import (
     RealnessFailure,
 )
 from .gaussian import apply_partial_fourier, random_gaussian, standard_gaussian
-from .grid import field_l2, mass_outside, partial_stft_slice, sample
+from .grid import MAX_ELEMENTS, field_l2, mass_outside, partial_stft_slice, sample
 from .serialize import (
     _atomic_write,
     canonical_json,
@@ -139,6 +140,10 @@ def cmd_verify(args) -> int:
     else:
         f = random_gaussian(cert.d, rng)
         g = random_gaussian(cert.d, rng)
+    if args.points * 2 * cert.d > MAX_ELEMENTS:
+        raise GridTooLarge(
+            f"{args.points} points of {2 * cert.d} coordinates exceed {MAX_ELEMENTS}"
+        )
     pts = rng.uniform(-args.box, args.box, size=(args.points, 2 * cert.d))
     errs = identity_errors(cert, f, g, pts)
     err = float(np.max(errs))
@@ -389,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-halfwidth", type=_FLOAT, default=2.0)
     p.add_argument("--t-halfwidth", type=_FLOAT, default=2.0)
     p.add_argument("--imu", type=_FLOAT, default=1.0, help="Im(U) scalar (d = 1)")
-    p.add_argument("--constant", type=_FLOAT, default=1.0, help="Nazarov constant C")
+    p.add_argument("--constant", type=_POSITIVE, default=1.0, help="Nazarov constant C")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.add_argument("--out", default=None)
 

@@ -4,7 +4,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mtfr.gaussian import GeneralizedGaussian
-from mtfr.symplectic import Chirp, Dilation, GeneratorWord, PartialFourier, SymplecticMatrix
+from mtfr.symplectic import (
+    Chirp,
+    Dilation,
+    GeneratorWord,
+    PartialFourier,
+    SymplecticMatrix,
+    make_rotation,
+    random_symplectic,
+)
 
 
 @pytest.fixture
@@ -22,6 +30,13 @@ def haar_orthogonal(n, rng):
     z = rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * np.sign(np.diag(r))
+
+
+def alt2_bold(d, rng):
+    """Generic Alternative II input, built like the benchmark's certify_stream
+    inputs: a random 4-letter symplectic word times a Haar rotation."""
+    word_seed = int(rng.integers(2**31))
+    return random_symplectic(2 * d, 4, seed=word_seed) @ make_rotation(haar_unitary(2 * d, rng))
 
 
 def random_spd(n, rng, shift=0.5):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from mtfr.certify import (
 from mtfr.gaussian import random_gaussian, standard_gaussian
 from mtfr.grid import field_l2, mass_outside, sample_function
 from mtfr.symplectic import (
+    Chirp,
+    GeneratorWord,
     SymplecticMatrix,
     make_chirp,
     make_dilation,
@@ -28,7 +31,7 @@ from mtfr.symplectic import (
     random_symplectic,
 )
 
-from conftest import haar_orthogonal, haar_unitary, random_spd
+from conftest import alt2_bold, haar_orthogonal, haar_unitary, random_spd
 
 
 def canonical_alt2_input():
@@ -154,6 +157,25 @@ class TestAlt2Certificate:
         f, g = random_gaussian(3, rng), random_gaussian(3, rng)
         pts = rng.uniform(-2.5, 2.5, size=(30, 6))
         assert verify_identity(cert, f, g, pts) <= 1e-8
+
+    def test_chirp_sign_is_minus_p22(self):
+        # word_B acts on conj(g), so its chirp block is -P22: on generic
+        # inputs -P22 is recorded without a warning and +P22 fails the identity
+        rng = np.random.default_rng(1729)
+        for trial in range(60):
+            d = 1 + trial % 3
+            cert = certify(alt2_bold(d, rng))
+            assert cert.alternative == "II"
+            assert cert.alt2.chirp_sign == "-P22"
+            assert not any("chirp sign" in note for note in cert.warnings)
+            letters = cert.alt2.word_b.letters
+            p22 = cert.alt2.p[d:, d:]
+            np.testing.assert_array_equal(letters[2].q, -p22)
+            word_b = GeneratorWord(d, (*letters[:2], Chirp(p22), *letters[3:]))
+            plus = replace(cert, alt2=replace(cert.alt2, word_b=word_b, chirp_sign="+P22"))
+            f, g = random_gaussian(d, rng), random_gaussian(d, rng)
+            pts = rng.uniform(-1.5, 1.5, size=(8, 2 * d))
+            assert np.max(identity_errors(plus, f, g, pts)) > 1e-6
 
     def test_rejects_alt1_input(self):
         with pytest.raises(NotBlockDiagonal):

@@ -486,6 +486,10 @@ class TestMalformedInput:
             # 10^16 nodes: refused before the node axis is allocated
             ["check", "beurling", "--resolution", "100000000"],
             ["check", "gs", "--resolution", "100000000"],
+            # 2 * 10^16 coordinates: refused before the points are drawn
+            ["verify", "{alt2_cert}", "--points", "10000000000000000"],
+            ["check", "nazarov", "--constant", "-1"],
+            ["check", "nazarov", "--constant", "0"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -497,7 +501,8 @@ class TestMalformedInput:
              "cx-grid-too-large", "beurling-1d-field", "beurling-3d-field",
              "omega-3x3", "omega-zero", "cx-w-3x3", "cx-l-1x1", "cx-empty-v1",
              "cx-l-off-bold", "verify-l-off-bold", "cx-v1-off-u", "cx-w-off-u",
-             "beurling-resolution-too-large", "gs-resolution-too-large"],
+             "beurling-resolution-too-large", "gs-resolution-too-large",
+             "verify-points-too-large", "nazarov-negative-constant", "nazarov-zero-constant"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
