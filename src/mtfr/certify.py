@@ -46,12 +46,14 @@ from .gaussian import (
 )
 from .grid import SampledField, apply_word_grid, sample_function, tfr_grid
 from .symplectic import (
+    TOL_INV,
     Chirp,
     Dilation,
     GeneratorWord,
     PartialFourier,
     PreIwasawa,
     SymplecticMatrix,
+    _blkdiag,
     _scalar_rotation_word,
     _symmetrize_checked,
     assert_unitary,
@@ -62,11 +64,18 @@ from .symplectic import (
     rotation_word,
     select_tau_balanced,
 )
-from .unitary import block_diag_test, odo_svd, real_factor, sort_by_imag, takagi_symmetric_unitary
+from .unitary import (
+    TOL_BLK,
+    block_diag_test,
+    odo_svd,
+    real_factor,
+    sort_by_imag,
+    takagi_symmetric_unitary,
+)
 
-TOL_BLK = 1e-8
 BORDERLINE_FACTOR = 100.0
 RANK_TOL = 1e-8
+TOL_IDENTITY = 1e-6  # largest relative error of the reduction identity that passes
 
 __all__ = [
     "AltIData",
@@ -130,15 +139,15 @@ def _split_dims(bold: SymplecticMatrix) -> int:
     return bold.n // 2
 
 
-def classify(bold: SymplecticMatrix, tol: float = TOL_BLK):
+def classify(bold: SymplecticMatrix):
     """Alternative for a matrix in the doubled symplectic group.
 
     Returns ("I" | "II", offdiag_norm) from the block-diagonality of
-    U^t U, where U is the pre-Iwasawa rotation factor.
+    U^t U at TOL_BLK, where U is the pre-Iwasawa rotation factor.
     """
     d = _split_dims(bold)
     pre = pre_iwasawa(bold)
-    is_blk, offdiag = block_diag_test(pre.u, d, tol=tol)
+    is_blk, offdiag = block_diag_test(pre.u, d)
     return ("I" if is_blk else "II"), offdiag
 
 
@@ -162,18 +171,7 @@ def _pi_permutation(d: int, k: int) -> np.ndarray:
     return np.eye(2 * d)[np.r_[d : d + k, k:d, :k, d + k : 2 * d]]
 
 
-def _blkdiag(*mats) -> np.ndarray:
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=np.result_type(*mats))
-    at = 0
-    for m in mats:
-        s = m.shape[0]
-        out[at : at + s, at : at + s] = m
-        at += s
-    return out
-
-
-def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certificate:
+def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     """Full Alternative II certificate via the free-factorization pipeline.
 
     Steps: rotate U by tau so Im(tau U) is invertible; form the symmetric
@@ -188,7 +186,7 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
     """
     d = _split_dims(bold)
     pre = pre_iwasawa(bold)
-    verdict, offdiag = classify(bold, tol=tol_blk)
+    verdict, offdiag = classify(bold)
     warnings_list = []
     if verdict != "II":
         raise NotBlockDiagonal("alt2_certificate requires Alternative II input")
@@ -207,7 +205,8 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
         raise RankZero("P12 vanished although U^t U is not block-diagonal")
     k = int(np.sum(svals > RANK_TOL * svals[0]))  # k >= 1: RANK_TOL < 1
     gamma1 = svals[:k]
-    if gamma1[-1] <= 2e-8 * max(1.0, gamma1[0]):
+    # twice Dilation's singularity gate, so that Dilation(diag(gamma1) (+) I) passes it
+    if gamma1[-1] <= 2 * TOL_INV * max(1.0, gamma1[0]):
         raise NumericalFailure(
             "borderline input: retained singular value "
             f"{gamma1[-1]:.3e} is below the dilation tolerance, "
@@ -274,19 +273,19 @@ def alt2_certificate(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certif
         cert.alt2.chirp_sign: float(np.max(identity_errors(cert, f0, g0, probe)))
         for cert in (minus, plus)
     }
-    if errs["-P22"] <= 1e-6:
+    if errs["-P22"] <= TOL_IDENTITY:
         return minus
-    if errs["+P22"] <= 1e-6:
+    if errs["+P22"] <= TOL_IDENTITY:
         return plus
     raise NumericalFailure(f"certificate identity failed under both chirp signs ({errs})")
 
 
-def certify(bold: SymplecticMatrix, tol_blk: float = TOL_BLK) -> Certificate:
+def certify(bold: SymplecticMatrix) -> Certificate:
     """Classify and build the full certificate for either alternative."""
     d = _split_dims(bold)
-    verdict, offdiag = classify(bold, tol=tol_blk)
+    verdict, offdiag = classify(bold)
     if verdict == "II":
-        return alt2_certificate(bold, tol_blk=tol_blk)
+        return alt2_certificate(bold)
     pre = pre_iwasawa(bold)
     w, v1, v2 = alt1_decompose(pre.u, d)
     return Certificate(

@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedShape,
 )
 from .grid import MAX_ELEMENTS, SampledField
+from .symplectic import TOL_INV
 
 GROWTH_TOL = 0.2
 CONVERGENT_TOL = 0.05
@@ -565,8 +566,8 @@ def nazarov_bound(
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
     im_u = np.asarray(im_u, dtype=float)
-    smin = np.linalg.svd(im_u, compute_uv=False)[-1]
-    if smin <= 1e-8 * max(1.0, np.linalg.norm(im_u, 2)):
+    sv = np.linalg.svd(im_u, compute_uv=False)  # Dilation's singularity test
+    if sv[-1] <= TOL_INV * max(1.0, sv[0]):
         raise Singular("Im(U) must be invertible for the Nazarov hypothesis")
     comp_s = complement_integral(f1_field, s_shape)
     comp_t = complement_integral(f2_field, t_shape)

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .certify import (
-    TOL_BLK,
+    TOL_IDENTITY,
     alt1_tfr_tensor,
     certify,
     counterexample_alt1,
@@ -54,10 +54,10 @@ from .serialize import (
     canonical_json,
     certificate_from_obj,
     certificate_to_obj,
-    complex_matrix_to_obj,
     gaussian_from_obj,
+    json_float,
     matrix_from_obj,
-    matrix_to_obj,
+    pre_iwasawa_to_obj,
     read_field,
     sweep_to_csv,
     word_to_obj,
@@ -69,8 +69,8 @@ from .symplectic import SymplecticMatrix, factor_to_word, pre_iwasawa, symplecti
 _ASSERTION_ERRORS = (NumericalFailure, RankZero, RealnessFailure, AssertionError)
 
 
-def _emit(obj, out_dir, name, to_stdout=True):
-    text = canonical_json(obj)
+def _emit(obj, out_dir, name, to_stdout=True, render=canonical_json):
+    text = render(obj)
     if out_dir:
         _atomic_write(os.path.join(out_dir, name), text)
     elif to_stdout:
@@ -112,11 +112,7 @@ def cmd_factor(args) -> int:
     word = factor_to_word(m)
     obj = {
         "n": m.n,
-        "pre_iwasawa": {
-            "Q": matrix_to_obj(pre.q),
-            "L": matrix_to_obj(pre.l),
-            "U": complex_matrix_to_obj(pre.u),
-        },
+        "pre_iwasawa": pre_iwasawa_to_obj(pre),
         "word": word_to_obj(word),
         "reconstruction_error": float(np.linalg.norm(word.matrix() - m.entries)),
     }
@@ -125,7 +121,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cert = certify(_load_symplectic(args.matrix), tol_blk=args.tol_blk)
+    cert = certify(_load_symplectic(args.matrix))
     for note in cert.warnings:
         print(f"warning: {note}", file=sys.stderr)
     _emit(certificate_to_obj(cert), args.out, "certificate.json")
@@ -155,15 +151,6 @@ def cmd_verify(args) -> int:
     _emit({"max_relative_error": err, "points": args.points, "tol": args.tol},
           args.out, "verify.json", to_stdout=False)
     return 0
-
-
-def _json_float(value, what):
-    """A report number as JSON can carry it: JSON has no infinity, so an
-    infinite value (only +inf arises in the reports) is the sweep CSV's
-    token "inf"; NaN is an input error."""
-    if math.isnan(value):
-        raise MtfrError(f"{what} is not a number: the parameters overflow the report")
-    return value if math.isfinite(value) else "inf"
 
 
 def _default_stft_field(grid_spec):
@@ -209,7 +196,7 @@ def cmd_check(args) -> int:
         obj = {"condition": "nazarov"}
         for key in ("lhs", "rhs", "ratio", "nc", "calibration_c0",
                     "complement_s", "complement_t"):
-            obj[key] = _json_float(getattr(rep, key), key)
+            obj[key] = json_float(getattr(rep, key), key)
         obj["ball_width_check"] = mean_width(Ball((0.0,), 1.0))[0]
         _emit(obj, args.out, "report.json")
         return 0
@@ -251,17 +238,14 @@ def cmd_check(args) -> int:
         # tuples render as JSON arrays: gs's sweep_omega is [[R, value], ...]
         "parameters": report.parameters,
         "sweep": report.sweep,
-        "ratios": [_json_float(r, "ratio") for r in report.ratios],
+        "ratios": [json_float(r, "ratio") for r in report.ratios],
         "verdict": report.verdict,
         "rule": report.rule,
     }
     if args.format in ("json", "both"):
         _emit(obj, args.out, "report.json")
     if args.format in ("csv", "both"):
-        if args.out:
-            _atomic_write(os.path.join(args.out, "sweep.csv"), sweep_to_csv(report))
-        else:
-            sys.stdout.write(sweep_to_csv(report))
+        _emit(report, args.out, "sweep.csv", render=sweep_to_csv)
     return 0
 
 
@@ -364,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="Alternative I/II certificate")
     p.add_argument("matrix", help="symplectic matrix JSON (doubled dimension)")
-    p.add_argument("--tol-blk", type=_POSITIVE, default=TOL_BLK,
-                   help="block-diagonality tolerance (default 1e-8)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="check the reduction identity of a certificate")
@@ -375,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_COUNT, default=100)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--box", type=_POSITIVE, default=3.0, help="sample box half-width")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--tol", type=_POSITIVE, default=TOL_IDENTITY)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="uncertainty-principle condition sweeps")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalFailure
-from .symplectic import Dilation, GeneratorWord, PartialFourier, _symmetrize_checked
+from .symplectic import Dilation, GeneratorWord, PartialFourier, _blkdiag, _symmetrize_checked
 
 COND_MAX = 1e12
 
@@ -39,7 +39,6 @@ __all__ = [
     "random_gaussian",
     "evaluate",
     "log_modulus",
-    "modulus",
     "log_l2_norm",
     "l1_norm",
     "apply_dilation",
@@ -117,10 +116,6 @@ def log_modulus(g: GeneralizedGaussian, x) -> np.ndarray:
     return np.real(_exponent(g, x))
 
 
-def modulus(g: GeneralizedGaussian, x) -> np.ndarray:
-    return np.exp(log_modulus(g, x))
-
-
 def log_l2_norm(g: GeneralizedGaussian) -> float:
     """log ||f||_2 in closed form: the modulus is a real Gaussian."""
     x = g.m.real
@@ -193,11 +188,8 @@ def apply_word(g: GeneralizedGaussian, word: GeneratorWord) -> GeneralizedGaussi
 
 
 def tensor(g1: GeneralizedGaussian, g2: GeneralizedGaussian) -> GeneralizedGaussian:
-    m = np.zeros((g1.n + g2.n, g1.n + g2.n), dtype=complex)
-    m[: g1.n, : g1.n] = g1.m
-    m[g1.n :, g1.n :] = g2.m
     return GeneralizedGaussian(
-        m, np.concatenate([g1.b, g2.b]), g1.logamp + g2.logamp
+        _blkdiag(g1.m, g2.m), np.concatenate([g1.b, g2.b]), g1.logamp + g2.logamp
     )
 
 
@@ -252,9 +244,7 @@ def partial_stft_log_modulus(
     omega = np.asarray(omega, dtype=float)
     if x.shape[-1] != d or omega.shape[-1] != d:
         raise DimensionMismatch("points must have d coordinates")
-    m = np.zeros((2 * d, 2 * d), dtype=complex)
-    m[:d, :d] = f.m
-    m[d:, d:] = g.m.conj()
+    m = _blkdiag(f.m, g.m.conj())
     b = np.concatenate([f.b, g.b.conj()])
     mt = m[:k, :k] + m[d : d + k, d : d + k]
     sv = np.linalg.svd(mt, compute_uv=False)

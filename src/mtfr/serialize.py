@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .certify import AltIData, AltIIData, Certificate, _blkdiag
+from .certify import AltIData, AltIIData, Certificate
 from .errors import DimensionMismatch, GridTooLarge, MtfrError, Singular
 from .grid import MAX_ELEMENTS, SampledField
 from .gaussian import GeneralizedGaussian
@@ -27,22 +27,24 @@ from .symplectic import (
     PartialFourier,
     PreIwasawa,
     SymplecticMatrix,
+    _blkdiag,
     assert_unitary,
 )
-from .unitary import assert_product
+from .unitary import TOL_RECON, assert_product
 
 FIELD_MAGIC = b"MTFR"
 FIELD_VERSION = 1
-WORD_TOL = 1e-9  # word_bold and Q, L, U must rebuild bold_matrix, relative to max(1, ||M||_F)
 
 __all__ = [
     "canonical_json",
+    "json_float",
     "matrix_to_obj",
     "matrix_from_obj",
     "complex_matrix_to_obj",
     "complex_matrix_from_obj",
     "word_to_obj",
     "word_from_obj",
+    "pre_iwasawa_to_obj",
     "gaussian_to_obj",
     "gaussian_from_obj",
     "certificate_to_obj",
@@ -111,6 +113,14 @@ def canonical_json(obj) -> str:
     return "".join(out) + "\n"
 
 
+def json_float(value, what):
+    """A report number as JSON can carry it: +inf (the only infinity the reports
+    hold) is the token "inf", in JSON and the sweep CSV alike; NaN is an input error."""
+    if math.isnan(value):
+        raise MtfrError(f"{what} is not a number: the parameters overflow the report")
+    return value if math.isfinite(value) else "inf"
+
+
 # ---------------------------------------------------------------------------
 # matrices and words
 
@@ -127,8 +137,6 @@ def _malformed(what: str):
 
 
 def matrix_to_obj(m) -> dict:
-    if isinstance(m, SymplecticMatrix):
-        return {"n": m.n, "rows": [list(map(float, r)) for r in m.entries]}
     m = np.asarray(m, dtype=float)
     n = m.shape[0] // 2 if m.shape[0] % 2 == 0 else m.shape[0]
     return {"n": n, "rows": [list(map(float, r)) for r in m]}
@@ -178,6 +186,13 @@ def word_to_obj(word: GeneratorWord) -> list:
     return letters
 
 
+def _json_int(value, what: str) -> int:
+    """value itself when it is a JSON integer (a bool is not); otherwise `MtfrError`."""
+    if type(value) is not int:
+        raise MtfrError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def word_from_obj(n: int, obj) -> GeneratorWord:
     letters = []
     for item in obj:
@@ -187,7 +202,7 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
         elif kind == "dilation":
             letters.append(Dilation(np.asarray(item["l"], dtype=float)))
         elif kind == "pfourier":
-            letters.append(PartialFourier(tuple(item["axes"])))
+            letters.append(PartialFourier(tuple(_json_int(a, "axis") for a in item["axes"])))
         else:
             raise DimensionMismatch(f"unknown letter kind {kind!r}")
     return GeneratorWord(n, tuple(letters))
@@ -221,6 +236,14 @@ def gaussian_from_obj(obj) -> GeneralizedGaussian:
 # certificates
 
 
+def pre_iwasawa_to_obj(pre: PreIwasawa) -> dict:
+    return {
+        "Q": matrix_to_obj(pre.q),
+        "L": matrix_to_obj(pre.l),
+        "U": complex_matrix_to_obj(pre.u),
+    }
+
+
 def certificate_to_obj(cert) -> dict:
     obj = {
         "alternative": cert.alternative,
@@ -228,12 +251,8 @@ def certificate_to_obj(cert) -> dict:
         "offdiag_norm": float(cert.offdiag_norm),
         "warnings": list(cert.warnings),
         "intermediates": {
-            "bold_matrix": matrix_to_obj(cert.bold),
-            "pre_iwasawa": {
-                "Q": matrix_to_obj(cert.pre.q),
-                "L": matrix_to_obj(cert.pre.l),
-                "U": complex_matrix_to_obj(cert.pre.u),
-            },
+            "bold_matrix": matrix_to_obj(cert.bold.entries),
+            "pre_iwasawa": pre_iwasawa_to_obj(cert.pre),
             "word_bold": word_to_obj(cert.word_bold),
         },
     }
@@ -272,16 +291,21 @@ def _shaped(values, shape: tuple, what: str):
 def certificate_from_obj(obj) -> Certificate:
     """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`.
 
-    Every number must be finite, every block must have its shape for the
+    d, k and every Fourier axis must be JSON integers, warnings a list of
+    strings and the chirp sign -P22 or +P22 (-P22 when absent).  Every
+    number must be finite, every block must have its shape for the
     certificate's d (Gamma1 has k entries, 1 <= k <= d), Omega must be
     invertible, and word_bold and the pre-Iwasawa factors must each
-    reproduce bold_matrix within WORD_TOL, the word gate of the
-    factorization.  An Alternative I certificate's V1 and V2 must be
+    reproduce bold_matrix within TOL_RECON, the factorizations'
+    reconstruction gate.  An Alternative I certificate's V1 and V2 must be
     unitary with W diag(V1, V2) = U, the split's residual gate.
     """
     with _malformed("certificate"):
         inter = obj["intermediates"]
-        d = int(obj["d"])
+        d = _json_int(obj["d"], "d")
+        warnings = obj.get("warnings", [])
+        if type(warnings) is not list or not all(type(w) is str for w in warnings):
+            raise MtfrError(f"warnings must be a list of strings, got {warnings!r}")
         full, half = (2 * d, 2 * d), (d, d)
         alternative = obj["alternative"]
         alt1 = alt2 = None
@@ -292,13 +316,16 @@ def certificate_from_obj(obj) -> Certificate:
                 v2=_shaped(complex_matrix_from_obj(obj["V2"]), half, "V2"),
             )
         elif alternative == "II":
-            k = int(obj["k"])
+            k = _json_int(obj["k"], "k")
             if not 1 <= k <= d:
                 raise DimensionMismatch(f"need 1 <= k <= d, got k = {k}, d = {d}")
             omega = _shaped(matrix_from_obj(obj["Omega"]), full, "Omega")
             if np.linalg.slogdet(omega)[0] == 0.0:
                 raise Singular("Omega is singular")
             gamma1 = _finite(np.asarray(inter["Gamma1"], dtype=float), "Gamma1")
+            chirp_sign = inter.get("chirp_sign", "-P22")
+            if chirp_sign not in ("-P22", "+P22"):
+                raise MtfrError(f"chirp_sign must be -P22 or +P22, got {chirp_sign!r}")
             alt2 = AltIIData(
                 tau=_finite(complex(obj["tau"]["re"], obj["tau"]["im"]), "tau"),
                 k=k,
@@ -310,7 +337,7 @@ def certificate_from_obj(obj) -> Certificate:
                 omega=omega,
                 word_a=word_from_obj(d, obj["word_A"]),
                 word_b=word_from_obj(d, obj["word_B"]),
-                chirp_sign=str(inter.get("chirp_sign", "-P22")),
+                chirp_sign=chirp_sign,
             )
         else:
             raise MtfrError(f"unknown certificate alternative {alternative!r}")
@@ -323,7 +350,7 @@ def certificate_from_obj(obj) -> Certificate:
         bold = matrix_from_obj(inter["bold_matrix"])
         bold = SymplecticMatrix.from_array(_shaped(bold, (4 * d, 4 * d), "bold_matrix"))
         word_bold = word_from_obj(2 * d, inter["word_bold"])
-        gate = WORD_TOL * max(1.0, np.linalg.norm(bold.entries))
+        gate = TOL_RECON * max(1.0, np.linalg.norm(bold.entries))
         for what, product in (("word_bold", word_bold.matrix), ("pre_iwasawa", pre.reconstruct)):
             defect = np.linalg.norm(product() - bold.entries)
             if not defect <= gate:
@@ -340,7 +367,7 @@ def certificate_from_obj(obj) -> Certificate:
             word_bold=word_bold,
             alt1=alt1,
             alt2=alt2,
-            warnings=tuple(obj.get("warnings", ())),
+            warnings=tuple(warnings),
         )
 
 
@@ -409,14 +436,7 @@ def read_field(path) -> SampledField:
 
 def sweep_to_csv(report) -> str:
     """CSV text with columns R, value, ratio (ratio empty on the first row)."""
-    lines = ["R,value,ratio"]
-    ratios = (None,) + tuple(report.ratios)
-    for (r, v), ratio in zip(report.sweep, ratios):
-        if ratio is None:
-            tail = ""
-        elif np.isfinite(ratio):
-            tail = _fmt_float(ratio)
-        else:
-            tail = "inf"
-        lines.append(f"{_fmt_float(r)},{_fmt_float(v)},{tail}")
-    return "\n".join(lines) + "\n"
+    ratios = [_fmt_float(x) if math.isfinite(x) else json_float(x, "ratio") for x in report.ratios]
+    lines = [f"{_fmt_float(r)},{_fmt_float(v)},{ratio}"
+             for (r, v), ratio in zip(report.sweep, ["", *ratios])]
+    return "\n".join(["R,value,ratio", *lines]) + "\n"

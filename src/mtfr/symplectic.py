@@ -102,6 +102,28 @@ def _symmetrize_checked(
     return sym
 
 
+def _blkdiag(*mats) -> np.ndarray:
+    """Block-diagonal matrix of square blocks, of their common dtype."""
+    n = sum(m.shape[0] for m in mats)
+    out = np.zeros((n, n), dtype=np.result_type(*mats))
+    at = 0
+    for m in mats:
+        s = m.shape[0]
+        out[at : at + s, at : at + s] = m
+        at += s
+    return out
+
+
+def _rotation_matrix(u: np.ndarray) -> np.ndarray:
+    """The block layout ((Re U, Im U), (-Im U, Re U)) of a square complex U."""
+    n = u.shape[0]
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n] = m[n:, n:] = u.real
+    m[:n, n:] = u.imag
+    m[n:, :n] = -u.imag
+    return m
+
+
 def standard_j(n: int) -> np.ndarray:
     """Matrix of the standard skew form on R^{2n}."""
     j = np.zeros((2 * n, 2 * n))
@@ -196,23 +218,13 @@ def letter_matrix(letter, n: int) -> np.ndarray:
     if isinstance(letter, Dilation):
         if letter.n != n:
             raise DimensionMismatch("dilation size does not match word dimension")
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, :n] = letter.l
-        m[n:, n:] = np.linalg.inv(letter.l).T
-        return m
+        return _blkdiag(letter.l, np.linalg.inv(letter.l).T)
     if isinstance(letter, PartialFourier):
         if letter.axes[-1] >= n:
             raise DimensionMismatch("PartialFourier axis beyond dimension")
-        a = np.ones(n)
-        b = np.zeros(n)
-        for ax in letter.axes:
-            a[ax], b[ax] = 0.0, 1.0
-        m = np.zeros((2 * n, 2 * n))
-        m[:n, :n] = np.diag(a)
-        m[:n, n:] = np.diag(b)
-        m[n:, :n] = -np.diag(b)
-        m[n:, n:] = np.diag(a)
-        return m
+        u = np.ones(n, dtype=complex)
+        u[list(letter.axes)] = 1j
+        return _rotation_matrix(np.diag(u))
     raise TypeError(f"unknown letter {letter!r}")
 
 
@@ -353,13 +365,7 @@ def assert_unitary(u: np.ndarray, tol: float = TOL_UNIT, what: str = "matrix") -
 def make_rotation(u) -> SymplecticMatrix:
     """R_U = ((Re U, Im U), (-Im U, Re U)) for unitary U; symplectic and orthogonal."""
     u = assert_unitary(u, what="make_rotation")
-    n = u.shape[0]
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = u.real
-    m[:n, n:] = u.imag
-    m[n:, :n] = -u.imag
-    m[n:, n:] = u.real
-    return SymplecticMatrix(n, m)
+    return SymplecticMatrix(u.shape[0], _rotation_matrix(u))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from .errors import (
 )
 from .symplectic import assert_unitary
 
+TOL_BLK = 1e-8  # block-diagonality of U^t U, relative to ||U^t U||_F
 TOL_RECON = 1e-9
+TOL_REAL = 1e-8  # a real factor's imaginary part, relative to max(1, ||W||_F)
 CLUSTER_TOL = 1e-8
 IMAG_TOL = 1e-10  # |Im sigma| at or below it counts as real
 
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-def block_diag_test(u: np.ndarray, d: int, tol: float = 1e-8):
+def block_diag_test(u: np.ndarray, d: int, tol: float = TOL_BLK):
     """Decide whether U^t U is d x d block-diagonal.
 
     Returns (is_block_diagonal, offdiag_norm) where the decision compares
@@ -106,13 +108,6 @@ class ODOFactorization:
         return (self.w1 * self.sigma) @ self.w2
 
 
-def _realify(w: np.ndarray, what: str, tol: float = 1e-8) -> np.ndarray:
-    imag = np.linalg.norm(w.imag)
-    if imag > tol * max(1.0, np.linalg.norm(w)):
-        raise RealnessFailure(f"{what}: imaginary part {imag:.3e} too large")
-    return np.ascontiguousarray(w.real)
-
-
 def assert_product(a: np.ndarray, b: np.ndarray, m: np.ndarray, what: str):
     """Raise NumericalFailure unless ||A B - M|| <= TOL_RECON max(1, ||M||)."""
     recon = np.linalg.norm(a @ b - m)
@@ -126,7 +121,11 @@ def real_factor(u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
     Such a W is unitary and complex orthogonal, hence real: its imaginary
     part must vanish and W V must reproduce U.
     """
-    w = _realify(u @ v.conj().T, what)
+    w = u @ v.conj().T
+    imag = np.linalg.norm(w.imag)
+    if imag > TOL_REAL * max(1.0, np.linalg.norm(w)):
+        raise RealnessFailure(f"{what}: imaginary part {imag:.3e} too large")
+    w = np.ascontiguousarray(w.real)
     assert_product(w, v, u, what)
     return w
 

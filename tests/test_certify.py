@@ -1,11 +1,14 @@
+import json
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtfr.grid
-from mtfr.errors import GridTooLarge, NotBlockDiagonal, RealMatrix
+from mtfr.errors import GridTooLarge, NotBlockDiagonal, NumericalFailure, RealMatrix
 from mtfr.certify import (
     alt1_tfr_tensor,
     alt2_certificate,
@@ -21,6 +24,7 @@ from mtfr.certify import (
 )
 from mtfr.gaussian import random_gaussian, standard_gaussian
 from mtfr.grid import field_l2, mass_outside, sample_function
+from mtfr.serialize import canonical_json, certificate_from_obj, certificate_to_obj
 from mtfr.symplectic import (
     Chirp,
     GeneratorWord,
@@ -67,6 +71,48 @@ class TestClassify:
             l = random_spd(2, rng)
             left = make_chirp(q) @ make_dilation(l) @ bold
             assert classify(left)[0] == verdict
+
+
+def near_alt1_unitary(d, eps, rng):
+    """U = W diag(V1, V2) e^{i eps H}: W Haar orthogonal, Vj Haar unitary,
+    H real symmetric with only off-diagonal d x d blocks."""
+    v = np.zeros((2 * d, 2 * d), dtype=complex)
+    v[:d, :d], v[d:, d:] = haar_unitary(d, rng), haar_unitary(d, rng)
+    h = np.zeros((2 * d, 2 * d))
+    h[:d, d:] = rng.normal(size=(d, d))
+    h[d:, :d] = h[:d, d:].T
+    lam, q = np.linalg.eigh(h)
+    return haar_orthogonal(2 * d, rng) @ v @ ((q * np.exp(1j * eps * lam)) @ q.T)
+
+
+class TestClassificationBoundary:
+    """The one block-diagonality tolerance against the gates of the split.
+
+    Near Alternative I, an input the tolerance sends to Alternative I must
+    pass alt1_decompose's realness and reconstruction gates, and one it
+    sends to Alternative II must pass the rank and dilation guards, or
+    certify refuses it with NumericalFailure.  No other error may escape,
+    and every certificate must read back from its canonical JSON.
+    """
+
+    @given(
+        d=st.integers(1, 3),
+        log_eps=st.floats(-11.0, -4.0),
+        front=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_or_numerical_failure(self, d, log_eps, front, seed):
+        rng = np.random.default_rng(seed)
+        bold = make_rotation(near_alt1_unitary(d, 10.0**log_eps, rng))
+        if front:
+            bold = random_symplectic(2 * d, 4, seed=int(rng.integers(2**31))) @ bold
+        try:
+            cert = certify(bold)
+        except NumericalFailure:
+            return
+        back = certificate_from_obj(json.loads(canonical_json(certificate_to_obj(cert))))
+        assert (back.alternative, back.d, back.warnings) == (cert.alternative, d, cert.warnings)
 
 
 class TestAlt1Decompose:

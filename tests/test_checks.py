@@ -27,7 +27,7 @@ from mtfr.gaussian import (
     apply_partial_fourier,
     apply_symplectic,
     l1_norm,
-    modulus,
+    log_modulus,
     partial_stft_point,
     random_gaussian,
     standard_gaussian,
@@ -102,8 +102,8 @@ class TestBeurlingSweep:
     def test_unit_weight_gives_l1(self, rng):
         # M = 0, N = 0: the weight is 1, so the sweep integrates |g|
         g = random_gaussian(2, rng)
-        rep = beurling_sweep(lambda pts: modulus(g, pts), np.zeros((2, 2)), 0.0, (7.9,),
-                             resolution=512)
+        rep = beurling_sweep(lambda pts: np.exp(log_modulus(g, pts)), np.zeros((2, 2)), 0.0,
+                             (7.9,), resolution=512)
         assert rep.sweep[0][1] == pytest.approx(l1_norm(g), rel=1e-6)
         assert rep.ratios == () and rep.verdict == "inconclusive"
 

@@ -36,7 +36,7 @@ def j_matrix(tmp_path):
 @pytest.fixture
 def alt1_matrix(tmp_path):
     path = tmp_path / "riI2.json"
-    path.write_text(canonical_json(matrix_to_obj(make_rotation(1j * np.eye(2)))))
+    path.write_text(canonical_json(matrix_to_obj(make_rotation(1j * np.eye(2)).entries)))
     return str(path)
 
 
@@ -44,7 +44,7 @@ def alt1_matrix(tmp_path):
 def alt2_matrix(tmp_path):
     u = (1.0 / np.sqrt(2.0)) * np.array([[1.0, 1j], [1j, 1.0]])
     path = tmp_path / "alt2.json"
-    path.write_text(canonical_json(matrix_to_obj(make_rotation(u))))
+    path.write_text(canonical_json(matrix_to_obj(make_rotation(u).entries)))
     return str(path)
 
 
@@ -110,16 +110,20 @@ class TestClassify:
         assert main(["classify", j_matrix]) == 2
 
     def test_certification_assertion_exit_3(self, tmp_path, capsys):
-        # a generic Alternative I matrix: at tol-blk 1e-20 the rounding-level
-        # off-diagonal block counts as Alternative II, and its rank is zero
+        # a generic Alternative I matrix U certifies; U e^{i eps sigma_x},
+        # eps = 1e-8, is Alternative II, but its one singular value of P12
+        # is below the dilation tolerance, so certify refuses it
         c, s = np.cos(0.7), np.sin(0.7)
         u = np.array([[c, -s], [s, c]]) * np.exp(1j * np.array([1.3, 1.9]))
-        path = tmp_path / "alt1_generic.json"
-        path.write_text(canonical_json(matrix_to_obj(make_rotation(u))))
-        assert main(["classify", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["classify", str(path), "--tol-blk", "1e-20"]) == 3
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        eps = 1e-8
+        nudge = np.cos(eps) * np.eye(2) + 1j * np.sin(eps) * np.array([[0.0, 1.0], [1.0, 0.0]])
+        for name, rotation, code in (("alt1_generic", u, 0), ("borderline", u @ nudge, 3)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(canonical_json(matrix_to_obj(make_rotation(rotation).entries)))
+            capsys.readouterr()
+            assert main(["classify", str(path)]) == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("assertion failed: borderline input: retained singular value")
 
     def test_deterministic_bytes(self, alt1_matrix, alt2_matrix, tmp_path, capsys):
         runs = []
@@ -394,6 +398,18 @@ class TestMalformedInput:
         "v1_off": ("alt1_cert", ("V1",),
                    {"n": 1, "re": [[float(np.cos(0.7))]], "im": [[float(np.sin(0.7))]]}),
         "w_off": ("alt1_cert", ("W",), {"n": 1, "rows": [[0.0, 1.0], [1.0, 0.0]]}),
+        # fields that must be read as they are, not coerced: d, k and the
+        # axes are JSON integers, warnings a list of strings, the sign a tag
+        "d_float": ("alt2_cert", ("d",), 1.5),
+        "d_string": ("alt2_cert", ("d",), "1"),
+        "d_bool": ("alt2_cert", ("d",), True),
+        "k_float": ("alt2_cert", ("k",), 1.7),
+        "k_string": ("alt2_cert", ("k",), "1"),
+        "k_bool": ("alt2_cert", ("k",), True),
+        "warnings_string": ("alt2_cert", ("warnings",), "abc"),
+        "chirp_sign_int": ("alt2_cert", ("intermediates", "chirp_sign"), 5),
+        # word_B starts with the Fourier letter on axis 0
+        "axes_string": ("alt2_cert", ("word_B", 0, "axes"), "0"),
     }
 
     @pytest.fixture
@@ -427,6 +443,7 @@ class TestMalformedInput:
             paths[name] = str(tmp_path / f"{name}.json")
         assert main(["classify", alt2_matrix, "--out", str(tmp_path / "c2")]) == 0
         paths["alt2_cert"] = str(tmp_path / "c2" / "certificate.json")
+        paths["alt2_matrix"] = alt2_matrix
         assert main(["classify", alt1_matrix, "--out", str(tmp_path / "c1")]) == 0
         paths["alt1_cert"] = str(tmp_path / "c1" / "certificate.json")
         for name, (base, keys, value) in self.CERT_EDITS.items():
@@ -490,6 +507,17 @@ class TestMalformedInput:
             ["verify", "{alt2_cert}", "--points", "10000000000000000"],
             ["check", "nazarov", "--constant", "-1"],
             ["check", "nazarov", "--constant", "0"],
+            ["verify", "{d_float}"],
+            ["verify", "{d_string}"],
+            ["verify", "{d_bool}"],
+            ["verify", "{k_float}"],
+            ["verify", "{k_string}"],
+            ["verify", "{k_bool}"],
+            ["verify", "{warnings_string}"],
+            ["verify", "{chirp_sign_int}"],
+            ["verify", "{axes_string}"],
+            # the block-diagonality tolerance is fixed: classify has no flag for it
+            ["classify", "{alt2_matrix}", "--tol-blk", "1e-8"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -502,7 +530,10 @@ class TestMalformedInput:
              "omega-3x3", "omega-zero", "cx-w-3x3", "cx-l-1x1", "cx-empty-v1",
              "cx-l-off-bold", "verify-l-off-bold", "cx-v1-off-u", "cx-w-off-u",
              "beurling-resolution-too-large", "gs-resolution-too-large",
-             "verify-points-too-large", "nazarov-negative-constant", "nazarov-zero-constant"],
+             "verify-points-too-large", "nazarov-negative-constant", "nazarov-zero-constant",
+             "cert-d-float", "cert-d-string", "cert-d-bool", "cert-k-float", "cert-k-string",
+             "cert-k-bool", "cert-warnings-string", "cert-chirp-sign-int",
+             "cert-axes-string", "classify-tol-blk"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])

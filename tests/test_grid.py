@@ -18,7 +18,6 @@ from mtfr.gaussian import (
     apply_word,
     conjugate,
     log_l2_norm,
-    modulus,
     partial_stft_point,
     random_gaussian,
     standard_gaussian,

@@ -139,7 +139,7 @@ def test_canonical_json_17_digits():
 
 def test_matrix_round_trip(rng):
     m = random_symplectic(2, 5, seed=4)
-    obj = matrix_to_obj(m)
+    obj = matrix_to_obj(m.entries)
     back = matrix_from_obj(json.loads(canonical_json(obj)))
     np.testing.assert_array_equal(back, m.entries)
 
