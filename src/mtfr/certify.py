@@ -46,6 +46,7 @@ from .gaussian import (
 )
 from .grid import SampledField, apply_word_grid, sample_function, tfr_grid
 from .symplectic import (
+    TOL_DERIVED,
     TOL_INV,
     Chirp,
     Dilation,
@@ -171,6 +172,17 @@ def _pi_permutation(d: int, k: int) -> np.ndarray:
     return np.eye(2 * d)[np.r_[d : d + k, k:d, :k, d + k : 2 * d]]
 
 
+def _alt2_omega(l, b_tau, w1, w2, gamma1, pi) -> np.ndarray:
+    """Omega = L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi, the reduction's coordinates."""
+    return (
+        l
+        @ b_tau
+        @ _blkdiag(w1, w2)
+        @ _blkdiag(np.diag(gamma1), np.eye(len(pi) - len(gamma1)))
+        @ pi
+    )
+
+
 def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     """Full Alternative II certificate via the free-factorization pipeline.
 
@@ -199,7 +211,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     tau = select_tau_balanced(pre.u)
     tau_u = tau * pre.u
     b_tau = tau_u.imag
-    p = _symmetrize_checked(np.linalg.solve(b_tau, tau_u.real), 1e-8, "P = B^-1 A")
+    p = _symmetrize_checked(np.linalg.solve(b_tau, tau_u.real), TOL_DERIVED, "P = B^-1 A")
     w1, svals, w2t = np.linalg.svd(p[:d, d:])
     if svals[0] <= 1e-12:
         raise RankZero("P12 vanished although U^t U is not block-diagonal")
@@ -214,13 +226,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
         )
     w2 = w2t.T
     pi = _pi_permutation(d, k)
-    omega = (
-        pre.l
-        @ b_tau
-        @ _blkdiag(w1, w2)
-        @ _blkdiag(np.diag(gamma1), np.eye(2 * d - k))
-        @ pi
-    )
+    omega = _alt2_omega(pre.l, b_tau, w1, w2, gamma1, pi)
 
     word_a = GeneratorWord(d, (
         Dilation(_blkdiag(np.diag(gamma1), np.eye(d - k))),

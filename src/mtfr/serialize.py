@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .certify import AltIData, AltIIData, Certificate
+from .certify import AltIData, AltIIData, Certificate, _alt2_omega, _pi_permutation
 from .errors import DimensionMismatch, GridTooLarge, MtfrError, Singular
 from .grid import MAX_ELEMENTS, SampledField
 from .gaussian import GeneralizedGaussian
@@ -142,20 +142,28 @@ def matrix_to_obj(m) -> dict:
     return {"n": n, "rows": [list(map(float, r)) for r in m]}
 
 
-def _finite(values, what: str):
-    """values itself when every entry is finite; otherwise `MtfrError`."""
-    if not np.isfinite(values).all():
-        raise MtfrError(f"{what} entries must be finite")
-    return values
+def _numbers(value, shape, what: str) -> np.ndarray:
+    """The JSON numbers in value, nested in exactly the given shape, as floats;
+    any other nesting, or an entry that is not a number (a bool, a string, null,
+    a list) or not finite as a float (a huge integer too), raises `MtfrError`."""
+    items = np.array(value, dtype=object)
+    if items.shape != shape:
+        raise DimensionMismatch(f"{what} has shape {items.shape}, need {shape}")
+    if any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, items.flat))):
+        raise MtfrError(f"{what} entries must be JSON numbers")
+    with contextlib.suppress(OverflowError):  # an integer beyond the float range
+        values = items.astype(float)
+        if np.isfinite(values).all():
+            return values
+    raise MtfrError(f"{what} entries must be finite")
 
 
-def matrix_from_obj(obj) -> np.ndarray:
-    """Square real matrix; malformed or non-finite input raises `MtfrError`."""
-    with _malformed("matrix"):
-        rows = np.asarray(obj["rows"], dtype=float)
-    if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-        raise DimensionMismatch("matrix rows must be square")
-    return _finite(rows, "matrix")
+def matrix_from_obj(obj, shape=None, what="matrix") -> np.ndarray:
+    """Real matrix in the given shape (square when None); bad input raises `MtfrError`."""
+    with _malformed(what):
+        rows = obj["rows"]
+        shape = shape or (len(rows),) * 2
+    return _numbers(rows, shape, what)
 
 
 def complex_matrix_to_obj(m) -> dict:
@@ -167,11 +175,12 @@ def complex_matrix_to_obj(m) -> dict:
     }
 
 
-def complex_matrix_from_obj(obj) -> np.ndarray:
-    """Complex matrix from its parts; malformed or non-finite input raises `MtfrError`."""
-    with _malformed("complex matrix"):
-        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return _finite(m, "complex matrix")
+def complex_matrix_from_obj(obj, shape=None, what="complex matrix") -> np.ndarray:
+    """Complex matrix in the given shape (square when None); bad input raises `MtfrError`."""
+    with _malformed(what):
+        re, im = obj["re"], obj["im"]
+        shape = shape or (len(re),) * 2
+    return _numbers(re, shape, what) + 1j * _numbers(im, shape, what)
 
 
 def word_to_obj(word: GeneratorWord) -> list:
@@ -198,11 +207,14 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
     for item in obj:
         kind = item["kind"]
         if kind == "chirp":
-            letters.append(Chirp(np.asarray(item["q"], dtype=float)))
+            letters.append(Chirp(_numbers(item["q"], (n, n), "chirp")))
         elif kind == "dilation":
-            letters.append(Dilation(np.asarray(item["l"], dtype=float)))
+            letters.append(Dilation(_numbers(item["l"], (n, n), "dilation")))
         elif kind == "pfourier":
-            letters.append(PartialFourier(tuple(_json_int(a, "axis") for a in item["axes"])))
+            axes = tuple(_json_int(a, "axis") for a in item["axes"])
+            if not all(0 <= a < n for a in axes):
+                raise DimensionMismatch(f"Fourier axes must lie in [0, {n}), got {axes}")
+            letters.append(PartialFourier(axes))
         else:
             raise DimensionMismatch(f"unknown letter kind {kind!r}")
     return GeneratorWord(n, tuple(letters))
@@ -220,16 +232,12 @@ def gaussian_to_obj(g: GeneralizedGaussian) -> dict:
 
 
 def gaussian_from_obj(obj) -> GeneralizedGaussian:
-    """Inverse of `gaussian_to_obj`; malformed or non-finite input raises `MtfrError`.
-
-    The constructor rejects non-finite entries; an infinite imaginary part
-    turns into a nan real part on the way there, silently.
-    """
-    with _malformed("Gaussian"), np.errstate(invalid="ignore"):
-        m_re, m_im, b_re, b_im = (
-            np.asarray(obj[key], dtype=float) for key in ("M_re", "M_im", "b_re", "b_im")
-        )
-        return GeneralizedGaussian(m_re + 1j * m_im, b_re + 1j * b_im, float(obj["logamp"]))
+    """Inverse of `gaussian_to_obj`; parts that do not fit the integer n raise `MtfrError`."""
+    with _malformed("Gaussian"):
+        n = _json_int(obj["n"], "n")
+        m = _numbers(obj["M_re"], (n, n), "M_re") + 1j * _numbers(obj["M_im"], (n, n), "M_im")
+        b = _numbers(obj["b_re"], (n,), "b_re") + 1j * _numbers(obj["b_im"], (n,), "b_im")
+        return GeneralizedGaussian(m, b, _numbers(obj["logamp"], (), "logamp"))
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +289,24 @@ def certificate_to_obj(cert) -> dict:
     return obj
 
 
-def _shaped(values, shape: tuple, what: str):
-    """values itself when it has the given shape; otherwise `DimensionMismatch`."""
-    if values.shape != shape:
-        raise DimensionMismatch(f"{what} has shape {values.shape}, need {shape}")
-    return values
+def _assert_rebuilds(product, target, what: str):
+    """`MtfrError` unless ||product - target||_F <= TOL_RECON max(1, ||target||_F)."""
+    defect = np.linalg.norm(product - target)
+    if not defect <= TOL_RECON * max(1.0, np.linalg.norm(target)):
+        raise MtfrError(f"{what} by {defect:.3e}")
 
 
 def certificate_from_obj(obj) -> Certificate:
     """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`.
 
-    d, k and every Fourier axis must be JSON integers, warnings a list of
-    strings and the chirp sign -P22 or +P22 (-P22 when absent).  Every
-    number must be finite, every block must have its shape for the
-    certificate's d (Gamma1 has k entries, 1 <= k <= d), Omega must be
-    invertible, and word_bold and the pre-Iwasawa factors must each
-    reproduce bold_matrix within TOL_RECON, the factorizations'
-    reconstruction gate.  An Alternative I certificate's V1 and V2 must be
-    unitary with W diag(V1, V2) = U, the split's residual gate.
+    Every number is a finite JSON number (offdiag_norm >= 0) and d, k and
+    the Fourier axes are JSON integers; warnings is a list of strings and
+    the chirp sign -P22 or +P22 (-P22 when absent).  Every block has its
+    shape for d (Gamma1 has k entries, 1 <= k <= d) and Omega is invertible.
+    Within TOL_RECON, word_bold and the pre-Iwasawa factors rebuild
+    bold_matrix, W diag(V1, V2) with V1, V2 unitary rebuilds U, and
+    L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi rebuilds Omega, with Pi the
+    block permutation for (d, k) and Im(tau U) P = Re(tau U).
     """
     with _malformed("certificate"):
         inter = obj["intermediates"]
@@ -306,62 +314,69 @@ def certificate_from_obj(obj) -> Certificate:
         warnings = obj.get("warnings", [])
         if type(warnings) is not list or not all(type(w) is str for w in warnings):
             raise MtfrError(f"warnings must be a list of strings, got {warnings!r}")
+        offdiag_norm = _numbers(obj["offdiag_norm"], (), "offdiag_norm").item()
+        if offdiag_norm < 0.0:
+            raise MtfrError(f"offdiag_norm must be >= 0, got {offdiag_norm}")
         full, half = (2 * d, 2 * d), (d, d)
+        factors = inter["pre_iwasawa"]
+        pre = PreIwasawa(
+            matrix_from_obj(factors["Q"], full, "Q"),
+            matrix_from_obj(factors["L"], full, "L"),
+            complex_matrix_from_obj(factors["U"], full, "U"),
+        )
+        bold = matrix_from_obj(inter["bold_matrix"], (4 * d, 4 * d), "bold_matrix")
+        bold = SymplecticMatrix.from_array(bold)
+        word_bold = word_from_obj(2 * d, inter["word_bold"])
+        _assert_rebuilds(word_bold.matrix(), bold.entries, "word_bold is off bold_matrix")
+        _assert_rebuilds(pre.reconstruct(), bold.entries, "pre_iwasawa is off bold_matrix")
         alternative = obj["alternative"]
         alt1 = alt2 = None
         if alternative == "I":
             alt1 = AltIData(
-                w=_shaped(matrix_from_obj(obj["W"]), full, "W"),
-                v1=_shaped(complex_matrix_from_obj(obj["V1"]), half, "V1"),
-                v2=_shaped(complex_matrix_from_obj(obj["V2"]), half, "V2"),
+                w=matrix_from_obj(obj["W"], full, "W"),
+                v1=complex_matrix_from_obj(obj["V1"], half, "V1"),
+                v2=complex_matrix_from_obj(obj["V2"], half, "V2"),
             )
+            v = _blkdiag(assert_unitary(alt1.v1, what="V1"), assert_unitary(alt1.v2, what="V2"))
+            assert_product(alt1.w, v, pre.u, "W diag(V1, V2) = U")
         elif alternative == "II":
             k = _json_int(obj["k"], "k")
             if not 1 <= k <= d:
                 raise DimensionMismatch(f"need 1 <= k <= d, got k = {k}, d = {d}")
-            omega = _shaped(matrix_from_obj(obj["Omega"]), full, "Omega")
+            omega = matrix_from_obj(obj["Omega"], full, "Omega")
             if np.linalg.slogdet(omega)[0] == 0.0:
                 raise Singular("Omega is singular")
-            gamma1 = _finite(np.asarray(inter["Gamma1"], dtype=float), "Gamma1")
             chirp_sign = inter.get("chirp_sign", "-P22")
             if chirp_sign not in ("-P22", "+P22"):
                 raise MtfrError(f"chirp_sign must be -P22 or +P22, got {chirp_sign!r}")
             alt2 = AltIIData(
-                tau=_finite(complex(obj["tau"]["re"], obj["tau"]["im"]), "tau"),
+                tau=complex(*_numbers([obj["tau"]["re"], obj["tau"]["im"]], (2,), "tau")),
                 k=k,
-                p=_shaped(matrix_from_obj(inter["P"]), full, "P"),
-                w1=_shaped(matrix_from_obj(inter["W1"]), half, "W1"),
-                gamma1=_shaped(gamma1, (k,), "Gamma1"),
-                w2=_shaped(matrix_from_obj(inter["W2"]), half, "W2"),
-                pi=_shaped(matrix_from_obj(inter["Pi"]), full, "Pi"),
+                p=matrix_from_obj(inter["P"], full, "P"),
+                w1=matrix_from_obj(inter["W1"], half, "W1"),
+                gamma1=_numbers(inter["Gamma1"], (k,), "Gamma1"),
+                w2=matrix_from_obj(inter["W2"], half, "W2"),
+                pi=matrix_from_obj(inter["Pi"], full, "Pi"),
                 omega=omega,
                 word_a=word_from_obj(d, obj["word_A"]),
                 word_b=word_from_obj(d, obj["word_B"]),
                 chirp_sign=chirp_sign,
             )
+            if not np.array_equal(alt2.pi, _pi_permutation(d, k)):
+                raise MtfrError(f"Pi is not the block permutation for d = {d}, k = {k}")
+            tau_u = alt2.tau * pre.u
+            _assert_rebuilds(
+                _alt2_omega(pre.l, tau_u.imag, alt2.w1, alt2.w2, alt2.gamma1, alt2.pi),
+                omega,
+                "L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi is off Omega",
+            )
+            assert_product(tau_u.imag, alt2.p, tau_u.real, "Im(tau U) P = Re(tau U)")
         else:
             raise MtfrError(f"unknown certificate alternative {alternative!r}")
-        factors = inter["pre_iwasawa"]
-        pre = PreIwasawa(
-            _shaped(matrix_from_obj(factors["Q"]), full, "Q"),
-            _shaped(matrix_from_obj(factors["L"]), full, "L"),
-            _shaped(complex_matrix_from_obj(factors["U"]), full, "U"),
-        )
-        bold = matrix_from_obj(inter["bold_matrix"])
-        bold = SymplecticMatrix.from_array(_shaped(bold, (4 * d, 4 * d), "bold_matrix"))
-        word_bold = word_from_obj(2 * d, inter["word_bold"])
-        gate = TOL_RECON * max(1.0, np.linalg.norm(bold.entries))
-        for what, product in (("word_bold", word_bold.matrix), ("pre_iwasawa", pre.reconstruct)):
-            defect = np.linalg.norm(product() - bold.entries)
-            if not defect <= gate:
-                raise MtfrError(f"{what} is off bold_matrix by {defect:.3e}")
-        if alt1 is not None:
-            v = _blkdiag(assert_unitary(alt1.v1, what="V1"), assert_unitary(alt1.v2, what="V2"))
-            assert_product(alt1.w, v, pre.u, "W diag(V1, V2) = U")
         return Certificate(
             alternative=alternative,
             d=d,
-            offdiag_norm=_finite(float(obj["offdiag_norm"]), "offdiag_norm"),
+            offdiag_norm=offdiag_norm,
             pre=pre,
             bold=bold,
             word_bold=word_bold,

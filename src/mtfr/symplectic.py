@@ -34,6 +34,7 @@ TOL_SYMPL = 1e-10
 TOL_SYM = 1e-12
 TOL_UNIT = 1e-10
 TOL_INV = 1e-8
+TOL_DERIVED = 1e-8  # symmetry or unitarity of a factor computed from checked input
 
 __all__ = [
     "Chirp",
@@ -414,7 +415,7 @@ def pre_iwasawa(m: SymplecticMatrix) -> PreIwasawa:
     q = np.linalg.solve(s.T, (c @ a.T + d @ b.T).T).T
     q = 0.5 * (q + q.T)
     u = np.linalg.solve(l, a + 1j * b)
-    u = assert_unitary(u, tol=1e-8, what="pre_iwasawa U factor")
+    u = assert_unitary(u, tol=TOL_DERIVED, what="pre_iwasawa U factor")
     return PreIwasawa(q, l, u)
 
 
@@ -436,8 +437,8 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
         raise NotFree(f"Im U has smallest singular value {smin:.3e}")
     q_left = np.linalg.solve(b.T, a.T).T  # A B^{-1}
     q_right = np.linalg.solve(b, a)  # B^{-1} A
-    q_left = _symmetrize_checked(q_left, 1e-8, "free_factorize A B^-1")
-    q_right = _symmetrize_checked(q_right, 1e-8, "free_factorize B^-1 A")
+    q_left = _symmetrize_checked(q_left, TOL_DERIVED, "free_factorize A B^-1")
+    q_right = _symmetrize_checked(q_right, TOL_DERIVED, "free_factorize B^-1 A")
     letters = (
         Chirp(q_left),
         Dilation(b),

@@ -22,7 +22,7 @@ from .errors import (
     RealnessFailure,
     TrailingNotReal,
 )
-from .symplectic import assert_unitary
+from .symplectic import TOL_DERIVED, assert_unitary
 
 TOL_BLK = 1e-8  # block-diagonality of U^t U, relative to ||U^t U||_F
 TOL_RECON = 1e-9
@@ -187,13 +187,13 @@ def sort_by_imag(sigma) -> SortedDiagonal:
     """
     sigma = np.asarray(sigma, dtype=complex)
     n = sigma.size
-    if np.any(np.abs(np.abs(sigma) - 1.0) > 1e-8):
+    if np.any(np.abs(np.abs(sigma) - 1.0) > TOL_DERIVED):
         raise NotUnitary("diagonal entries are not unit modulus")
     signs = np.ones(n)
     flipped = sigma.copy()
     for j in range(n):
         if abs(sigma[j].imag) <= IMAG_TOL:
-            if abs(abs(sigma[j].real) - 1.0) > 1e-8:
+            if abs(abs(sigma[j].real) - 1.0) > TOL_DERIVED:
                 raise TrailingNotReal(f"entry {sigma[j]} has zero Im but |Re| != 1")
             if sigma[j].real < 0:
                 signs[j] = -1.0

@@ -164,7 +164,16 @@ class TestVerify:
     def test_corrupted_omega_fails(self, alt2_matrix, tmp_path, capsys):
         cert_path = self._cert(alt2_matrix, tmp_path)
         obj = json.loads(open(cert_path).read())
-        obj["Omega"]["rows"][0][0] += 1e-2
+        # Omega and Gamma1 scaled together, so that Omega still matches the
+        # intermediates on read (an Omega edited alone exits 2, see
+        # TestMalformedInput): the identity, through word_A, must fail
+        inter = obj["intermediates"]
+        pi = np.array(inter["Pi"]["rows"], dtype=float)
+        scale = np.ones(len(pi))
+        scale[0] = 1.01
+        inter["Gamma1"][0] *= scale[0]
+        omega = np.array(obj["Omega"]["rows"], dtype=float) @ pi.T @ np.diag(scale) @ pi
+        obj["Omega"]["rows"] = omega.tolist()
         bad = tmp_path / "bad_cert.json"
         bad.write_text(canonical_json(obj))
         capsys.readouterr()
@@ -373,6 +382,21 @@ class TestMalformedInput:
         "gauss_npd": '{"n": 1, "M_re": [[-1]], ' + GAUSSIAN_1 + "}",
         "gauss_d2": '{"n": 2, "M_re": [[1, 0], [0, 1]], "M_im": [[0, 0], [0, 0]], '
                     '"b_re": [0, 0], "b_im": [0, 0], "logamp": 0}',
+        # every number is a JSON number in its part's shape, never coerced or broadcast
+        "gauss_m_im_scalar": '{"n": 1, "M_re": [[1]], "M_im": 0.3, "b_re": [0], "b_im": [0], '
+                             '"logamp": 0}',
+        "gauss_b_im_scalar": '{"n": 1, "M_re": [[1]], "M_im": [[0]], "b_re": [0], "b_im": 0.2, '
+                             '"logamp": 0}',
+        "gauss_n_7": '{"n": 7, "M_re": [[1]], ' + GAUSSIAN_1 + "}",
+        "gauss_logamp_string": '{"n": 1, "M_re": [[1]], "M_im": [[0]], "b_re": [0], '
+                               '"b_im": [0], "logamp": "0.5"}',
+        "gauss_logamp_bool": '{"n": 1, "M_re": [[1]], "M_im": [[0]], "b_re": [0], '
+                             '"b_im": [0], "logamp": true}',
+        "gauss_m_re_string": '{"n": 1, "M_re": [["1.0"]], ' + GAUSSIAN_1 + "}",
+        "gauss_logamp_huge": '{"n": 1, "M_re": [[1]], "M_im": [[0]], "b_re": [0], '
+                             '"b_im": [0], "logamp": 1' + "0" * 400 + "}",
+        "huge_int_matrix": '{"n": 1, "rows": [[1' + "0" * 400 + ", 0], [0, 1]]}",
+        "deep_array": "[" * 100000 + "]" * 100000,
     }
 
     # (honest certificate, key path into it, new value); both have d = 1
@@ -410,6 +434,21 @@ class TestMalformedInput:
         "chirp_sign_int": ("alt2_cert", ("intermediates", "chirp_sign"), 5),
         # word_B starts with the Fourier letter on axis 0
         "axes_string": ("alt2_cert", ("word_B", 0, "axes"), "0"),
+        # every number is a finite JSON number; the honest tau, Gamma1 and
+        # word_A's first dilation all read 1, so true would pass as 1
+        "offdiag_string": ("alt2_cert", ("offdiag_norm",), "0.5"),
+        "offdiag_bool": ("alt2_cert", ("offdiag_norm",), True),
+        "offdiag_negative": ("alt2_cert", ("offdiag_norm",), -3.0),
+        "offdiag_huge": ("alt2_cert", ("offdiag_norm",), 10**400),
+        "gamma1_bool": ("alt2_cert", ("intermediates", "Gamma1"), [True]),
+        "gamma1_huge": ("alt2_cert", ("intermediates", "Gamma1"), [10**400]),
+        "tau_bool": ("alt2_cert", ("tau", "re"), True),
+        "omega_string": ("alt2_cert", ("Omega", "rows", 0, 0), "0.7071067811865475"),
+        "word_a_bool": ("alt2_cert", ("word_A", 0, "l"), [[True]]),
+        # Alternative II intermediates off the words and Omega they produce
+        "p_edited": ("alt2_cert", ("intermediates", "P", "rows", 0, 0), 123),
+        "w1_edited": ("alt2_cert", ("intermediates", "W1", "rows", 0, 0), 123),
+        "omega_off_factors": ("alt2_cert", ("Omega", "rows", 0, 0), 0.7171067811865475),
     }
 
     @pytest.fixture
@@ -518,6 +557,28 @@ class TestMalformedInput:
             ["verify", "{axes_string}"],
             # the block-diagonality tolerance is fixed: classify has no flag for it
             ["classify", "{alt2_matrix}", "--tol-blk", "1e-8"],
+            ["verify", "{offdiag_string}"],
+            ["verify", "{offdiag_bool}"],
+            ["verify", "{offdiag_negative}"],
+            ["verify", "{offdiag_huge}"],
+            ["verify", "{gamma1_bool}"],
+            ["verify", "{gamma1_huge}"],
+            ["verify", "{tau_bool}"],
+            ["verify", "{omega_string}"],
+            ["verify", "{word_a_bool}"],
+            ["verify", "{p_edited}"],
+            ["verify", "{w1_edited}"],
+            ["verify", "{omega_off_factors}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_m_im_scalar}", "{gauss_m_im_scalar}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_b_im_scalar}", "{gauss_b_im_scalar}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_n_7}", "{gauss_n_7}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_logamp_string}",
+             "{gauss_logamp_string}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_logamp_bool}", "{gauss_logamp_bool}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_m_re_string}", "{gauss_m_re_string}"],
+            ["verify", "{alt2_cert}", "--gaussians", "{gauss_logamp_huge}", "{gauss_logamp_huge}"],
+            ["factor", "{huge_int_matrix}"],
+            ["factor", "{deep_array}"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -533,7 +594,14 @@ class TestMalformedInput:
              "verify-points-too-large", "nazarov-negative-constant", "nazarov-zero-constant",
              "cert-d-float", "cert-d-string", "cert-d-bool", "cert-k-float", "cert-k-string",
              "cert-k-bool", "cert-warnings-string", "cert-chirp-sign-int",
-             "cert-axes-string", "classify-tol-blk"],
+             "cert-axes-string", "classify-tol-blk",
+             "cert-offdiag-string", "cert-offdiag-bool", "cert-offdiag-negative",
+             "cert-offdiag-huge-int", "cert-gamma1-bool", "cert-gamma1-huge-int",
+             "cert-tau-bool", "cert-omega-string", "cert-word-a-bool", "cert-p-edited",
+             "cert-w1-edited", "cert-omega-off-factors", "gaussian-m-im-scalar",
+             "gaussian-b-im-scalar", "gaussian-n-mismatch", "gaussian-logamp-string",
+             "gaussian-logamp-bool", "gaussian-m-re-string", "gaussian-logamp-huge-int",
+             "factor-huge-int", "factor-deep-array"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import stat
@@ -232,13 +233,8 @@ def _assert_same_values(a, b):
         np.testing.assert_array_equal(a, b)
 
 
-@given(
-    d=st.integers(1, 3),
-    alternative=st.sampled_from(["I", "II"]),
-    seed=st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_certificate_round_trip_is_exact(d, alternative, seed):
+def _random_certificate(d, alternative, seed):
+    """An honest certificate of a random matrix of the given alternative."""
     rng = np.random.default_rng(seed)
     word_m = random_symplectic(2 * d, 4, seed=seed)
     if alternative == "II":
@@ -251,8 +247,62 @@ def test_certificate_round_trip_is_exact(d, alternative, seed):
         bold = make_chirp(pre.q) @ make_dilation(pre.l) @ make_rotation(u)
     cert = certify(bold)
     assert cert.alternative == alternative
+    return cert
+
+
+@given(
+    d=st.integers(1, 3),
+    alternative=st.sampled_from(["I", "II"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_certificate_round_trip_is_exact(d, alternative, seed):
+    cert = _random_certificate(d, alternative, seed)
     back = certificate_from_obj(json.loads(canonical_json(certificate_to_obj(cert))))
     _assert_same_values(back, cert)
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_text(d, alternative, seed):
+    return canonical_json(certificate_to_obj(_random_certificate(d, alternative, seed)))
+
+
+def _number_paths(obj, path=()):
+    """Key paths to the number leaves of a certificate object, except the
+    informational "n" of a matrix and omega_condition."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            if key == "omega_condition" or (key == "n" and ("rows" in obj or "re" in obj)):
+                continue
+            yield from _number_paths(val, (*path, key))
+    elif isinstance(obj, list):
+        for i, val in enumerate(obj):
+            yield from _number_paths(val, (*path, i))
+    elif type(obj) in (int, float):
+        yield path
+
+
+@given(
+    d=st.integers(1, 3),
+    alternative=st.sampled_from(["I", "II"]),
+    seed=st.integers(0, 2),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_single_leaf_corruption_is_refused(d, alternative, seed, data):
+    # one number of an honest certificate replaced by a non-number or an
+    # integer beyond the float range: refused with MtfrError, never another error
+    obj = json.loads(_certificate_text(d, alternative, seed))
+    path = data.draw(st.sampled_from(list(_number_paths(obj))), label="path")
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    leaf = inner[path[-1]]
+    inner[path[-1]] = data.draw(
+        st.sampled_from([str(leaf), True, None, [leaf], 10**400]), label="value"
+    )
+    with pytest.raises(MtfrError):
+        certificate_from_obj(obj)
 
 
 @pytest.mark.parametrize(
@@ -339,9 +389,18 @@ def _phase(theta):
         ("I", ("W",), _rows([[0.0, 1.0], [1.0, 0.0]]),
          r"W diag\(V1, V2\) = U reconstruction residual"),
         ("I", ("V1",), {"n": 1, "re": [[2.0]], "im": [[0.0]]}, "V1: unitarity defect"),
+        # Alternative II: Pi is the block permutation, and the intermediates
+        # rebuild Omega = L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi and
+        # Re(tau U) = Im(tau U) P
+        ("II", ("intermediates", "P"), _rows([[123.0, 1.0], [1.0, 0.0]]),
+         r"Im\(tau U\) P = Re\(tau U\) reconstruction residual"),
+        ("II", ("intermediates", "W1"), _rows([[-1.0]]), "Pi is off Omega"),
+        ("II", ("intermediates", "Gamma1"), [2.0], "Pi is off Omega"),
+        ("II", ("tau",), {"re": 0.0, "im": 1.0}, "Pi is off Omega"),
+        ("II", ("intermediates", "Pi"), _rows(np.eye(2)), "Pi is not the block permutation"),
     ],
     ids=["alt1-l", "alt2-l", "alt1-q", "alt2-u", "alt1-v1", "alt1-v2", "alt1-w",
-         "alt1-v1-not-unitary"],
+         "alt1-v1-not-unitary", "alt2-p", "alt2-w1", "alt2-gamma1", "alt2-tau", "alt2-pi"],
 )
 def test_certificate_factors_checked_against_bold(alternative, keys, value, match):
     with pytest.raises(MtfrError, match=match):
