@@ -7,7 +7,8 @@ error to its exit code and one stderr line.  Structured output is
 canonical JSON (17 significant digits, byte-identical across reruns);
 sweeps also write CSV, fields write the MTFR binary format.  MTFR_THREADS
 caps the BLAS/OpenMP thread pools; ``import mtfr`` applies it, before
-numpy loads.
+numpy loads.  It also sizes the grid's FFT pool (`mtfr.grid`), where a
+value that is not a positive integer is an input error.
 """
 
 from __future__ import annotations

@@ -12,14 +12,20 @@ Gaussian oracle path.  The partial STFT is one batched FFT over the
 window shifted to every grid point, run in place on a single integrand
 buffer, block by block of leading rows so that each block is built,
 transformed and calibrated while it is in cache; its values are proven
-finite by a bound on the inputs rather than by a scan.  A slice is the
-transform of the fields restricted to one (x2, omega2) cross-section.
-Every tensor field f (x) conj(g) comes from `tfr_grid`, under the same
-size guard.
+finite by a bound on the inputs rather than by a scan.  The blocks are
+independent: with at least 2 blocks per thread they run on the module's
+one thread pool, of MTFR_THREADS threads (the usable CPUs when unset),
+built on first use and dropped in a forked child; fewer run inline, so
+small transforms start no thread.  Either way every value keeps its
+bits.  A slice is the transform of the fields restricted to one
+(x2, omega2) cross-section.  Every tensor field f (x) conj(g) comes from
+`tfr_grid`, under the same size guard.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +36,7 @@ from .errors import (
     ChirpAliasingWarning,
     DimensionMismatch,
     GridTooLarge,
+    MtfrError,
     UnsupportedDilation,
 )
 from .gaussian import GeneralizedGaussian, evaluate
@@ -377,6 +384,76 @@ def _shift_views(gc: np.ndarray, k: int) -> np.ndarray:
     return view[(slice(None, 0, -1),) * k]
 
 
+def _thread_count() -> int:
+    """MTFR_THREADS when set, else the CPUs this process may run on.
+
+    The one reader of MTFR_THREADS: a value that is not a positive integer
+    raises MtfrError.
+    """
+    cap = os.environ.get("MTFR_THREADS")
+    if not cap:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
+    try:
+        threads = int(cap)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise MtfrError(f"MTFR_THREADS must be a positive integer, got {cap!r}")
+    return threads
+
+
+# (threads, executor) of the partial STFT's pool, built on first use and
+# again when MTFR_THREADS changes
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool():
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_blocks(run_block, starts):
+    """run_block(lo) for every lo in starts, each call independent of the others.
+
+    With fewer than 2 blocks per thread the blocks run inline; otherwise
+    the starts are dealt round-robin to the threads of a pool, which is
+    built on first use (numpy's FFTs and ufuncs release the GIL).
+    """
+    global _pool
+    threads = _thread_count()
+    if threads < 2 or len(starts) < 2 * threads:
+        for lo in starts:
+            run_block(lo)
+        return
+    with _pool_lock:
+        if _pool is None or _pool[0] != threads:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="mtfr-stft"))
+        pool = _pool[1]
+
+    # numpy's error state is a context variable, which a worker thread does
+    # not inherit: the workers take the caller's
+    errstate = np.geterr()
+
+    def run_share(share):
+        with np.errstate(**errstate):
+            for lo in share:
+                run_block(lo)
+
+    list(pool.map(run_share, [starts[i::threads] for i in range(threads)]))
+
+
 def partial_stft_slice(
     f: SampledField, g: SampledField, k: int, x2_idx=(), w2_idx=()
 ) -> SampledField:
@@ -407,9 +484,10 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     transformed in place, so the peak memory is about one output.  The
     buffer is worked through in blocks of leading x1 rows of at most
     _BLOCK_BYTES: each block gets its product, then per t axis its FFT and
-    its output-ramp times calibration multiply, while it is in cache.
-    Every value goes through the same operations in the same order as in
-    whole-buffer passes, so no bit changes.  The FFT's (-1)^j input ramps
+    its output-ramp times calibration multiply, while it is in cache.  The
+    blocks share no data but the inputs, so they run on the thread pool of
+    `_run_blocks`.  Every value goes through the same operations in the
+    same order as in whole-buffer passes, so no bit changes.  The FFT's (-1)^j input ramps
     go on f before the product: they are signs, so no bit changes either.
 
     Every value and every FFT intermediate is at most ||f|| ||g|| times
@@ -443,12 +521,15 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
         for a, t in enumerate(f.extents[:k])
     ]
     rows = max(1, _BLOCK_BYTES // buf[0].nbytes)
-    for lo in range(0, buf.shape[0], rows):
+
+    def run_block(lo):
         block = buf[lo : lo + rows]
         np.multiply(windows[lo : lo + rows], fr, out=block)
         for a, (factor, _) in enumerate(cals):
             np.fft.fft(block, axis=d + a, out=block)
             block *= factor
+
+    _run_blocks(run_block, range(0, buf.shape[0], rows))
     extents = f.extents + tuple(t for _, t in cals) + f.extents[k:]
     # the bound of the docstring; a norm that overflows (to inf, or to nan
     # against a zero norm) fails the test silently

@@ -30,7 +30,7 @@ from .symplectic import (
     _blkdiag,
     assert_unitary,
 )
-from .unitary import TOL_RECON, assert_product
+from .unitary import assert_product, assert_rebuilds
 
 FIELD_MAGIC = b"MTFR"
 FIELD_VERSION = 1
@@ -147,6 +147,8 @@ def _numbers(value, shape, what: str) -> np.ndarray:
     any other nesting, or an entry that is not a number (a bool, a string, null,
     a list) or not finite as a float (a huge integer too), raises `MtfrError`."""
     items = np.array(value, dtype=object)
+    if items.ndim > len(shape):  # its shape can run to numpy's 64 axes
+        raise DimensionMismatch(f"{what} is nested deeper than its {len(shape)} axes")
     if items.shape != shape:
         raise DimensionMismatch(f"{what} has shape {items.shape}, need {shape}")
     if any(t is bool or not issubclass(t, (int, float)) for t in set(map(type, items.flat))):
@@ -289,13 +291,6 @@ def certificate_to_obj(cert) -> dict:
     return obj
 
 
-def _assert_rebuilds(product, target, what: str):
-    """`MtfrError` unless ||product - target||_F <= TOL_RECON max(1, ||target||_F)."""
-    defect = np.linalg.norm(product - target)
-    if not defect <= TOL_RECON * max(1.0, np.linalg.norm(target)):
-        raise MtfrError(f"{what} by {defect:.3e}")
-
-
 def certificate_from_obj(obj) -> Certificate:
     """Inverse of `certificate_to_obj`; malformed input raises `MtfrError`.
 
@@ -327,8 +322,8 @@ def certificate_from_obj(obj) -> Certificate:
         bold = matrix_from_obj(inter["bold_matrix"], (4 * d, 4 * d), "bold_matrix")
         bold = SymplecticMatrix.from_array(bold)
         word_bold = word_from_obj(2 * d, inter["word_bold"])
-        _assert_rebuilds(word_bold.matrix(), bold.entries, "word_bold is off bold_matrix")
-        _assert_rebuilds(pre.reconstruct(), bold.entries, "pre_iwasawa is off bold_matrix")
+        assert_rebuilds(word_bold.matrix(), bold.entries, "word_bold is off bold_matrix by")
+        assert_rebuilds(pre.reconstruct(), bold.entries, "pre_iwasawa is off bold_matrix by")
         alternative = obj["alternative"]
         alt1 = alt2 = None
         if alternative == "I":
@@ -365,10 +360,10 @@ def certificate_from_obj(obj) -> Certificate:
             if not np.array_equal(alt2.pi, _pi_permutation(d, k)):
                 raise MtfrError(f"Pi is not the block permutation for d = {d}, k = {k}")
             tau_u = alt2.tau * pre.u
-            _assert_rebuilds(
+            assert_rebuilds(
                 _alt2_omega(pre.l, tau_u.imag, alt2.w1, alt2.w2, alt2.gamma1, alt2.pi),
                 omega,
-                "L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi is off Omega",
+                "L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi is off Omega by",
             )
             assert_product(tau_u.imag, alt2.p, tau_u.real, "Im(tau U) P = Re(tau U)")
         else:

@@ -34,6 +34,7 @@ __all__ = [
     "ODOFactorization",
     "SortedDiagonal",
     "assert_product",
+    "assert_rebuilds",
     "block_diag_test",
     "joint_diagonalize_commuting_symmetric",
     "odo_svd",
@@ -108,11 +109,17 @@ class ODOFactorization:
         return (self.w1 * self.sigma) @ self.w2
 
 
+def assert_rebuilds(product: np.ndarray, m: np.ndarray, what: str):
+    """The reconstruction gate: raise NumericalFailure, its message what and
+    the residual, unless ||product - M||_F <= TOL_RECON max(1, ||M||_F)."""
+    residual = np.linalg.norm(product - m)
+    if not residual <= TOL_RECON * max(1.0, np.linalg.norm(m)):
+        raise NumericalFailure(f"{what} {residual:.3e}")
+
+
 def assert_product(a: np.ndarray, b: np.ndarray, m: np.ndarray, what: str):
-    """Raise NumericalFailure unless ||A B - M|| <= TOL_RECON max(1, ||M||)."""
-    recon = np.linalg.norm(a @ b - m)
-    if not recon <= TOL_RECON * max(1.0, np.linalg.norm(m)):
-        raise NumericalFailure(f"{what} reconstruction residual {recon:.3e}")
+    """The reconstruction gate for the product A B."""
+    assert_rebuilds(a @ b, m, f"{what} reconstruction residual")
 
 
 def real_factor(u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mtfr
 from mtfr.gaussian import GeneralizedGaussian
 from mtfr.symplectic import (
     Chirp,
@@ -135,3 +140,13 @@ def representation_bold(m):
     t_axes = tuple(range(n // 2, n))
     word = GeneratorWord(n, (PartialFourier(t_axes), Dilation(np.linalg.inv(m))))
     return SymplecticMatrix.from_array(word.matrix())
+
+
+def run_python(argv, env=None):
+    """Run a fresh interpreter on argv, with this checkout's mtfr importable."""
+    src = os.path.dirname(os.path.dirname(mtfr.__file__))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )

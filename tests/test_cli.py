@@ -5,8 +5,6 @@ import json
 import os
 import pkgutil
 import struct
-import subprocess
-import sys
 import textwrap
 import types
 
@@ -23,7 +21,7 @@ from mtfr.grid import SampledField, sample, sample_function
 from mtfr.serialize import canonical_json, certificate_from_obj, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
-from conftest import representation_bold, tau_wigner_matrix
+from conftest import representation_bold, run_python, tau_wigner_matrix
 
 
 @pytest.fixture
@@ -361,16 +359,6 @@ class TestCounterexample:
         assert code in (0, 4)  # coarse grids may exceed the mass budget
 
 
-def _run_python(argv, env=None):
-    """Run a fresh interpreter on argv, with this checkout's mtfr importable."""
-    src = os.path.dirname(os.path.dirname(mtfr.__file__))
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
-
-
 class TestMalformedInput:
     GAUSSIAN_1 = '"M_im": [[0]], "b_re": [0], "b_im": [0], "logamp": 0'
     FILES = {
@@ -397,6 +385,8 @@ class TestMalformedInput:
                              '"b_im": [0], "logamp": 1' + "0" * 400 + "}",
         "huge_int_matrix": '{"n": 1, "rows": [[1' + "0" * 400 + ", 0], [0, 1]]}",
         "deep_array": "[" * 100000 + "]" * 100000,
+        # numpy's object arrays stop at 64 axes, so a shape would print 64 entries
+        "deep_rows": '{"n": 1, "rows": ' + "[" * 400 + "1" + "]" * 400 + "}",
     }
 
     # (honest certificate, key path into it, new value); both have d = 1
@@ -604,15 +594,23 @@ class TestMalformedInput:
              "factor-huge-int", "factor-deep-array"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
-        proc = _run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
+        proc = run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    def test_misnested_matrix_message_is_short(self, inputs):
+        proc = run_python(["-m", "mtfr.cli", "factor", inputs["deep_rows"]])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "nested deeper" in line
+        assert len(line) < 120, line
+
     def test_overflowing_matrix_exit_2(self, inputs):
         # numpy's overflow warnings are silenced; the error is the one line
-        proc = _run_python(["-m", "mtfr.cli", "factor", inputs["huge_matrix"]])
+        proc = run_python(["-m", "mtfr.cli", "factor", inputs["huge_matrix"]])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
@@ -621,7 +619,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_sweep_exit_2(self, inputs, fmt):
         # the weight overflows, so the sweep values are not finite
-        proc = _run_python([
+        proc = run_python([
             "-m", "mtfr.cli", "check", "beurling", "--field", inputs["wide"],
             "--radii", "50,100,200", "--resolution", "64", "--format", fmt,
         ])
@@ -649,14 +647,14 @@ class TestPackage:
         """)
         env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
         env["MTFR_THREADS"] = "1"
-        proc = _run_python(["-c", probe], env=env)
+        proc = run_python(["-c", probe], env=env)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {v: "1" for v in self.THREAD_VARS}
 
     def test_cli_import_loads_no_scipy(self):
         # scipy costs most of a cold start; only a few library calls import it
         probe = "import sys, mtfr.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-        proc = _run_python(["-c", probe])
+        proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -717,7 +715,7 @@ class TestParserReuse:
 
     def test_import_builds_no_parser(self):
         probe = "import mtfr.cli as c; print(c.build_parser.cache_info().currsize)"
-        proc = _run_python(["-c", probe])
+        proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
 

@@ -1,3 +1,6 @@
+import json
+import os
+import textwrap
 import tracemalloc
 import warnings
 
@@ -50,7 +53,7 @@ from mtfr.symplectic import (
     factor_to_word,
     random_symplectic,
 )
-from conftest import grid_gaussians, grid_words
+from conftest import grid_gaussians, grid_words, run_python
 
 N, T = 256, 16.0
 
@@ -578,6 +581,114 @@ class TestPartialStftGrid:
             want = partial_stft_point(fg, gg, 2, x, w1)[()]
             if want > 1e-8:
                 assert abs(got - want) / want < 1e-6
+
+
+def _env(threads):
+    """This process's environment with MTFR_THREADS set to threads, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "MTFR_THREADS"}
+    if threads is not None:
+        env["MTFR_THREADS"] = threads
+    return env
+
+
+# the benchmark's pooled shapes, k = 1 at N = 1024 and k = 2 on 32^2, and a
+# k = 1 slice at N = 1024, each of 32 blocks; a short switch interval makes
+# the workers interleave as often as they can
+POOLED_PROBE = textwrap.dedent("""
+    import hashlib, json, sys, threading
+    import numpy as np
+    from mtfr.grid import SampledField, partial_stft_grid, partial_stft_slice
+    sys.setswitchinterval(1e-6)
+    rng = np.random.default_rng(5)
+    hashes = []
+    for points, k in (((1024,), 1), ((32, 32), 2), ((1024, 8), 1)):
+        f, g = (SampledField(rng.standard_normal(points) + 1j * rng.standard_normal(points),
+                             (16.0,) * len(points)) for _ in range(2))
+        values = (partial_stft_grid(f, g, k).values if k == len(points)
+                  else partial_stft_slice(f, g, k, (3,), (5,)).values)
+        hashes.append(hashlib.sha256(values.tobytes()).hexdigest())
+    print(json.dumps({"hashes": hashes, "threads": threading.active_count(),
+                      "futures": "concurrent.futures" in sys.modules}))
+""")
+
+
+class TestThreadPool:
+    @pytest.fixture(scope="class")
+    def probes(self):
+        # None: the usable CPUs; 3: more threads than this host may have cores
+        runs = {}
+        for threads in ("1", None, "3"):
+            proc = run_python(["-c", POOLED_PROBE], env=_env(threads))
+            assert proc.returncode == 0, proc.stderr
+            runs[threads] = json.loads(proc.stdout)
+        return runs
+
+    def test_thread_count_changes_no_bit(self, probes):
+        assert probes[None]["hashes"] == probes["1"]["hashes"]
+        assert probes["3"]["hashes"] == probes["1"]["hashes"]
+
+    def test_one_thread_starts_no_thread(self, probes):
+        assert probes["1"]["threads"] == 1
+        assert not probes["1"]["futures"]
+
+    def test_thread_count_caps_the_pool(self, probes):
+        assert 1 < probes["3"]["threads"] <= 1 + 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_pooled_slice(self):
+        # the child inherits the parent's pool object but none of its threads
+        probe = textwrap.dedent("""
+            import os, time
+            import numpy as np
+            from mtfr.grid import SampledField, partial_stft_slice
+            f = SampledField(np.cos(np.arange(1024)) + 0j, (32.0,))
+            want = partial_stft_slice(f, f, 1).values
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    code = 0 if np.array_equal(partial_stft_slice(f, f, 1).values, want) else 3
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    raise SystemExit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.05)
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            raise SystemExit("the forked child hung on a pooled slice")
+        """)
+        proc = run_python(["-c", probe], env=_env("2"))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_default_check_starts_no_thread(self):
+        # the CLI's default 256@16 transform has 2 blocks, which run inline
+        probe = textwrap.dedent("""
+            import sys, threading
+            import mtfr.cli
+            code = mtfr.cli.main(["check", "gs"])
+            print(code, "concurrent.futures" in sys.modules, threading.active_count())
+        """)
+        proc = run_python(["-c", probe], env=_env(None))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False 1"
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "abc"])
+    def test_bad_thread_count_exits_2(self, threads):
+        proc = run_python(["-m", "mtfr.cli", "check", "gs", "--grid", "1024@32"],
+                          env=_env(threads))
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: MTFR_THREADS must be a positive integer")
+
+    def test_pool_keeps_the_callers_errstate(self, monkeypatch):
+        # numpy's error state is per thread; the products overflow
+        monkeypatch.setenv("MTFR_THREADS", "2")
+        f = SampledField(np.full(1024, 1e200 + 0j), (8.0,))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            partial_stft_grid(f, f, 1)
 
 
 class TestTfrGrid:
