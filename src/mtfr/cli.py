@@ -5,10 +5,12 @@ failure, 4 verification failure.  The parser and the codecs check input
 and raise `MtfrError`; commands only raise, and `main` alone maps an
 error to its exit code and one stderr line.  Structured output is
 canonical JSON (17 significant digits, byte-identical across reruns);
-sweeps also write CSV, fields write the MTFR binary format.  MTFR_THREADS
-caps the BLAS/OpenMP thread pools; ``import mtfr`` applies it, before
-numpy loads.  It also sizes the grid's FFT pool (`mtfr.grid`), where a
-value that is not a positive integer is an input error.
+sweeps also write CSV, fields write the MTFR binary format.  Each `check`
+kind has its own subparser, which takes only the flags that kind reads.
+MTFR_THREADS caps the BLAS/OpenMP thread pools; ``import mtfr`` applies
+it, before numpy loads.  It also sizes the grid's FFT pool (`mtfr.grid`).
+A value that is not a positive integer is an input error of every
+command: `main` checks it before running one.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import sys
 
 import numpy as np
 
+from . import _thread_cap
 from .certify import (
     TOL_IDENTITY,
     alt1_tfr_tensor,
@@ -322,6 +325,36 @@ _RADII = _flag(
 )
 
 
+# every flag of `check`, and the flags each kind reads: a kind takes no other
+_CHECK_FLAGS = {
+    "--field": {"default": None, "help": "MTFR binary field input"},
+    "--grid": {"type": _GRID, "default": "256@16", "help": "points@extent of the d = 1 grid"},
+    "--radii": {"type": _RADII, "default": "1,2,4,8"},
+    "--resolution": {"type": _COUNT, "default": 512},
+    "--n-exponent": {"type": _FLOAT, "default": 0.0},
+    "--rmin": {"type": _FLOAT, "default": 1.5},
+    "--rmax": {"type": _FLOAT, "default": 4.0},
+    "--p": {"type": _FLOAT, "default": 2.0},
+    "--alpha": {"type": _FLOAT, "default": 1.5},
+    "--beta": {"type": _FLOAT, "default": 1.5},
+    "--s-halfwidth": {"type": _FLOAT, "default": 2.0},
+    "--t-halfwidth": {"type": _FLOAT, "default": 2.0},
+    "--imu": {"type": _FLOAT, "default": 1.0, "help": "Im(U) scalar (d = 1)"},
+    "--constant": {"type": _POSITIVE, "default": 1.0, "help": "Nazarov constant C"},
+    "--format": {"choices": ["json", "csv", "both"], "default": "both"},
+    "--out": {"default": None},
+}
+_CHECK_KINDS = {
+    "beurling": ("--field", "--grid", "--radii", "--resolution", "--n-exponent",
+                 "--format", "--out"),
+    "hardy": ("--field", "--grid", "--rmin", "--rmax", "--out"),
+    "gs": ("--field", "--grid", "--radii", "--resolution", "--p", "--alpha", "--beta",
+           "--format", "--out"),
+    # a fixed Gaussian pair on --grid: no field is read
+    "nazarov": ("--grid", "--s-halfwidth", "--t-halfwidth", "--imu", "--constant", "--out"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as `MtfrError`, so `main` gives it exit 2."""
 
@@ -362,24 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="uncertainty-principle condition sweeps")
-    p.add_argument("kind", choices=["beurling", "hardy", "gs", "nazarov"])
-    p.add_argument("--field", default=None, help="MTFR binary field input")
-    p.add_argument("--grid", type=_GRID, default="256@16",
-                   help="points@extent of the d = 1 grid")
-    p.add_argument("--radii", type=_RADII, default="1,2,4,8")
-    p.add_argument("--resolution", type=_COUNT, default=512)
-    p.add_argument("--n-exponent", type=_FLOAT, default=0.0)
-    p.add_argument("--rmin", type=_FLOAT, default=1.5)
-    p.add_argument("--rmax", type=_FLOAT, default=4.0)
-    p.add_argument("--p", type=_FLOAT, default=2.0)
-    p.add_argument("--alpha", type=_FLOAT, default=1.5)
-    p.add_argument("--beta", type=_FLOAT, default=1.5)
-    p.add_argument("--s-halfwidth", type=_FLOAT, default=2.0)
-    p.add_argument("--t-halfwidth", type=_FLOAT, default=2.0)
-    p.add_argument("--imu", type=_FLOAT, default=1.0, help="Im(U) scalar (d = 1)")
-    p.add_argument("--constant", type=_POSITIVE, default=1.0, help="Nazarov constant C")
-    p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p.add_argument("--out", default=None)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, names in _CHECK_KINDS.items():
+        k = kinds.add_parser(kind)
+        source = k.add_mutually_exclusive_group()  # --field or --grid: one input field
+        for name in names:
+            (source if name in ("--field", "--grid") else k).add_argument(
+                name, **_CHECK_FLAGS[name])
 
     p = sub.add_parser("counterexample",
                        help="compactly supported pair for an Alternative I certificate")
@@ -401,6 +423,7 @@ def main(argv=None) -> int:
     """
     try:
         args = build_parser().parse_args(argv)
+        _thread_cap()  # every command refuses a bad MTFR_THREADS, not only a transform
         # looked up by name on each call, so a rebound cmd_* (a test's
         # monkeypatch, the benchmark's tracer) runs under the shared parser
         command = globals()[f"cmd_{args.command}"]

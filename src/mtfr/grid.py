@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _thread_cap
 from .errors import (
     ChirpAliasingWarning,
     DimensionMismatch,
     GridTooLarge,
-    MtfrError,
     UnsupportedDilation,
 )
 from .gaussian import GeneralizedGaussian, evaluate
@@ -387,22 +387,15 @@ def _shift_views(gc: np.ndarray, k: int) -> np.ndarray:
 def _thread_count() -> int:
     """MTFR_THREADS when set, else the CPUs this process may run on.
 
-    The one reader of MTFR_THREADS: a value that is not a positive integer
-    raises MtfrError.
+    A value that is not a positive integer raises MtfrError (`mtfr._thread_cap`).
     """
-    cap = os.environ.get("MTFR_THREADS")
-    if not cap:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            return os.cpu_count() or 1
+    threads = _thread_cap()
+    if threads is not None:
+        return threads
     try:
-        threads = int(cap)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise MtfrError(f"MTFR_THREADS must be a positive integer, got {cap!r}")
-    return threads
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # (threads, executor) of the partial STFT's pool, built on first use and

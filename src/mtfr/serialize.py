@@ -213,10 +213,7 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
         elif kind == "dilation":
             letters.append(Dilation(_numbers(item["l"], (n, n), "dilation")))
         elif kind == "pfourier":
-            axes = tuple(_json_int(a, "axis") for a in item["axes"])
-            if not all(0 <= a < n for a in axes):
-                raise DimensionMismatch(f"Fourier axes must lie in [0, {n}), got {axes}")
-            letters.append(PartialFourier(axes))
+            letters.append(PartialFourier(tuple(_json_int(a, "axis") for a in item["axes"])))
         else:
             raise DimensionMismatch(f"unknown letter kind {kind!r}")
     return GeneratorWord(n, tuple(letters))

@@ -205,28 +205,34 @@ class PartialFourier:
         object.__setattr__(self, "axes", axes)
 
 
-Letter = (Chirp, Dilation, PartialFourier)
+def _check_fits(letter, n: int) -> None:
+    """Raise unless letter is a generator letter that acts on R^n: a chirp or
+    dilation n x n, every Fourier axis below n."""
+    if isinstance(letter, Chirp):
+        if letter.n != n:
+            raise DimensionMismatch("chirp size does not match word dimension")
+    elif isinstance(letter, Dilation):
+        if letter.n != n:
+            raise DimensionMismatch("dilation size does not match word dimension")
+    elif isinstance(letter, PartialFourier):
+        if letter.axes[-1] >= n:
+            raise DimensionMismatch(f"Fourier axes must lie in [0, {n}), got {letter.axes}")
+    else:
+        raise TypeError(f"not a generator letter: {letter!r}")
 
 
 def letter_matrix(letter, n: int) -> np.ndarray:
     """2n x 2n symplectic matrix of a single generator letter."""
+    _check_fits(letter, n)
     if isinstance(letter, Chirp):
-        if letter.n != n:
-            raise DimensionMismatch("chirp size does not match word dimension")
         m = np.eye(2 * n)
         m[n:, :n] = letter.q
         return m
     if isinstance(letter, Dilation):
-        if letter.n != n:
-            raise DimensionMismatch("dilation size does not match word dimension")
         return _blkdiag(letter.l, np.linalg.inv(letter.l).T)
-    if isinstance(letter, PartialFourier):
-        if letter.axes[-1] >= n:
-            raise DimensionMismatch("PartialFourier axis beyond dimension")
-        u = np.ones(n, dtype=complex)
-        u[list(letter.axes)] = 1j
-        return _rotation_matrix(np.diag(u))
-    raise TypeError(f"unknown letter {letter!r}")
+    u = np.ones(n, dtype=complex)
+    u[list(letter.axes)] = 1j
+    return _rotation_matrix(np.diag(u))
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,8 @@ class GeneratorWord:
     """Ordered product of generator letters; letters[0] is the leftmost factor.
 
     As an operator the word acts right-to-left: the last letter is applied
-    first, matching the matrix product of `matrix()`.
+    first, matching the matrix product of `matrix()`.  Every letter must act
+    on R^n; one that does not raises DimensionMismatch here.
     """
 
     n: int
@@ -243,8 +250,7 @@ class GeneratorWord:
     def __post_init__(self):
         letters = tuple(self.letters)
         for letter in letters:
-            if not isinstance(letter, Letter):
-                raise TypeError(f"not a generator letter: {letter!r}")
+            _check_fits(letter, self.n)
         object.__setattr__(self, "letters", letters)
 
     def matrix(self) -> np.ndarray:

@@ -112,6 +112,45 @@ def grid_words(draw):
 
 
 # ---------------------------------------------------------------------------
+# closed-form references on generalized Gaussians, used only as test oracles
+
+
+def log_l2_norm(g: GeneralizedGaussian) -> float:
+    """log ||f||_2 in closed form: the modulus is a real Gaussian."""
+    x = g.m.real
+    u = g.b.real
+    sign, logdet = np.linalg.slogdet(2.0 * x)
+    quad = u @ np.linalg.solve(x, u)
+    return float(g.logamp - 0.25 * logdet + np.pi * quad)
+
+
+def l1_norm(g: GeneralizedGaussian) -> float:
+    """Integral of |f| in closed form."""
+    x = g.m.real
+    u = g.b.real
+    sign, logdet = np.linalg.slogdet(x)
+    quad = u @ np.linalg.solve(x, u)
+    return float(np.exp(g.logamp - 0.5 * logdet + np.pi * quad))
+
+
+def restrict(g: GeneralizedGaussian, fixed_axes, values) -> GeneralizedGaussian:
+    """Freeze the given axes at the given real values; the result is a
+    generalized Gaussian in the remaining variables."""
+    fixed_axes = tuple(int(a) for a in fixed_axes)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    idx_f = np.array(fixed_axes, dtype=int)
+    idx_k = np.array([a for a in range(g.n) if a not in fixed_axes], dtype=int)
+    mkk = g.m[np.ix_(idx_k, idx_k)]
+    mkf = g.m[np.ix_(idx_k, idx_f)]
+    mff = g.m[np.ix_(idx_f, idx_f)]
+    b_new = g.b[idx_k] - mkf @ values
+    const = -np.pi * values @ mff @ values + 2.0 * np.pi * g.b[idx_f] @ values
+    # the frozen-axes constant is complex; its modulus goes to logamp and the
+    # residual phase is dropped, consistent with the global-phase convention
+    return GeneralizedGaussian(mkk, b_new, g.logamp + float(np.real(const)))
+
+
+# ---------------------------------------------------------------------------
 # named representations: W(f, g)(x, omega) is the Fourier transform over t of
 # F(M(x, t)), F = f (x) conj(g), for a linear change of variables M
 

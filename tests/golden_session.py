@@ -3,7 +3,8 @@
 The session factors a matrix, classifies an Alternative II, an
 Alternative I and the d = 2 Wigner (x) Rihaczek matrix, verifies the
 Alternative II certificate, builds the Alternative I counterexample,
-sweeps its tfr.bin with `check beurling` and runs the four default checks.
+sweeps its tfr.bin with `check beurling`, runs the four default checks
+and runs each check once more with non-default flags.
 Every command runs in-process through `mtfr.cli.main` in a fresh directory.
 
 The manifest records each command's exit code, stdout and stderr, and
@@ -71,6 +72,19 @@ SESSION = [
     ("check-hardy", ["check", "hardy", "--out", "{w}/hardy"]),
     ("check-gs", ["check", "gs", "--out", "{w}/gs"]),
     ("check-nazarov", ["check", "nazarov", "--out", "{w}/nazarov"]),
+    # one non-default run per kind: each flag a kind reads reaches its report
+    ("check-beurling-flags",
+     ["check", "beurling", "--n-exponent", "2", "--radii", "1,2,3", "--resolution", "128",
+      "--out", "{w}/beurling_flags"]),
+    ("check-hardy-flags",
+     ["check", "hardy", "--rmin", "1", "--rmax", "3", "--grid", "128@12",
+      "--out", "{w}/hardy_flags"]),
+    ("check-gs-flags",
+     ["check", "gs", "--p", "3", "--alpha", "1.2", "--beta", "1.1", "--radii", "1,2,3",
+      "--resolution", "128", "--format", "json", "--out", "{w}/gs_flags"]),
+    ("check-nazarov-flags",
+     ["check", "nazarov", "--s-halfwidth", "1.5", "--t-halfwidth", "1", "--imu", "0.8",
+      "--constant", "2", "--grid", "128@12", "--out", "{w}/nazarov_flags"]),
 ]
 
 REL_TOL = 1e-12

@@ -26,7 +26,6 @@ from mtfr.errors import DegenerateFit, DimensionMismatch, Singular
 from mtfr.gaussian import (
     apply_partial_fourier,
     apply_symplectic,
-    l1_norm,
     log_modulus,
     partial_stft_point,
     random_gaussian,
@@ -39,6 +38,8 @@ from mtfr.grid import (
     sample,
     sample_function,
 )
+
+from conftest import l1_norm
 
 ANTIDIAG = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import shlex
 import struct
 import textwrap
 import types
@@ -205,6 +206,31 @@ class TestVerify:
         assert main(["verify", str(out / "certificate.json")]) == 2
 
 
+# each flag of `check` with a value its type accepts, and the flags each
+# kind does not read: 37 (kind, flag) pairs, written out, not taken from
+# the parser
+CHECK_FLAG_VALUES = {
+    "--field": "{field}", "--grid": "64@8", "--radii": "1,2", "--resolution": "16",
+    "--n-exponent": "1", "--rmin": "1", "--rmax": "2", "--p": "2", "--alpha": "1.5",
+    "--beta": "1.5", "--s-halfwidth": "1", "--t-halfwidth": "1", "--imu": "1",
+    "--constant": "1", "--format": "json",
+}
+CHECK_UNREAD = {
+    "beurling": ("--rmin", "--rmax", "--p", "--alpha", "--beta", "--s-halfwidth",
+                 "--t-halfwidth", "--imu", "--constant"),
+    "hardy": ("--radii", "--resolution", "--n-exponent", "--p", "--alpha", "--beta",
+              "--s-halfwidth", "--t-halfwidth", "--imu", "--constant", "--format"),
+    "gs": ("--n-exponent", "--rmin", "--rmax", "--s-halfwidth", "--t-halfwidth",
+           "--imu", "--constant"),
+    "nazarov": ("--field", "--radii", "--resolution", "--n-exponent", "--rmin", "--rmax",
+                "--p", "--alpha", "--beta", "--format"),
+}
+CHECK_UNREAD_ARGV = [
+    [kind, flag, CHECK_FLAG_VALUES[flag]]
+    for kind, flags in CHECK_UNREAD.items() for flag in flags
+] + [[kind, "--field", "{field}", "--grid", "64@8"] for kind in ("beurling", "hardy", "gs")]
+
+
 class TestCheck:
     def test_hardy_default_field(self, tmp_path):
         out = tmp_path / "h"
@@ -326,6 +352,22 @@ class TestCheck:
         obj = json.loads((out / "report.json").read_text())
         assert obj["ball_width_check"] == 2.0
         assert obj["lhs"] > 0
+
+    @pytest.mark.parametrize("argv", CHECK_UNREAD_ARGV,
+                             ids=[" ".join(a[:2]) for a in CHECK_UNREAD_ARGV])
+    def test_unread_flag_exits_2(self, argv, tmp_path, capsys):
+        # a flag that a kind does not read is refused, not ignored; the field
+        # is wide enough for the default radii, so each line would run if taken
+        field = tmp_path / "field.bin"
+        write_field(sample(standard_gaussian(2), (32, 32), (20.0, 20.0)), field)
+        out = tmp_path / "out"
+        argv = [a.format(field=field) for a in argv]
+        assert main(["check", *argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert not out.exists()
 
 
 class TestCounterexample:
@@ -651,6 +693,16 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {v: "1" for v in self.THREAD_VARS}
 
+    @pytest.mark.parametrize("threads", ["0", "abc"])
+    def test_bad_thread_cap_is_copied_nowhere(self, threads):
+        probe = ("import json, os, mtfr; "
+                 f"print(json.dumps([os.environ.get(v) for v in {self.THREAD_VARS!r}]))")
+        env = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        env["MTFR_THREADS"] = threads
+        proc = run_python(["-c", probe], env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [None] * 3
+
     def test_cli_import_loads_no_scipy(self):
         # scipy costs most of a cold start; only a few library calls import it
         probe = "import sys, mtfr.cli; print([m for m in sys.modules if m.startswith('scipy')])"
@@ -727,6 +779,19 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_factor", lambda args: seen.append(args.matrix) or 0)
         assert main(["factor", "m.json"]) == 0
         assert seen == ["m.json"]
+
+
+def test_readme_cli_examples_parse():
+    # every `mtfr ...` line of the README's CLI block is a command line the
+    # parser takes, so the docs advertise no flag that a command lacks
+    from mtfr.cli import build_parser
+
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mtfr ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 # ---------------------------------------------------------------------------

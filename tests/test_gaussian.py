@@ -14,13 +14,10 @@ from mtfr.gaussian import (
     apply_word,
     conjugate,
     evaluate,
-    l1_norm,
-    log_l2_norm,
     log_modulus,
     partial_stft_log_modulus,
     partial_stft_point,
     random_gaussian,
-    restrict,
     standard_gaussian,
     tensor,
 )
@@ -36,7 +33,15 @@ from mtfr.symplectic import (
     standard_j,
 )
 
-from conftest import gaussians, generator_words, haar_orthogonal, random_spd
+from conftest import (
+    gaussians,
+    generator_words,
+    haar_orthogonal,
+    l1_norm,
+    log_l2_norm,
+    random_spd,
+    restrict,
+)
 
 
 def reference_chirp(g, q):

@@ -20,7 +20,6 @@ from mtfr.gaussian import (
     apply_dilation,
     apply_word,
     conjugate,
-    log_l2_norm,
     partial_stft_point,
     random_gaussian,
     standard_gaussian,
@@ -53,7 +52,7 @@ from mtfr.symplectic import (
     factor_to_word,
     random_symplectic,
 )
-from conftest import grid_gaussians, grid_words, run_python
+from conftest import grid_gaussians, grid_words, log_l2_norm, run_python
 
 N, T = 256, 16.0
 
@@ -675,10 +674,19 @@ class TestThreadPool:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 False 1"
 
-    @pytest.mark.parametrize("threads", ["0", "-2", "abc"])
-    def test_bad_thread_count_exits_2(self, threads):
-        proc = run_python(["-m", "mtfr.cli", "check", "gs", "--grid", "1024@32"],
-                          env=_env(threads))
+    BAD_THREADS = [(t, c) for c in ("check", "factor", "classify") for t in ("0", "-2", "abc")]
+
+    @pytest.mark.parametrize("threads, command", BAD_THREADS,
+                             ids=[t if c == "check" else f"{c}-{t}" for t, c in BAD_THREADS])
+    def test_bad_thread_count_exits_2(self, threads, command, tmp_path):
+        # every command refuses it, also one that runs no transform
+        matrix = tmp_path / "alt1.json"
+        matrix.write_text('{"n": 2, "rows": [[0, 0, 1, 0], [0, 0, 0, 1], '
+                          '[-1, 0, 0, 0], [0, -1, 0, 0]]}')
+        argv = {"check": ["check", "gs", "--grid", "1024@32"],
+                "factor": ["factor", str(matrix)],
+                "classify": ["classify", str(matrix)]}[command]
+        proc = run_python(["-m", "mtfr.cli", *argv], env=_env(threads))
         assert proc.returncode == 2, proc.stderr
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: MTFR_THREADS must be a positive integer")

@@ -158,6 +158,12 @@ def test_word_round_trip():
     np.testing.assert_allclose(back.matrix(), word.matrix(), atol=1e-14)
 
 
+@pytest.mark.parametrize("axes", [[2], [0, 2], [-1]])
+def test_word_axes_must_lie_in_range(axes):
+    with pytest.raises(DimensionMismatch):
+        word_from_obj(2, [{"kind": "pfourier", "axes": axes}])
+
+
 # round trips compare values, not bytes: JSON reads "-0" back as the integer 0
 
 

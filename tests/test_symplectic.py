@@ -384,6 +384,18 @@ class TestWordMatrix:
             expected = expected @ letter_matrix(letter, 2)
         np.testing.assert_array_equal(m, expected)
 
+    @pytest.mark.parametrize("letter", [
+        Chirp(np.eye(3)), Dilation(np.eye(3)), Chirp(np.eye(1)), PartialFourier((2,)),
+        PartialFourier((0, 3)),
+    ])
+    def test_letters_must_fit_the_word(self, letter):
+        # a word checks its letters when built, not first in matrix() or
+        # invert_word; letter_matrix applies the same check
+        with pytest.raises(DimensionMismatch):
+            GeneratorWord(2, (Chirp(np.eye(2)), letter))
+        with pytest.raises(DimensionMismatch):
+            letter_matrix(letter, 2)
+
 
 class TestInvertWord:
     def test_matrix_inverse(self, rng):
