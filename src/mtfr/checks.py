@@ -19,6 +19,7 @@ from .errors import (
     DegenerateFit,
     DimensionMismatch,
     GridTooLarge,
+    NumericalFailure,
     Singular,
     UnsupportedShape,
 )
@@ -546,6 +547,32 @@ class NazarovReport:
     details: dict
 
 
+def _lambert_w0(x: float) -> float:
+    """Principal branch W_0(x) of the Lambert W function, for x >= 0.
+
+    Halley's iteration on w - x e^{-w} = 0 (Corless et al., Adv. Comput.
+    Math. 5, 1996), from log1p(x) below 1.5 and from the asymptotic
+    log x - log log x above; it stops once a step moves w by at most 1e-8
+    relative, and the cubic convergence has then reached full precision.
+    0 and +inf are fixed points.
+    """
+    x = float(x)
+    if x == 0.0 or not math.isfinite(x):
+        return x
+    if x < 1.5:
+        w = math.log1p(x)
+    else:
+        w = math.log(x)
+        w -= math.log(w)
+    for _ in range(100):
+        r = w - x * math.exp(-w)
+        wn = w - r / (w + 1.0 - (w + 2.0) * r / (2.0 * w + 2.0))
+        if abs(wn - w) <= 1e-8 * abs(wn):
+            return wn
+        w = wn
+    raise NumericalFailure(f"Lambert W did not converge at {x!r}")
+
+
 def nazarov_bound(
     f1_field: SampledField,
     f2_field: SampledField,
@@ -584,11 +611,8 @@ def nazarov_bound(
     elif m <= 0.0:
         c0 = lhs / total
     else:
-        # imported here, not at the top: scipy would double a cold start
-        from scipy.special import lambertw
-
         # solve C0 e^{C0 m} = lhs/total
-        c0 = float(np.real(lambertw(m * lhs / total)) / m)
+        c0 = _lambert_w0(m * lhs / total) / m
     return NazarovReport(
         lhs=lhs,
         rhs=float(rhs),

@@ -356,7 +356,14 @@ _CHECK_KINDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as `MtfrError`, so `main` gives it exit 2."""
+    """Reports a bad command line as `MtfrError`, so `main` gives it exit 2.
+
+    Flags must be spelled in full: a prefix of a long flag is an error in
+    this parser and in every subparser, which is built from this class.
+    """
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message):
         raise MtfrError(message)

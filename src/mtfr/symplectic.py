@@ -240,14 +240,17 @@ class GeneratorWord:
     """Ordered product of generator letters; letters[0] is the leftmost factor.
 
     As an operator the word acts right-to-left: the last letter is applied
-    first, matching the matrix product of `matrix()`.  Every letter must act
-    on R^n; one that does not raises DimensionMismatch here.
+    first, matching the matrix product of `matrix()`.  n must be an integer
+    >= 1 and every letter must act on R^n; otherwise DimensionMismatch is
+    raised here.
     """
 
     n: int
     letters: tuple
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise DimensionMismatch(f"word dimension must be an integer >= 1, got {self.n!r}")
         letters = tuple(self.letters)
         for letter in letters:
             _check_fits(letter, self.n)
@@ -525,12 +528,44 @@ def factor_to_word(m: SymplecticMatrix, tau: complex | None = None) -> Generator
 # random instances
 
 
+# numerator coefficients of the [13/13] Pade approximant to exp, and the
+# largest 1-norm at which it meets double precision (Higham, SIAM J. Matrix
+# Anal. Appl. 26(4), 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real or complex square matrix.
+
+    Scaling and squaring with the [13/13] Pade approximant (Higham 2005):
+    A is scaled by 2^-s until its 1-norm is at most theta_13, and the
+    approximant's value is squared s times.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def random_word(n: int, word_length: int, rng: np.random.Generator) -> GeneratorWord:
     """Random generator word: Fourier letters with probability 1/3, else
     chirps (entries uniform in [-1, 1], symmetrized) or dilations exp(X)."""
-    # imported here, not at the top: scipy would double a cold start
-    from scipy.linalg import expm
-
     letters = []
     for _ in range(word_length):
         r = rng.random()
@@ -544,7 +579,7 @@ def random_word(n: int, word_length: int, rng: np.random.Generator) -> Generator
             letters.append(Chirp(0.5 * (q + q.T)))
         else:
             x = rng.uniform(-1.0, 1.0, size=(n, n))
-            letters.append(Dilation(expm(0.5 * x)))
+            letters.append(Dilation(_expm(0.5 * x)))
     return GeneratorWord(n, tuple(letters))
 
 

@@ -357,6 +357,23 @@ class TestNazarov:
         assert v2 == pytest.approx(v1, rel=1e-9)
 
 
+class TestLambertW:
+    def test_matches_scipy(self):
+        # scipy is a test-only reference; the library never imports it
+        scipy_special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(2206)
+        x = np.concatenate([np.logspace(-300, 308, 2000), rng.uniform(0.0, 50.0, 2000),
+                            [0.0, 1.7e308, np.inf]])
+        got = np.array([C._lambert_w0(v) for v in x])
+        np.testing.assert_allclose(got, scipy_special.lambertw(x).real, rtol=1e-15, atol=0)
+
+    def test_ends_of_the_range(self):
+        assert C._lambert_w0(0.0) == 0.0
+        assert C._lambert_w0(np.inf) == np.inf
+        w = C._lambert_w0(1.7e308)  # w e^w = x, taken in logs
+        assert w + np.log(w) == pytest.approx(np.log(1.7e308), rel=1e-15)
+
+
 def bump_slice_field(eps):
     """V^1 f f for f = phi (x) psi, psi a bump of half-width eps."""
 

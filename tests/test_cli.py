@@ -611,6 +611,10 @@ class TestMalformedInput:
             ["verify", "{alt2_cert}", "--gaussians", "{gauss_logamp_huge}", "{gauss_logamp_huge}"],
             ["factor", "{huge_int_matrix}"],
             ["factor", "{deep_array}"],
+            # flags are spelled in full: a unique prefix is not read as the flag
+            ["check", "hardy", "--f", "x"],
+            ["verify", "{alt2_cert}", "--point", "5"],
+            ["check", "beurling", "--res", "64"],
         ],
         ids=["truncated-field", "bad-radii", "nan-radius", "missing-field",
              "verify-cert", "cx-cert", "nan-matrix", "json-array", "odd-matrix",
@@ -633,7 +637,8 @@ class TestMalformedInput:
              "cert-w1-edited", "cert-omega-off-factors", "gaussian-m-im-scalar",
              "gaussian-b-im-scalar", "gaussian-n-mismatch", "gaussian-logamp-string",
              "gaussian-logamp-bool", "gaussian-m-re-string", "gaussian-logamp-huge-int",
-             "factor-huge-int", "factor-deep-array"],
+             "factor-huge-int", "factor-deep-array", "abbrev-field", "abbrev-points",
+             "abbrev-resolution"],
     )
     def test_exit_2_with_one_line(self, inputs, argv):
         proc = run_python(["-m", "mtfr.cli", *(a.format(**inputs) for a in argv)])
@@ -703,12 +708,25 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [None] * 3
 
-    def test_cli_import_loads_no_scipy(self):
-        # scipy costs most of a cold start; only a few library calls import it
-        probe = "import sys, mtfr.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    def test_library_loads_no_scipy(self):
+        # numpy is the only run-time dependency: the calls that used scipy
+        # (random dilations through expm, the Nazarov calibration through
+        # lambertw) leave no scipy module loaded
+        probe = textwrap.dedent("""
+            import contextlib, io, json, sys
+            import mtfr.cli
+            from mtfr.certify import certify
+            from mtfr.symplectic import random_symplectic
+            for n in range(1, 7):
+                random_symplectic(n, 4, seed=n)
+            certify(random_symplectic(4, 4, seed=7))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert mtfr.cli.main(["check", "nazarov"]) == 0
+            print(json.dumps([m for m in sys.modules if m.split(".")[0] == "scipy"]))
+        """)
         proc = run_python(["-c", probe])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert json.loads(proc.stdout) == []
 
     def test_every_exported_name_resolves(self):
         names = [info.name for info in pkgutil.iter_modules(mtfr.__path__)]
@@ -718,25 +736,34 @@ class TestPackage:
             for export in getattr(module, "__all__", ()):
                 assert hasattr(module, export), f"mtfr.{name}.{export}"
 
-    def test_no_function_imports_a_package_module(self):
-        # `import mtfr` loads every module, so an import in a function defers nothing
+    @staticmethod
+    def imports(package, in_functions):
+        """'file:line' of each import of a top-level package in src/mtfr, at
+        any depth or only inside functions; a relative import is of mtfr."""
         found = []
         for path in sorted(glob.glob(os.path.join(os.path.dirname(mtfr.__file__), "*.py"))):
             with open(path) as fh:
                 tree = ast.parse(fh.read())
-            for func in ast.walk(tree):
-                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes = [
+                f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ] if in_functions else [tree]
+            for node in (n for scope in scopes for n in ast.walk(scope)):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["mtfr"]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
                     continue
-                for node in ast.walk(func):
-                    if isinstance(node, ast.ImportFrom):
-                        names = [node.module or ""] if node.level == 0 else ["mtfr"]
-                    elif isinstance(node, ast.Import):
-                        names = [alias.name for alias in node.names]
-                    else:
-                        continue
-                    if any(name.split(".")[0] == "mtfr" for name in names):
-                        found.append(f"{os.path.basename(path)}:{node.lineno}")
-        assert found == []
+                if any(name.split(".")[0] == package for name in names):
+                    found.append(f"{os.path.basename(path)}:{node.lineno}")
+        return found
+
+    def test_no_function_imports_a_package_module(self):
+        # `import mtfr` loads every module, so an import in a function defers nothing
+        assert self.imports("mtfr", in_functions=True) == []
+
+    def test_no_module_imports_scipy(self):
+        assert self.imports("scipy", in_functions=False) == []
 
     def test_submodules_are_not_shadowed(self):
         import mtfr.certify as C

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtfr import symplectic as S
 from mtfr.errors import (
     DimensionMismatch,
     NotFree,
@@ -360,6 +361,30 @@ class TestRandomSymplectic:
             assert symplectic_defect(m.entries) <= 1e-11
 
 
+class TestExpm:
+    def test_matches_scipy(self):
+        # scipy is a test-only reference; the library never imports it
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(2205)
+        worst = 0.0
+        for i in range(2000):
+            n = 1 + i % 6
+            kind = i // 6 % 3
+            if kind == 0:  # random_word's dilation exponents
+                x = 0.5 * rng.uniform(-1.0, 1.0, size=(n, n))
+            else:  # i eps K for Hermitian K, as in test_certify, up to norm 50
+                k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                k = k + k.conj().T
+                if kind == 1:
+                    x = 1j * 10.0 ** rng.uniform(-9.0, 0.0) * k
+                else:  # 1-norm past theta_13, so the Pade value is squared 1 to 4 times
+                    x = 1j * rng.uniform(S._THETA13, 50.0) / np.linalg.norm(k, 1) * k
+            ref = scipy_linalg.expm(x)
+            err = np.linalg.norm(S._expm(x) - ref, 2) / np.linalg.norm(ref, 2)
+            worst = max(worst, err)
+        assert worst <= 1e-14
+
+
 class TestWordMatrix:
     def test_built_once_and_read_only(self, monkeypatch):
         import mtfr.symplectic as symplectic
@@ -395,6 +420,11 @@ class TestWordMatrix:
             GeneratorWord(2, (Chirp(np.eye(2)), letter))
         with pytest.raises(DimensionMismatch):
             letter_matrix(letter, 2)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1.5, True, "2"])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        with pytest.raises(DimensionMismatch):
+            GeneratorWord(n, ())
 
 
 class TestInvertWord:
