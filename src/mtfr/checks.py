@@ -23,7 +23,7 @@ from .errors import (
     Singular,
     UnsupportedShape,
 )
-from .grid import MAX_ELEMENTS, SampledField
+from .grid import MAX_ELEMENTS, SampledField, _quadratic_form
 from .symplectic import TOL_INV
 
 GROWTH_TOL = 0.2
@@ -258,14 +258,9 @@ def beurling_weight(m: np.ndarray, n_exponent: float):
             # (dim 2, one or two points), and its cost does not matter
             quad = np.einsum("...i,ij,...j->...", pts, m, pts)
         else:
-            # lambda.M lambda term by term in (i, j) order, each term
-            # (l_i M_ij) l_j: the order and bits of einsum's "...i,ij,...j"
-            # at a third of its time; an overflow gives inf or nan silently,
-            # as there
-            quad = np.zeros(pts.shape[:-1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, j in np.ndindex(m.shape):
-                    quad += (pts[..., i] * m[i, j]) * pts[..., j]
+            # term by term: einsum's bits at a third of its time
+            coords = [pts[..., i] for i in range(pts.shape[-1])]
+            quad = _quadratic_form(coords, m, pts.shape[:-1])
         quad = np.abs(quad)
         if n_exponent == 0:
             # (1 + ||lambda||)^0 is exactly 1, nan and inf included, and

@@ -8,18 +8,23 @@ DFT.  1-D dilations act by band-limited (spectral) resampling, evaluated
 as a Bluestein chirp-z transform of the centered spectrum in O(N log N)
 per line; in higher dimension only monomial matrices (permutation x
 diagonal) are resampled, axis by axis, and everything else is left to the
-Gaussian oracle path.  The partial STFT is one batched FFT over the
-window shifted to every grid point, run in place on a single integrand
-buffer, block by block of leading rows so that each block is built,
-transformed and calibrated while it is in cache; its values are proven
-finite by a bound on the inputs rather than by a scan.  The blocks are
-independent: with at least 2 blocks per thread they run on the module's
-one thread pool, of MTFR_THREADS threads (the usable CPUs when unset),
-built on first use and dropped in a forked child; fewer run inline, so
-small transforms start no thread.  Either way every value keeps its
-bits.  A slice is the transform of the fields restricted to one
-(x2, omega2) cross-section.  Every tensor field f (x) conj(g) comes from
-`tfr_grid`, under the same size guard.
+Gaussian oracle path.  A chirp's phase x.Qx is summed term by term over
+the per-axis coordinates, never over a stacked mesh.  The tables that
+depend on a point count N alone (the (-1)^j ramp, the Bluestein and
+circular squares, the calibration phase) are built once per N up to 4096
+points and kept read-only, so a letter costs about its arithmetic.  The
+partial STFT is one batched FFT over the window shifted to every grid
+point, run in place on a single integrand buffer, block by block of
+leading rows so that each block is built, transformed and calibrated
+while it is in cache; its values are proven finite by a bound on the
+inputs rather than by a scan.  The blocks are independent: with at least
+2 blocks per thread they run on the module's one thread pool, of
+MTFR_THREADS threads (the usable CPUs when unset), built on first use and
+dropped in a forked child; fewer run inline, so small transforms start no
+thread.  Either way every value keeps its bits.  A slice is the
+transform of the fields restricted to one (x2, omega2) cross-section.
+Every tensor field f (x) conj(g) comes from `tfr_grid`, under the same
+size guard.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -70,6 +76,28 @@ def _is_pow2(n: int) -> bool:
     return n >= 8 and (n & (n - 1)) == 0
 
 
+def _check_grid(points: tuple, extents: tuple):
+    """Raise DimensionMismatch unless (points, extents) is a valid grid."""
+    if not points or len(points) != len(extents):
+        raise DimensionMismatch("need one extent per axis, and at least one axis")
+    if not all(0.0 < t < np.inf for t in extents):
+        raise DimensionMismatch("extents must be finite and positive")
+    for npts in points:
+        if not _is_pow2(npts):
+            raise DimensionMismatch("points per axis must be a power of two >= 8")
+
+
+def _coords(npts: int, extent: float) -> np.ndarray:
+    """The centered grid coordinates (j - N/2) T/N of one axis."""
+    return (np.arange(npts) - npts // 2) * (extent / npts)
+
+
+def _mesh(points: tuple, extents: tuple) -> np.ndarray:
+    """Stacked grid coordinates, shape points + (n,)."""
+    axes = [_coords(npts, t) for npts, t in zip(points, extents)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
 @dataclass(frozen=True)
 class SampledField:
     """Complex values on a centered uniform tensor grid.
@@ -92,13 +120,7 @@ class SampledField:
     def _settle(self, scan_values: bool):
         v = np.asarray(self.values, dtype=complex)
         extents = tuple(float(t) for t in self.extents)
-        if v.ndim == 0 or v.ndim != len(extents):
-            raise DimensionMismatch("need one extent per axis, and at least one axis")
-        if not all(0.0 < t < np.inf for t in extents):
-            raise DimensionMismatch("extents must be finite and positive")
-        for npts in v.shape:
-            if not _is_pow2(npts):
-                raise DimensionMismatch("points per axis must be a power of two >= 8")
+        _check_grid(v.shape, extents)
         if scan_values and not np.all(np.isfinite(v)):
             raise DimensionMismatch("field values must be finite")
         if not v.flags.owndata:
@@ -120,16 +142,14 @@ class SampledField:
         return self.extents[axis] / self.values.shape[axis]
 
     def coords(self, axis: int) -> np.ndarray:
-        npts = self.values.shape[axis]
-        return (np.arange(npts) - npts // 2) * self.spacing(axis)
+        return _coords(self.values.shape[axis], self.extents[axis])
 
     def cell_volume(self) -> float:
         return float(np.prod([self.spacing(a) for a in range(self.n)]))
 
     def mesh(self) -> np.ndarray:
         """Stacked grid coordinates, shape points + (n,)."""
-        axes = [self.coords(a) for a in range(self.n)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return _mesh(self.points, self.extents)
 
 
 def _bounded_field(values: np.ndarray, extents: tuple) -> SampledField:
@@ -153,11 +173,21 @@ def sample(g: GeneralizedGaussian, points, extents) -> SampledField:
 
 
 def sample_function(fn, points, extents) -> SampledField:
-    """Sample a callable on the grid; fn takes stacked coordinates (..., n)."""
+    """Sample a callable on the grid.
+
+    fn takes the stacked coordinates, shape points + (n,), and returns one
+    value per grid point, shape points; any other shape raises
+    DimensionMismatch.
+    """
     points = tuple(int(p) for p in points)
     extents = tuple(float(t) for t in extents)
-    probe = SampledField(np.zeros(points, dtype=complex), extents)
-    return SampledField(np.asarray(fn(probe.mesh()), dtype=complex), extents)
+    _check_grid(points, extents)
+    values = np.asarray(fn(_mesh(points, extents)), dtype=complex)
+    if values.shape != points:
+        raise DimensionMismatch(
+            f"sampled values have shape {values.shape}, the grid {points}"
+        )
+    return SampledField(values, extents)
 
 
 def field_l2(field: SampledField) -> float:
@@ -169,11 +199,66 @@ def field_l2(field: SampledField) -> float:
 # centered Fourier transform
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+class _SizeConstants:
+    """The tables of the grid letters that depend on the point count N alone.
+
+    Each table is built on first use and read-only.
+    """
+
+    def __init__(self, npts: int):
+        self.npts = npts
+        # e^{-i pi N / 2}, the calibration phase of a centered FFT
+        self.phase = np.exp(-0.5j * np.pi * npts)
+
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """(-1)^j for j in [0, N)."""
+        return _read_only((-1.0) ** np.arange(self.npts))
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """The Bluestein index squares (j - N/2)^2."""
+        return _read_only(((np.arange(self.npts) - self.npts // 2) ** 2).astype(float))
+
+    @cached_property
+    def circular(self) -> np.ndarray:
+        """m^2 for m in [-N, N), laid out circularly (length 2N)."""
+        return _read_only(np.fft.fftfreq(2 * self.npts, 1.0 / (2 * self.npts)) ** 2)
+
+
+# _size_constants keeps the tables of every point count up to this many,
+# at most one entry per count: 32 N bytes each, under 256 KiB for all 10
+# counts.  A larger count gets a new entry per call, whose tables live
+# only as long as the expression that uses them.
+_CONSTANTS_MAX_POINTS = 4096
+_constants = {}
+
+
+def _size_constants(npts: int) -> _SizeConstants:
+    """The tables of point count npts, cached up to _CONSTANTS_MAX_POINTS."""
+    consts = _constants.get(npts)
+    if consts is None:
+        consts = _SizeConstants(npts)
+        if npts <= _CONSTANTS_MAX_POINTS:
+            consts = _constants.setdefault(npts, consts)
+    return consts
+
+
+def _along(vector: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A view of vector shaped to broadcast along one axis of ndim."""
+    shape = [1] * ndim
+    shape[axis] = vector.size
+    return vector.reshape(shape)
+
+
 def _ramp(npts: int, axis: int, ndim: int) -> np.ndarray:
     """The (-1)^j sign ramp along one axis, shaped to broadcast over ndim axes."""
-    shape = [1] * ndim
-    shape[axis] = npts
-    return ((-1.0) ** np.arange(npts)).reshape(shape)
+    return _along(_size_constants(npts).ramp, axis, ndim)
 
 
 def _calibration(npts: int, axis: int, ndim: int, extent: float):
@@ -182,8 +267,9 @@ def _calibration(npts: int, axis: int, ndim: int, extent: float):
     Returns the factor, shaped to broadcast over ndim axes, and the new
     extent of the axis.
     """
-    phase = extent / npts * np.exp(-0.5j * np.pi * npts)
-    return _ramp(npts, axis, ndim) * phase, npts / extent
+    consts = _size_constants(npts)
+    factor = consts.ramp * (extent / npts * consts.phase)
+    return _along(factor, axis, ndim), npts / extent
 
 
 def _fft_axis_inplace(buf: np.ndarray, axis: int, extent: float):
@@ -224,17 +310,19 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, o
     """
     npts = values.shape[axis]
     alpha = np.pi / (npts * scale)
-    chirp = np.exp(1j * alpha * (np.arange(npts) - npts // 2) ** 2)
+    # each table is looked up where it is used, so that an uncached one
+    # lives no longer than its expression
+    chirp = np.exp(1j * alpha * _size_constants(npts).squares)
     # e^{-i a m^2} for m in [-N, N), laid out circularly; q - p never
     # reaches m = -N
-    kernel = -1j * alpha * np.fft.fftfreq(2 * npts, 1.0 / (2 * npts)) ** 2
+    kernel = -1j * alpha * _size_constants(npts).circular
     np.exp(kernel, out=kernel)
     np.fft.fft(kernel, out=kernel)
-    moved = np.moveaxis(values, axis, -1)
+    last = values.ndim - 1
+    moved = values if axis == last else np.moveaxis(values, axis, -1)
     buf = np.zeros(moved.shape[:-1] + (2 * npts,), dtype=complex)
     head = buf[..., :npts]
-    last = values.ndim - 1
-    np.multiply(moved, _ramp(npts, last, values.ndim), out=head)
+    np.multiply(moved, _size_constants(npts).ramp, out=head)
     _fft_axis_inplace(head, last, extent)  # the centered spectrum
     head *= chirp
     np.fft.fft(buf, out=buf)
@@ -244,7 +332,7 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, o
     chirp /= extent * np.sqrt(abs(scale))
     if out is None:
         out = np.empty(values.shape, dtype=complex)
-    np.multiply(head, chirp, out=np.moveaxis(out, axis, -1))
+    np.multiply(head, chirp, out=out if axis == last else np.moveaxis(out, axis, -1))
     return out
 
 
@@ -267,6 +355,21 @@ def _monomial_decompose(l: np.ndarray):
     return rows, diag
 
 
+def _quadratic_form(coords, q: np.ndarray, shape) -> np.ndarray:
+    """sum_ij x_i q_ij x_j of coordinates coords[i] that broadcast to shape.
+
+    Term by term in (i, j) order, each term (x_i q_ij) x_j: the order and
+    bits of einsum's "...i,ij,...j" over the stacked coordinates (for at
+    least 8 points), without stacking them.  An overflow gives inf or nan
+    silently, as there.
+    """
+    quad = np.zeros(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in np.ndindex(q.shape):
+            quad += (coords[i] * q[i, j]) * coords[j]
+    return quad
+
+
 def _chirp_alias_check(q: np.ndarray, field: SampledField):
     bound = 0.0
     for a in range(field.n):
@@ -286,9 +389,10 @@ def apply_letter_grid(field: SampledField, letter) -> SampledField:
         if letter.n != field.n:
             raise DimensionMismatch("chirp size does not match field")
         _chirp_alias_check(letter.q, field)
-        mesh = field.mesh()
-        phase = np.einsum("...i,ij,...j->...", mesh, letter.q, mesh)
-        return SampledField(field.values * np.exp(1j * np.pi * phase), field.extents)
+        coords = [_along(field.coords(a), a, field.n) for a in range(field.n)]
+        factor = 1j * np.pi * _quadratic_form(coords, letter.q, field.points)
+        np.exp(factor, out=factor)
+        return SampledField(np.multiply(field.values, factor, out=factor), field.extents)
     if isinstance(letter, PartialFourier):
         if letter.axes[-1] >= field.n:
             raise DimensionMismatch("Fourier axis beyond field dimension")
@@ -309,12 +413,15 @@ def apply_letter_grid(field: SampledField, letter) -> SampledField:
         # the last pass writes f1 straight into the result, which is laid
         # out in the output's axis order and handed over without a copy
         result = np.empty(tuple(field.points[s] for s in source), dtype=complex)
+        if source == list(range(field.n)):
+            result_view = result
+        else:  # the result seen in the input's axis order
+            result_view = np.transpose(result, np.argsort(source))
         values = field.values
         for ax in range(field.n):
-            last = ax == field.n - 1
             values = _resample_axis(
                 values, ax, field.extents[ax], diag[ax],
-                out=np.transpose(result, np.argsort(source)) if last else None,
+                out=result_view if ax == field.n - 1 else None,
             )
         extents = tuple(field.extents[s] for s in source)
         return SampledField(result, extents)
@@ -554,9 +661,7 @@ def partial_stft_at(
     ]
     phase = np.zeros(fs.shape)
     for a in range(k):
-        shape = [1] * k
-        shape[a] = fs.shape[a]
-        phase = phase + (axes[a] * w1[a]).reshape(shape)
+        phase = phase + _along(axes[a] * w1[a], a, k)
     cell = float(np.prod([f.spacing(a) for a in range(k)]))
     return complex(np.sum(fs * np.conj(win) * np.exp(-2j * np.pi * phase)) * cell)
 
@@ -578,15 +683,26 @@ def tfr_grid(word: GeneratorWord, f: SampledField, g: SampledField) -> SampledFi
 
 
 def mass_outside(field: SampledField, region) -> float:
-    """Fraction of the squared mass outside region = (lows, highs), per-axis bounds."""
-    lows, highs = (np.broadcast_to(np.asarray(v, dtype=float), (field.n,)) for v in region)
+    """Fraction of the squared mass outside region = (lows, highs), per-axis bounds.
+
+    Each bound is a scalar for every axis or one value per axis, and none
+    is NaN (else DimensionMismatch); a box with a low above its high is
+    empty, so all of the mass lies outside it.
+    """
+    lows, highs = (np.asarray(v, dtype=float) for v in region)
+    for bound in (lows, highs):
+        if bound.shape not in ((), (1,), (field.n,)):
+            raise DimensionMismatch(
+                f"region bounds of shape {bound.shape} do not fit a {field.n}-axis field"
+            )
+        if np.isnan(bound).any():
+            raise DimensionMismatch("region bounds must not be NaN")
+    lows, highs = (np.broadcast_to(v, (field.n,)) for v in (lows, highs))
     # the box is separable: one mask per axis, broadcast to the grid shape
     inside = np.ones((1,) * field.n, dtype=bool)
     for a in range(field.n):
         x = field.coords(a)
-        shape = [1] * field.n
-        shape[a] = x.size
-        inside = inside & ((x >= lows[a]) & (x <= highs[a])).reshape(shape)
+        inside = inside & _along((x >= lows[a]) & (x <= highs[a]), a, field.n)
     dens = np.abs(field.values.ravel()) ** 2
     total = float(np.sum(dens))
     if total == 0.0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import textwrap
@@ -194,6 +195,42 @@ class TestSampledField:
         with pytest.raises(DimensionMismatch):
             SampledField(values, extents)
 
+    @pytest.mark.parametrize(
+        "shape", [(16, 8), (8,), ()], ids=["transposed", "one-axis", "scalar"]
+    )
+    def test_sample_function_rejects_wrong_shape(self, shape):
+        with pytest.raises(DimensionMismatch, match="shape"):
+            sample_function(lambda mesh: np.ones(shape), (8, 16), (4.0, 4.0))
+
+    @pytest.mark.parametrize(
+        "points,extents,message",
+        [
+            ((), (), "one extent per axis"),
+            ((8, 16), (4.0,), "one extent per axis"),
+            ((16,), (np.nan,), "finite and positive"),
+            ((12,), (4.0,), "power of two"),
+            ((-8,), (4.0,), "power of two"),
+        ],
+    )
+    def test_sample_function_rejects_bad_grid(self, points, extents, message):
+        def fn(mesh):
+            raise AssertionError("fn called on a bad grid")
+
+        with pytest.raises(DimensionMismatch, match=message):
+            sample_function(fn, points, extents)
+
+    def test_sample_function_passes_the_mesh(self):
+        calls = []
+
+        def fn(mesh):
+            calls.append(mesh)
+            return mesh[..., 0] + 2j * mesh[..., 1]
+
+        f = sample_function(fn, (8, 16), (4.0, 8.0))
+        (mesh,) = calls
+        assert mesh.tobytes() == f.mesh().tobytes()
+        np.testing.assert_array_equal(f.values, mesh[..., 0] + 2j * mesh[..., 1])
+
     def test_center_value(self, phi_field):
         g = standard_gaussian(1)
         assert abs(phi_field.values[N // 2]) == pytest.approx(np.exp(g.logamp))
@@ -363,6 +400,118 @@ class TestLetters:
         idx = oracle > 1e-5 * oracle.max()
         rel = np.abs(np.abs(out.values[idx]) - oracle[idx]) / oracle[idx]
         assert np.max(rel) < 1e-6
+
+
+def pinned_letter_cases():
+    """(points, extents, letter) by name: 1-D letters at N = 8, 256 and 1024,
+    chirps with a full symmetric Q, monomial dilations with a permutation
+    and multi-axis Fourier letters."""
+    q2 = [[0.3, -0.2], [-0.2, 0.5]]
+    q3 = [[0.2, -0.1, 0.05], [-0.1, 0.3, 0.15], [0.05, 0.15, -0.25]]
+    q4 = [[0.2, -0.1, 0.05, 0.02], [-0.1, 0.3, 0.15, -0.04],
+          [0.05, 0.15, -0.25, 0.1], [0.02, -0.04, 0.1, 0.12]]
+    cases = {}
+    for npts, extent in ((8, 2.0), (256, 16.0), (1024, 32.0)):
+        grid = ((npts,), (extent,))
+        cases[f"chirp-{npts}"] = grid + (Chirp(np.array([[0.37]])),)
+        cases[f"dilation+{npts}"] = grid + (Dilation(np.array([[0.8]])),)
+        cases[f"dilation-{npts}"] = grid + (Dilation(np.array([[-1.3]])),)
+        cases[f"fourier-{npts}"] = grid + (PartialFourier((0,)),)
+    cases["chirp-16x32"] = ((16, 32), (4.0, 8.0), Chirp(np.array(q2)))
+    cases["chirp-8x16x8"] = ((8, 16, 8), (4.0, 4.0, 2.0), Chirp(np.array(q3)))
+    cases["chirp-8x8x16x8"] = ((8, 8, 16, 8), (2.0, 4.0, 4.0, 2.0), Chirp(np.array(q4)))
+    cases["dilation-32x16"] = (
+        (32, 16), (8.0, 4.0), Dilation(np.array([[0.0, 1.3], [-0.6, 0.0]]))
+    )
+    cases["dilation-16x32"] = (
+        (16, 32), (4.0, 8.0), Dilation(np.array([[1.1, 0.0], [0.0, -0.8]]))
+    )
+    cases["dilation-8x16x32"] = (
+        (8, 16, 32), (2.0, 4.0, 8.0),
+        Dilation(np.array([[0.0, 0.0, 1.2], [0.9, 0.0, 0.0], [0.0, -1.1, 0.0]])),
+    )
+    cases["fourier-16x32"] = ((16, 32), (4.0, 8.0), PartialFourier((0, 1)))
+    cases["fourier-8x16x8-02"] = ((8, 16, 8), (4.0, 4.0, 2.0), PartialFourier((0, 2)))
+    cases["fourier-8x16x8-012"] = ((8, 16, 8), (4.0, 4.0, 2.0), PartialFourier((0, 1, 2)))
+    return cases
+
+
+# sha256 of each case's output values, then its extents as float64 bytes.
+# Recorded with numpy 2.4 on x86-64; a numpy build whose FFT or exp rounds
+# differently needs them recorded again, from the code before a change
+PINNED_LETTER_SHA256 = {
+    "chirp-8": "592493e63071e0f4b84a77e005795a7a21601d431a39e1469e8dc4be4ebc8cf3",
+    "dilation+8": "8b7c2f14d7f71a35e0818ff91378e5778da160c06516cb18a1c8e471546ff2cc",
+    "dilation-8": "31354d1afa800685ae16e9383e046bffdfb91dffc65a43711bf95c0547aa0ce3",
+    "fourier-8": "cb0e0782340a01546955f28cbd27da1dd81a70d0613f5005f289aec7b93dcbcb",
+    "chirp-256": "e6787d19c7446bf3384a3287554aea90d28862847597016308af2a97b14a3444",
+    "dilation+256": "e1d5061af852e8af53879e2e07ebab851c1032d991ce257b5625b0732757ab14",
+    "dilation-256": "de4074c09cd848720bb13878e63b393b5fc16d14b9cf23c42319ef56c43332c5",
+    "fourier-256": "134e10fcf31df81e8a00f1366bd96d1bc1215907857899107f0e1892aa4b9e49",
+    "chirp-1024": "ec0183aea481edbd840a65f683e7977c32b68e5f4ff827dd7f8fa221650f4444",
+    "dilation+1024": "826ae3da9a0cc28c5d3c688a9ba2d389bdc94ff8818f859a712e9636a4b16744",
+    "dilation-1024": "34f256f41152a06ebdb9db2ba839cedfa832a3e0cb0e0377f31f4a914f73e51e",
+    "fourier-1024": "e55c795979d825ffde9044578bc9983654f7e4f19ae0d963577cfb66dc5d8770",
+    "chirp-16x32": "584e919d710866b4a544d3c52e19628327e81a33fe7211fe8f595d40f8a1bb40",
+    "chirp-8x16x8": "40ea00337e4ee907cbee1df4f4471ac1d355f0cfc46a3822ced5bd442e22ad8a",
+    "chirp-8x8x16x8": "8bf5c854593202ffa33905c6b3c469a402cbc6943b07f94070ef3e7f5f1a2207",
+    "dilation-32x16": "51494b239d8aa1e6422b3d44deb0782c9925b53686ef7581e40ab05fd96dcef5",
+    "dilation-16x32": "5446dd0e0ff504f2a88a63b9d9ad9d8b624e20021d72ab765228956e0c0480b1",
+    "dilation-8x16x32": "fbf856afedc64bf901a62aef0ae13100789601c33b66ea952fad8547988ebdb3",
+    "fourier-16x32": "02d86f3d44e5ce5b6baa39959fe8a61faae317a1a1a540a6ef02e78988ed2479",
+    "fourier-8x16x8-02": "a5dd076741cde9ac49012f7596e0b228f70ef5a3a77975df690cb36d8c37945a",
+    "fourier-8x16x8-012": "14df184ff1db726c02020a1cee161f740e379b23d102fb461666857c3ea1ecde",
+}
+
+
+class TestPinnedBits:
+    """Every bit of a grid letter's output, so that no speed-up moves one unseen."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_LETTER_SHA256))
+    def test_letter_output_sha256(self, name):
+        points, extents, letter = pinned_letter_cases()[name]
+        rng = np.random.default_rng(sum(points) + len(points))
+        f = SampledField(
+            rng.standard_normal(points) + 1j * rng.standard_normal(points), extents
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ChirpAliasingWarning)
+            out = apply_letter_grid(f, letter)
+        digest = hashlib.sha256(out.values.tobytes())
+        digest.update(np.array(out.extents).tobytes())
+        assert digest.hexdigest() == PINNED_LETTER_SHA256[name]
+
+    def test_cases_are_pinned(self):
+        assert set(pinned_letter_cases()) == set(PINNED_LETTER_SHA256)
+
+
+class TestSizeConstants:
+    def test_cache_is_keyed_on_size_and_bounded(self, rng, monkeypatch):
+        monkeypatch.setattr(mtfr.grid, "_constants", {})
+        cap = mtfr.grid._CONSTANTS_MAX_POINTS
+        for points in ((256,), (16, 32), (2 * cap,)):
+            f = random_field(rng, points)
+            for scale in (0.8, -1.3, 1.7):
+                apply_letter_grid(f, Dilation(np.diag([scale] * len(points))))
+            apply_letter_grid(f, PartialFourier(tuple(range(len(points)))))
+        cache = mtfr.grid._constants
+        assert sorted(cache) == [16, 32, 256]
+        for npts, consts in cache.items():
+            assert mtfr.grid._size_constants(npts) is consts
+            for table in (consts.ramp, consts.squares, consts.circular):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 2.0
+
+    def test_constants_match_their_formulas(self):
+        for npts in (8, 256, 2 * mtfr.grid._CONSTANTS_MAX_POINTS):
+            consts = mtfr.grid._size_constants(npts)
+            j = np.arange(npts)
+            np.testing.assert_array_equal(consts.ramp, (-1.0) ** j)
+            np.testing.assert_array_equal(consts.squares, (j - npts // 2) ** 2)
+            m = np.concatenate([np.arange(npts), np.arange(-npts, 0)])
+            np.testing.assert_array_equal(consts.circular, m**2)
+            assert consts.phase == np.exp(-0.5j * np.pi * npts)
 
 
 class TestPartialStftGrid:
@@ -764,6 +913,29 @@ class TestMassOutside:
 
     def test_full_grid(self, phi_field):
         assert mass_outside(phi_field, ([-T / 2], [T / 2])) == 0.0
+
+    @pytest.mark.parametrize(
+        "region",
+        [([np.nan, -1.0], [1.0, 1.0]), ([-1.0, -1.0], [1.0, np.nan]), (np.nan, 1.0)],
+    )
+    def test_nan_bound_raises(self, rng, region):
+        f = random_field(rng, (16, 8))
+        with pytest.raises(DimensionMismatch, match="NaN"):
+            mass_outside(f, region)
+
+    @pytest.mark.parametrize(
+        "region",
+        [([-1.0] * 3, [1.0] * 3), ([-1.0, -1.0], [1.0] * 3), (np.full((2, 2), -1.0), 1.0)],
+    )
+    def test_region_of_wrong_shape_raises(self, rng, region):
+        f = random_field(rng, (16, 8))
+        with pytest.raises(DimensionMismatch, match="region bounds"):
+            mass_outside(f, region)
+
+    def test_inverted_box_is_empty(self, rng):
+        f = random_field(rng, (16, 8))
+        assert mass_outside(f, ([1.0, -1.0], [-1.0, 1.0])) == 1.0
+        assert mass_outside(f, (1.0, -1.0)) == 1.0
 
     def test_bump_in_its_box(self):
         def bump(m):
