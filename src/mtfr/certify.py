@@ -22,6 +22,7 @@ before it is returned.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,7 @@ from .symplectic import (
     PreIwasawa,
     SymplecticMatrix,
     _blkdiag,
+    _freeze,
     _scalar_rotation_word,
     _symmetrize_checked,
     assert_unitary,
@@ -183,6 +185,19 @@ def _alt2_omega(l, b_tau, w1, w2, gamma1, pi) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_inputs(d: int):
+    """The chirp-sign probe's 8 points and Gaussian pair (f, g), drawn once per d
+    from default_rng(0); the points are read-only, as a Gaussian's arrays are.
+
+    The pair is generic (f != g, complex M, nonzero b): a symmetric pair
+    such as f = g = phi can score both signs at round-off level.
+    """
+    rng = np.random.default_rng(0)
+    probe = _freeze(rng.uniform(-1.5, 1.5, size=(8, 2 * d)))
+    return probe, random_gaussian(d, rng), random_gaussian(d, rng)
+
+
 def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     """Full Alternative II certificate via the free-factorization pipeline.
 
@@ -270,11 +285,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
         warnings=(*minus.warnings, "window chirp sign resolved to +P22"),
     )
 
-    # a generic pair (f != g, complex M, nonzero b): a symmetric pair such as
-    # f = g = phi can score both signs at round-off level
-    rng = np.random.default_rng(0)
-    probe = rng.uniform(-1.5, 1.5, size=(8, 2 * d))
-    f0, g0 = random_gaussian(d, rng), random_gaussian(d, rng)
+    probe, f0, g0 = _probe_inputs(d)
     errs = {
         cert.alt2.chirp_sign: float(np.max(identity_errors(cert, f0, g0, probe)))
         for cert in (minus, plus)

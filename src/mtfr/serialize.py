@@ -55,9 +55,12 @@ __all__ = [
 ]
 
 
+_NON_FINITE = "JSON output cannot carry NaN or infinity"
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError("JSON output cannot carry NaN or infinity")
+        raise ValueError(_NON_FINITE)
     return format(float(x), ".17g")
 
 
@@ -73,7 +76,11 @@ def _render(obj, out: list):
     if kind is float:
         out.append(_fmt_float(obj))
     elif (kind is list or kind is tuple) and all(type(val) is float for val in obj):
-        out.append("[" + ",".join(map(_fmt_float, obj)) + "]")
+        # one format call per row; only nan and inf put an "n" in a %.17g form
+        row = ("[" + ",".join(["%.17g"] * len(obj)) + "]") % tuple(obj)
+        if "n" in row:
+            raise ValueError(_NON_FINITE)
+        out.append(row)
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
@@ -139,7 +146,7 @@ def _malformed(what: str):
 def matrix_to_obj(m) -> dict:
     m = np.asarray(m, dtype=float)
     n = m.shape[0] // 2 if m.shape[0] % 2 == 0 else m.shape[0]
-    return {"n": n, "rows": [list(map(float, r)) for r in m]}
+    return {"n": n, "rows": m.tolist()}
 
 
 def _numbers(value, shape, what: str) -> np.ndarray:
@@ -172,8 +179,8 @@ def complex_matrix_to_obj(m) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
         "n": m.shape[0],
-        "re": [list(map(float, r)) for r in m.real],
-        "im": [list(map(float, r)) for r in m.imag],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 
@@ -189,9 +196,9 @@ def word_to_obj(word: GeneratorWord) -> list:
     letters = []
     for letter in word.letters:
         if isinstance(letter, Chirp):
-            letters.append({"kind": "chirp", "q": [list(map(float, r)) for r in letter.q]})
+            letters.append({"kind": "chirp", "q": letter.q.tolist()})
         elif isinstance(letter, Dilation):
-            letters.append({"kind": "dilation", "l": [list(map(float, r)) for r in letter.l]})
+            letters.append({"kind": "dilation", "l": letter.l.tolist()})
         elif isinstance(letter, PartialFourier):
             letters.append({"kind": "pfourier", "axes": list(letter.axes)})
     return letters
@@ -222,10 +229,10 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
 def gaussian_to_obj(g: GeneralizedGaussian) -> dict:
     return {
         "n": g.n,
-        "M_re": [list(map(float, r)) for r in g.m.real],
-        "M_im": [list(map(float, r)) for r in g.m.imag],
-        "b_re": list(map(float, g.b.real)),
-        "b_im": list(map(float, g.b.imag)),
+        "M_re": g.m.real.tolist(),
+        "M_im": g.m.imag.tolist(),
+        "b_re": g.b.real.tolist(),
+        "b_im": g.b.imag.tolist(),
         "logamp": float(g.logamp),
     }
 

@@ -14,6 +14,7 @@ partial Fourier letters (rotations by diag(i on S, 1 off S)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -417,15 +418,23 @@ def pre_iwasawa(m: SymplecticMatrix) -> PreIwasawa:
     Closed formulas: with blocks ((A, B), (C, D)),
     L = (A A^t + B B^t)^{1/2}, Q = (C A^t + D B^t)(A A^t + B B^t)^{-1},
     U = L^{-1}(A + i B).
+
+    A matrix is immutable, so its factors are computed on the first call
+    and every later call returns the same object; a call that raises
+    stores nothing.
     """
-    a, b, c, d = m.a, m.b, m.c, m.d
-    s = a @ a.T + b @ b.T
-    l = _spd_sqrt(s)
-    q = np.linalg.solve(s.T, (c @ a.T + d @ b.T).T).T
-    q = 0.5 * (q + q.T)
-    u = np.linalg.solve(l, a + 1j * b)
-    u = assert_unitary(u, tol=TOL_DERIVED, what="pre_iwasawa U factor")
-    return PreIwasawa(q, l, u)
+    pre = m.__dict__.get("_pre_iwasawa")
+    if pre is None:
+        a, b, c, d = m.a, m.b, m.c, m.d
+        s = a @ a.T + b @ b.T
+        l = _spd_sqrt(s)
+        q = np.linalg.solve(s.T, (c @ a.T + d @ b.T).T).T
+        q = 0.5 * (q + q.T)
+        u = np.linalg.solve(l, a + 1j * b)
+        u = assert_unitary(u, tol=TOL_DERIVED, what="pre_iwasawa U factor")
+        pre = PreIwasawa(q, l, u)
+        object.__setattr__(m, "_pre_iwasawa", pre)
+    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +466,12 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
     return GeneratorWord(n, letters)
 
 
+@functools.lru_cache(maxsize=2)
+def _tau_table(resolution: int) -> np.ndarray:
+    """The candidate taus e^{i pi j / resolution}, j = 1 .. resolution - 1, read-only."""
+    return _freeze([np.exp(1j * np.pi * j / resolution) for j in range(1, resolution)])
+
+
 def select_tau_balanced(u: np.ndarray) -> complex:
     """Tau conditioning *both* factors of the split R_U = R_{tau U} R_{conj(tau) I}.
 
@@ -470,7 +485,7 @@ def select_tau_balanced(u: np.ndarray) -> complex:
     u = assert_unitary(u, what="select_tau_balanced")
     base = np.linalg.svd(u.imag, compute_uv=False)[-1]
     for resolution in (64, 128):
-        taus = np.array([np.exp(1j * np.pi * j / resolution) for j in range(1, resolution)])
+        taus = _tau_table(resolution)
         smin = np.linalg.svd((taus[:, None, None] * u).imag, compute_uv=False)[:, -1]
         scores = np.minimum(smin, np.abs(taus.imag))
         best = int(np.argmax(scores))  # the first of equal scores wins

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import mtfr.grid
 from mtfr.errors import GridTooLarge, NotBlockDiagonal, NumericalFailure, RealMatrix
 from mtfr.certify import (
+    _probe_inputs,
     alt1_tfr_tensor,
     alt2_certificate,
     certify,
@@ -325,6 +327,114 @@ class TestVerifyIdentity:
         f, g = standard_gaussian(1), standard_gaussian(1)
         pts = np.array([[1.0, 1.0], [2.0, -1.0]])
         assert verify_identity(bad, f, g, pts) > 1e-4
+
+
+def pinned_certify_cases():
+    """(bold, pair) by name, 12 seeded inputs: for d = 1..3, three generic
+    Alternative II inputs (`alt2_bold`) with a Gaussian pair and points,
+    and one Alternative I rotation R_{W diag(e^{i theta})} with theta
+    within pi/4 of pi/2 (no pair: the identity needs Alternative II)."""
+    cases = {}
+    for d in (1, 2, 3):
+        for j in range(4):
+            rng = np.random.default_rng(2400 + 10 * d + j)
+            if j < 3:
+                bold = alt2_bold(d, rng)
+                pair = (random_gaussian(d, rng), random_gaussian(d, rng),
+                        rng.uniform(-3.0, 3.0, size=(20, 2 * d)))
+                cases[f"alt2-d{d}-{j}"] = (bold, pair)
+            else:
+                theta = rng.uniform(np.pi / 4, 3 * np.pi / 4, size=2 * d)
+                bold = make_rotation(haar_orthogonal(2 * d, rng) * np.exp(1j * theta))
+                cases[f"alt1-d{d}"] = (bold, None)
+    return cases
+
+
+# sha256 of each certificate's canonical JSON, and repr of verify_identity
+PINNED_CERTIFICATES = {
+    "alt1-d1": (
+        "05d8b78326031954d9e1fea8e8b1d7a1665617197433e5fb10556e3adfd8b5b6",
+        None,
+    ),
+    "alt1-d2": (
+        "e292b28a79ed2469ef5af4e5d04b930ffcfd854663e5fe87888923faffbaf45a",
+        None,
+    ),
+    "alt1-d3": (
+        "d0d7fe94a850db290c3f48f9647b81961dc2a7705bcb732c482073c6b6f854d2",
+        None,
+    ),
+    "alt2-d1-0": (
+        "bd8c7d6842dabb71c7065aeb8347cd7a8f183a67280a8c4a3b4e851253783244",
+        "7.105427357600977e-15",
+    ),
+    "alt2-d1-1": (
+        "f5e0801af2b0a80e8969953b804ef5c0225e423d878444f800a6c882419eb2ce",
+        "2.8421709430403604e-14",
+    ),
+    "alt2-d1-2": (
+        "1f1f178d124f06ba5b797f3d9dd4c11721a4e894799c01f246f814eec2b35932",
+        "4.26325641456051e-14",
+    ),
+    "alt2-d2-0": (
+        "80a2199f7b748b17efab61a29cc59294150f26c8aed58f402cad8c070c1b0492",
+        "6.821210263294635e-13",
+    ),
+    "alt2-d2-1": (
+        "59ae7d2acc4ce52767a3b171301a40e3167726a8ccbc1550e7f041c83fba219c",
+        "7.10542735760075e-14",
+    ),
+    "alt2-d2-2": (
+        "cbac7642e1daa129741ec59562f9d4604ace67a09176b7d915a668fcb2c887fa",
+        "6.821210263294635e-13",
+    ),
+    "alt2-d3-0": (
+        "50811a1235b1ee1e6616cebac996d0a10c7aa7a47f6795494cc772f9a283da5b",
+        "5.68434188608064e-14",
+    ),
+    "alt2-d3-1": (
+        "d99ab6f93eccaee4f5c6ccb87e269303f91bf7bcb2f8ef8c3ca26719e86b54c7",
+        "7.10542735760075e-14",
+    ),
+    "alt2-d3-2": (
+        "8d522f4eb2555a69e013a5426d3c504fb21e2a773ddde5a823e1edfd07b8ebaa",
+        "3.4106051316478993e-13",
+    ),
+}
+
+
+class TestPinnedCertificateBits:
+    """Every byte of a certificate and every bit of its identity error, so
+    that no speed-up of `certify` or of the writer moves one unseen."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+    def test_certificate_bytes(self, name):
+        bold, pair = pinned_certify_cases()[name]
+        for _ in range(2):  # the second certify of the same matrix reuses its factors
+            cert = certify(bold)
+            assert cert.alternative == name[3:4].replace("1", "I").replace("2", "II")
+            text = canonical_json(certificate_to_obj(cert))
+            err = None if pair is None else repr(verify_identity(cert, *pair))
+            assert (hashlib.sha256(text.encode()).hexdigest(), err) == PINNED_CERTIFICATES[name]
+
+    def test_cases_are_pinned(self):
+        assert set(pinned_certify_cases()) == set(PINNED_CERTIFICATES)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_probe_inputs_drawn_once_and_read_only(self, d):
+        probe, f, g = _probe_inputs(d)
+        assert _probe_inputs(d)[0] is probe
+        # the draw order of a fresh generator: points, then f, then g
+        fresh = np.random.default_rng(0)
+        points = fresh.uniform(-1.5, 1.5, size=(8, 2 * d))
+        f0, g0 = random_gaussian(d, fresh), random_gaussian(d, fresh)
+        assert probe.tobytes() == points.tobytes()
+        for a, b in ((f, f0), (g, g0)):
+            assert (a.m.tobytes(), a.b.tobytes(), a.logamp) == (b.m.tobytes(), b.b.tobytes(), b.logamp)
+        for arr in (probe, f.m, f.b, g.m, g.b):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestCounterexample:

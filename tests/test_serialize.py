@@ -124,6 +124,59 @@ def test_canonical_json_rejects_non_finite(obj):
         canonical_json(obj)
 
 
+_row_floats = st.one_of(
+    _finite_floats,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_non_finite = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@given(st.lists(_row_floats), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_float_row_is_each_number_at_17_digits(row, as_tuple):
+    obj = tuple(row) if as_tuple else row
+    assert canonical_json(obj) == "[" + ",".join(format(x, ".17g") for x in row) + "]\n"
+
+
+@given(st.lists(_row_floats), _non_finite, st.data())
+@settings(max_examples=100, deadline=None)
+def test_non_finite_anywhere_in_a_row_is_refused(row, bad, data):
+    row.insert(data.draw(st.integers(0, len(row))), bad)
+    for obj in (row, tuple(row), bad, {"rows": [row]}):
+        with pytest.raises(ValueError, match="^JSON output cannot carry NaN or infinity$"):
+            canonical_json(obj)
+
+
+def _number_rows(obj):
+    """Every list in obj whose entries are all numbers, Fourier axes aside."""
+    if isinstance(obj, dict):
+        return [row for key, val in obj.items() if key != "axes" for row in _number_rows(val)]
+    if isinstance(obj, list):
+        if obj and all(isinstance(v, (int, float, np.number)) and type(v) is not bool for v in obj):
+            return [obj]
+        return [row for val in obj for row in _number_rows(val)]
+    return []
+
+
+@given(generator_words(), gaussians())
+@settings(max_examples=50, deadline=None)
+def test_objects_carry_plain_floats(word, g):
+    m = random_symplectic(2, 5, seed=4).entries
+    objs = [
+        matrix_to_obj(m),
+        complex_matrix_to_obj(m[:2, :2] + 1j * m[2:, :2]),
+        word_to_obj(word),
+        gaussian_to_obj(g),
+    ]
+    rows = [row for obj in objs for row in _number_rows(obj)]
+    assert rows
+    # only plain floats, so every row takes the writer's one-call path
+    assert all(type(v) is float for row in rows for v in row)
+    # the same floats that converting each entry of each row gives
+    assert matrix_to_obj(m)["rows"] == [list(map(float, r)) for r in m]
+    assert gaussian_to_obj(g)["M_im"] == [list(map(float, r)) for r in g.m.imag]
+
+
 def test_canonical_json_is_valid_and_deterministic():
     obj = {"a": 1, "b": [0.1, 2.5e-17, -3.0], "c": {"nested": True, "s": 'q"uote'}}
     text1 = canonical_json(obj)

@@ -10,6 +10,7 @@ from mtfr.errors import (
     NotSymmetric,
     NotSymplectic,
     NotUnitary,
+    NumericalFailure,
     Singular,
 )
 from mtfr.symplectic import (
@@ -246,6 +247,37 @@ class TestPreIwasawa:
         np.testing.assert_allclose(pi.l, l, atol=1e-9)
         np.testing.assert_allclose(pi.u, u, atol=1e-9)
 
+    def test_factorized_once_per_matrix(self):
+        m = random_symplectic(2, 6, seed=11)
+        pi = pre_iwasawa(m)
+        assert pre_iwasawa(m) is pi
+        for factor in (pi.q, pi.l, pi.u):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 2.0
+        # an equal but distinct matrix gets its own factorization, bit for bit the same
+        twin = SymplecticMatrix(m.n, m.entries)
+        other = pre_iwasawa(twin)
+        assert other is not pi
+        assert pre_iwasawa(twin) is other
+        for a, b in ((pi.q, other.q), (pi.l, other.l), (pi.u, other.u)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_failed_call_caches_nothing(self, monkeypatch):
+        m = random_symplectic(1, 4, seed=3)
+
+        def refuse(s):
+            raise NumericalFailure("refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "_spd_sqrt", refuse)
+            with pytest.raises(NumericalFailure):
+                pre_iwasawa(m)
+        assert "_pre_iwasawa" not in m.__dict__
+        pi = pre_iwasawa(m)
+        assert pre_iwasawa(m) is pi
+        assert np.linalg.norm(pi.reconstruct() - m.entries) <= 1e-10
+
 
 class TestFreeFactorize:
     def test_j_word(self):
@@ -316,6 +348,17 @@ class TestSelectTau:
         tau = select_tau_balanced(u)
         assert type(tau) is type(self._scan_loop(u))
         assert tau == self._scan_loop(u)
+
+    @pytest.mark.parametrize("resolution", [64, 128])
+    def test_tau_table_is_built_once_and_read_only(self, resolution):
+        taus = S._tau_table(resolution)
+        assert S._tau_table(resolution) is taus
+        assert not taus.flags.writeable
+        with pytest.raises(ValueError):
+            taus[0] = 1.0
+        inline = np.array([np.exp(1j * np.pi * j / resolution) for j in range(1, resolution)])
+        assert taus.dtype == inline.dtype
+        assert taus.tobytes() == inline.tobytes()
 
 
 class TestFactorToWord:
