@@ -48,7 +48,6 @@ from .gaussian import (
 from .grid import SampledField, apply_word_grid, sample_function, tfr_grid
 from .symplectic import (
     TOL_DERIVED,
-    TOL_INV,
     Chirp,
     Dilation,
     GeneratorWord,
@@ -57,6 +56,7 @@ from .symplectic import (
     SymplecticMatrix,
     _blkdiag,
     _freeze,
+    _near_singular,
     _scalar_rotation_word,
     _symmetrize_checked,
     assert_unitary,
@@ -233,7 +233,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     k = int(np.sum(svals > RANK_TOL * svals[0]))  # k >= 1: RANK_TOL < 1
     gamma1 = svals[:k]
     # twice Dilation's singularity gate, so that Dilation(diag(gamma1) (+) I) passes it
-    if gamma1[-1] <= 2 * TOL_INV * max(1.0, gamma1[0]):
+    if _near_singular(gamma1, slack=2):
         raise NumericalFailure(
             "borderline input: retained singular value "
             f"{gamma1[-1]:.3e} is below the dilation tolerance, "

@@ -23,8 +23,8 @@ from .errors import (
     Singular,
     UnsupportedShape,
 )
-from .grid import MAX_ELEMENTS, SampledField, _quadratic_form
-from .symplectic import TOL_INV
+from .grid import MAX_ELEMENTS, SampledField, _mesh, _quadratic_form
+from .symplectic import _near_singular, _singular_values
 
 GROWTH_TOL = 0.2
 CONVERGENT_TOL = 0.05
@@ -241,8 +241,7 @@ def _ball_nodes(dim: int, rmax: float, resolution: int):
         raise GridTooLarge(f"{resolution}^{dim} nodes exceed {MAX_ELEMENTS}")
     h = 2.0 * rmax / resolution
     axis = -rmax + h * (np.arange(resolution) + 0.5)
-    mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
-    return mesh.reshape(-1, dim), h**dim
+    return _mesh([axis] * dim).reshape(-1, dim), h**dim
 
 
 def beurling_weight(m: np.ndarray, n_exponent: float):
@@ -336,6 +335,12 @@ def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transfor
     masked sums and ratio rule.
     """
     radii = _increasing_radii(radii)
+    if point_transform is not None:
+        t = np.asarray(point_transform, dtype=float)
+        if t.shape != (dim, dim):
+            raise DimensionMismatch(f"point_transform must be {dim} x {dim}, got {t.shape}")
+        if _near_singular(_singular_values(t, "point_transform")):
+            raise Singular("point_transform must be invertible")
     nodes, cell = _ball_nodes(dim, radii[-1], resolution)
     r2 = np.einsum("ij,ij->i", nodes, nodes)
     # only nodes of the largest ball enter a sum; the sums keep their order
@@ -344,7 +349,6 @@ def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transfor
     masks = _ball_masks(r2, radii)
     pts, jac = nodes, 1.0
     if point_transform is not None:
-        t = np.asarray(point_transform, dtype=float)
         pts = nodes @ t.T
         jac = abs(np.linalg.det(t))
     modulus = np.asarray(evaluator(pts), dtype=float)
@@ -588,8 +592,7 @@ def nazarov_bound(
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
     im_u = np.asarray(im_u, dtype=float)
-    sv = np.linalg.svd(im_u, compute_uv=False)  # Dilation's singularity test
-    if sv[-1] <= TOL_INV * max(1.0, sv[0]):
+    if _near_singular(_singular_values(im_u, "Im(U)")):
         raise Singular("Im(U) must be invertible for the Nazarov hypothesis")
     comp_s = complement_integral(f1_field, s_shape)
     comp_t = complement_integral(f2_field, t_shape)
@@ -658,9 +661,7 @@ def cross_section_sweep(
     radii = _increasing_radii(radii)
 
     slice_axes = list(range(k)) + list(range(d, d + k))
-    coords = [field.coords(a) for a in slice_axes]
-    mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    pts = mesh.reshape(-1, 2 * k)
+    pts = _mesh([field.coords(a) for a in slice_axes]).reshape(-1, 2 * k)
     r2 = np.einsum("ij,ij->i", pts, pts)
     cell = float(np.prod([field.spacing(a) for a in slice_axes]))
     # (x2, omega2) leading, each slice's (x1, omega1) values flattened last

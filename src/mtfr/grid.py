@@ -4,27 +4,28 @@ Fields are sampled on tensor grids t_j = -T/2 + j T/N per axis (N a power
 of two).  Fourier letters use the centered FFT calibrated to the
 continuous transform (spacing factor and half-period phase ramps), so the
 discrete operator approximates the continuous unitary rather than the raw
-DFT.  1-D dilations act by band-limited (spectral) resampling, evaluated
-as a Bluestein chirp-z transform of the centered spectrum in O(N log N)
-per line; in higher dimension only monomial matrices (permutation x
-diagonal) are resampled, axis by axis, and everything else is left to the
-Gaussian oracle path.  A chirp's phase x.Qx is summed term by term over
-the per-axis coordinates, never over a stacked mesh.  The tables that
-depend on a point count N alone (the (-1)^j ramp, the Bluestein and
-circular squares, the calibration phase) are built once per N up to 4096
-points and kept read-only, so a letter costs about its arithmetic.  The
-partial STFT is one batched FFT over the window shifted to every grid
-point, run in place on a single integrand buffer, block by block of
-leading rows so that each block is built, transformed and calibrated
-while it is in cache; its values are proven finite by a bound on the
-inputs rather than by a scan.  The blocks are independent: with at least
-2 blocks per thread they run on the module's one thread pool, of
+DFT.  Whether a letter fits a field is the rule of a word,
+`symplectic._check_fits`.  1-D dilations act by band-limited (spectral)
+resampling, evaluated as a Bluestein chirp-z transform of the centered
+spectrum in O(N log N) per line; in higher dimension only monomial
+matrices (permutation x diagonal) are supported: each axis is resampled by
+its diagonal entry, then the axes are permuted once, and everything else
+is left to the Gaussian oracle path.  A chirp's phase x.Qx is summed term
+by term over the per-axis coordinates, never over a stacked mesh.  The
+tables that depend on a point count N alone (the (-1)^j ramp, the
+Bluestein and circular squares, the calibration phase) are built once per
+N up to 4096 points and kept read-only, so a letter costs about its
+arithmetic.  The partial STFT is one batched FFT over the window shifted
+to every grid point, run in place on a single integrand buffer, block by
+block of leading rows so that each block is built, transformed and
+calibrated while it is in cache; its values are proven finite by a bound
+on the inputs rather than by a scan.  The blocks are independent: with at
+least 2 blocks per thread they run on the module's one thread pool, of
 MTFR_THREADS threads (the usable CPUs when unset), built on first use and
 dropped in a forked child; fewer run inline, so small transforms start no
-thread.  Either way every value keeps its bits.  A slice is the
-transform of the fields restricted to one (x2, omega2) cross-section.
-Every tensor field f (x) conj(g) comes from `tfr_grid`, under the same
-size guard.
+thread.  Either way every value keeps its bits.  A slice is the transform
+of the fields restricted to one (x2, omega2) cross-section.  Every tensor
+field f (x) conj(g) comes from `tfr_grid`, under the same size guard.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     UnsupportedDilation,
 )
 from .gaussian import GeneralizedGaussian, evaluate
-from .symplectic import Chirp, Dilation, GeneratorWord, PartialFourier
+from .symplectic import Chirp, GeneratorWord, PartialFourier, _check_fits
 
 MAX_ELEMENTS = 2**26
 # partial_stft_grid builds, transforms and calibrates its integrand in
@@ -92,9 +93,8 @@ def _coords(npts: int, extent: float) -> np.ndarray:
     return (np.arange(npts) - npts // 2) * (extent / npts)
 
 
-def _mesh(points: tuple, extents: tuple) -> np.ndarray:
-    """Stacked grid coordinates, shape points + (n,)."""
-    axes = [_coords(npts, t) for npts, t in zip(points, extents)]
+def _mesh(axes) -> np.ndarray:
+    """The tensor grid of the 1-D coordinates axes, stacked: shape (sizes) + (n,)."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
@@ -149,7 +149,7 @@ class SampledField:
 
     def mesh(self) -> np.ndarray:
         """Stacked grid coordinates, shape points + (n,)."""
-        return _mesh(self.points, self.extents)
+        return _mesh([self.coords(a) for a in range(self.n)])
 
 
 def _bounded_field(values: np.ndarray, extents: tuple) -> SampledField:
@@ -182,7 +182,7 @@ def sample_function(fn, points, extents) -> SampledField:
     points = tuple(int(p) for p in points)
     extents = tuple(float(t) for t in extents)
     _check_grid(points, extents)
-    values = np.asarray(fn(_mesh(points, extents)), dtype=complex)
+    values = np.asarray(fn(_mesh(map(_coords, points, extents))), dtype=complex)
     if values.shape != points:
         raise DimensionMismatch(
             f"sampled values have shape {values.shape}, the grid {points}"
@@ -294,7 +294,7 @@ def _centered_fft_axis(values: np.ndarray, axis: int, extent: float):
     return buf, _fft_axis_inplace(buf, axis, extent)
 
 
-def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, out=None):
+def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
     """Band-limited evaluation of f(x/scale) |scale|^{-1/2} on the same grid.
 
     With the centered spectrum F_p (p, q in [-N/2, N/2)), the value at
@@ -305,8 +305,7 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, o
     so the cost is O(N log N) per line along the axis.
 
     The FFTs run in place in one zero-padded buffer, the axis last; the
-    result goes into out (an array, or a view, of values' shape) when given
-    and into a new array otherwise, and is returned.
+    result is a new C-contiguous array of values' shape.
     """
     npts = values.shape[axis]
     alpha = np.pi / (npts * scale)
@@ -330,8 +329,7 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float, o
     del kernel
     np.fft.ifft(buf, out=buf)
     chirp /= extent * np.sqrt(abs(scale))
-    if out is None:
-        out = np.empty(values.shape, dtype=complex)
+    out = np.empty(values.shape, dtype=complex)
     np.multiply(head, chirp, out=out if axis == last else np.moveaxis(out, axis, -1))
     return out
 
@@ -384,48 +382,33 @@ def _chirp_alias_check(q: np.ndarray, field: SampledField):
 
 
 def apply_letter_grid(field: SampledField, letter) -> SampledField:
-    """Discrete approximation of one metaplectic generator."""
+    """Discrete approximation of one metaplectic generator that fits the field."""
+    _check_fits(letter, field.n)
     if isinstance(letter, Chirp):
-        if letter.n != field.n:
-            raise DimensionMismatch("chirp size does not match field")
         _chirp_alias_check(letter.q, field)
         coords = [_along(field.coords(a), a, field.n) for a in range(field.n)]
         factor = 1j * np.pi * _quadratic_form(coords, letter.q, field.points)
         np.exp(factor, out=factor)
         return SampledField(np.multiply(field.values, factor, out=factor), field.extents)
     if isinstance(letter, PartialFourier):
-        if letter.axes[-1] >= field.n:
-            raise DimensionMismatch("Fourier axis beyond field dimension")
         values = field.values
         extents = list(field.extents)
         for ax in letter.axes:
             values, extents[ax] = _centered_fft_axis(values, ax, extents[ax])
         return SampledField(values, tuple(extents))
-    if isinstance(letter, Dilation):
-        if letter.n != field.n:
-            raise DimensionMismatch("dilation size does not match field")
-        rows, diag = _monomial_decompose(letter.l)
-        # result(x) = f1(P^t x): axis a of the output reads axis source[a] of f1,
-        # where source[a] is the column with its nonzero in row a
-        source = [0] * field.n
-        for col, row in enumerate(rows):
-            source[row] = col
-        # the last pass writes f1 straight into the result, which is laid
-        # out in the output's axis order and handed over without a copy
-        result = np.empty(tuple(field.points[s] for s in source), dtype=complex)
-        if source == list(range(field.n)):
-            result_view = result
-        else:  # the result seen in the input's axis order
-            result_view = np.transpose(result, np.argsort(source))
-        values = field.values
-        for ax in range(field.n):
-            values = _resample_axis(
-                values, ax, field.extents[ax], diag[ax],
-                out=result_view if ax == field.n - 1 else None,
-            )
-        extents = tuple(field.extents[s] for s in source)
-        return SampledField(result, extents)
-    raise TypeError(f"unknown letter {letter!r}")
+    # a dilation L = P diag(d): f1 is each axis resampled by its entry of d,
+    # and result(x) = f1(P^t x): axis a of the output reads axis source[a]
+    # of f1, where source[a] is the column with its nonzero in row a
+    rows, diag = _monomial_decompose(letter.l)
+    source = [0] * field.n
+    for col, row in enumerate(rows):
+        source[row] = col
+    values = field.values
+    for ax in range(field.n):
+        values = _resample_axis(values, ax, field.extents[ax], diag[ax])
+    if source != list(range(field.n)):
+        values = np.ascontiguousarray(np.transpose(values, source))
+    return SampledField(values, tuple(field.extents[s] for s in source))
 
 
 def apply_word_grid(field: SampledField, word: GeneratorWord) -> SampledField:
@@ -440,16 +423,22 @@ def apply_word_grid(field: SampledField, word: GeneratorWord) -> SampledField:
 # partial short-time Fourier transform
 
 
-def _negated_index(i: int, npts: int) -> int:
-    return (npts - i) % npts
+def _check_indices(idx, points, what: str) -> tuple:
+    """idx as a tuple of one integer in [0, N) per axis of points, else DimensionMismatch."""
+    idx = tuple(idx)
+    if len(idx) != len(points) or not all(
+        isinstance(i, (int, np.integer)) and 0 <= i < npts for i, npts in zip(idx, points)
+    ):
+        raise DimensionMismatch(f"{what} must be one index in [0, N) per axis, got {idx!r}")
+    return idx
 
 
-def _window_slices(f_points, x2_idx, g_values, w2_idx, k):
+def _window_slices(f_values, x2_idx, g_values, w2_idx, k):
     """Restrict f and g to the slice (x2, -omega2) of their trailing axes."""
-    fs = f_points[(slice(None),) * k + tuple(x2_idx)]
-    neg = tuple(
-        _negated_index(int(i), g_values.shape[k + a]) for a, i in enumerate(w2_idx)
-    )
+    x2_idx = _check_indices(x2_idx, f_values.shape[k:], "x2")
+    w2_idx = _check_indices(w2_idx, g_values.shape[k:], "omega2")
+    fs = f_values[(slice(None),) * k + x2_idx]
+    neg = tuple(-i % npts for i, npts in zip(w2_idx, g_values.shape[k:]))
     gs = g_values[(slice(None),) * k + neg]
     return fs, gs
 
@@ -566,8 +555,6 @@ def partial_stft_slice(
     values.
     """
     _check_stft_args(f, g, k)
-    if len(x2_idx) != f.n - k or len(w2_idx) != f.n - k:
-        raise DimensionMismatch("slice indices must cover the trailing d-k axes")
     fs, gs = _window_slices(f.values, x2_idx, g.values, w2_idx, k)
     extents = f.extents[:k]
     return partial_stft_grid(SampledField(fs, extents), SampledField(gs, extents), k)
@@ -651,17 +638,14 @@ def partial_stft_at(
     x1 and the slice variables are grid multi-indices; omega1 is an
     arbitrary continuous frequency vector.
     """
-    if len(x1_idx) != k:
-        raise DimensionMismatch("x1 index must have k components")
+    _check_stft_args(f, g, k)
+    x1_idx = _check_indices(x1_idx, f.points[:k], "x1")
     fs, gs = _window_slices(f.values, x2_idx, g.values, w2_idx, k)
     win = _shifted_window(gs, x1_idx)
     w1 = np.asarray(w1, dtype=float).reshape(k)
-    axes = [
-        (np.arange(fs.shape[a]) - fs.shape[a] // 2) * f.spacing(a) for a in range(k)
-    ]
     phase = np.zeros(fs.shape)
     for a in range(k):
-        phase = phase + _along(axes[a] * w1[a], a, k)
+        phase = phase + _along(f.coords(a) * w1[a], a, k)
     cell = float(np.prod([f.spacing(a) for a in range(k)]))
     return complex(np.sum(fs * np.conj(win) * np.exp(-2j * np.pi * phase)) * cell)
 

@@ -13,6 +13,7 @@ import contextlib
 import math
 import os
 import struct
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -64,10 +65,6 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _render(obj, out: list):
     # a certificate is mostly plain floats in rows, then dicts and lists:
     # those types are tested first (no type is both a container and a
@@ -86,7 +83,7 @@ def _render(obj, out: list):
         for i, (key, val) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(_quote(str(key)))
+            out.append(encode_basestring(str(key)))
             out.append(":")
             _render(val, out)
         out.append("}")
@@ -98,7 +95,7 @@ def _render(obj, out: list):
             _render(val, out)
         out.append("]")
     elif isinstance(obj, str):
-        out.append(_quote(obj))
+        out.append(encode_basestring(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -114,7 +111,8 @@ def _render(obj, out: list):
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: insertion order, 17 significant digits."""
+    """Deterministic JSON text: insertion order, 17 significant digits, and
+    strings quoted as the json module quotes them (control characters escaped)."""
     out: list = []
     _render(obj, out)
     return "".join(out) + "\n"

@@ -80,6 +80,24 @@ def _frobenius(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)  # vdot flattens and conjugates
 
 
+def _singular_values(l: np.ndarray, what: str) -> np.ndarray:
+    """The singular values of a real matrix, largest first; DimensionMismatch unless finite."""
+    try:
+        sv = np.linalg.svd(l, compute_uv=False)
+    except np.linalg.LinAlgError:
+        _reject_non_finite(l, what)  # a nan entry stops the SVD
+        raise
+    if not math.isfinite(sv[0]):  # an infinite entry makes it nan
+        _reject_non_finite(l, what)
+    return sv
+
+
+def _near_singular(sv, slack: float = 1.0) -> bool:
+    """Dilation's singularity gate on singular values sv, largest first:
+    sigma_min <= slack TOL_INV max(1, sigma_max), with sigma_max = ||L||_2."""
+    return sv[-1] <= slack * TOL_INV * max(1.0, sv[0])
+
+
 def _symmetrize_checked(
     q: np.ndarray, tol: float, what: str, error=NotSymmetric
 ) -> np.ndarray:
@@ -174,15 +192,7 @@ class Dilation:
         l = np.asarray(self.l, dtype=float)
         if l.ndim != 2 or l.shape[0] != l.shape[1]:
             raise DimensionMismatch("dilation matrix must be square")
-        # sigma_min against ||L||_2 = sigma_max, both from one SVD
-        try:
-            sv = np.linalg.svd(l, compute_uv=False)
-        except np.linalg.LinAlgError:
-            _reject_non_finite(l, "Dilation")  # a nan entry stops the SVD
-            raise
-        if not math.isfinite(sv[0]):  # an infinite entry makes it nan
-            _reject_non_finite(l, "Dilation")
-        if sv[-1] <= TOL_INV * max(1.0, sv[0]):
+        if _near_singular(_singular_values(l, "Dilation")):
             raise Singular("Dilation: matrix is singular at tolerance")
         object.__setattr__(self, "l", _freeze(l))
 
@@ -368,7 +378,8 @@ def assert_unitary(u: np.ndarray, tol: float = TOL_UNIT, what: str = "matrix") -
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"{what} must be square")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if defect > tol * max(1.0, np.linalg.norm(u)):
+    # written so that a nan defect, or an infinite bound, fails the gate
+    if not defect <= tol * max(1.0, np.linalg.norm(u)) < math.inf:
         raise NotUnitary(f"{what}: unitarity defect {defect:.3e}")
     return u
 

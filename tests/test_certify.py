@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtfr.grid
-from mtfr.errors import GridTooLarge, NotBlockDiagonal, NumericalFailure, RealMatrix
+from mtfr.errors import (
+    GridTooLarge,
+    NotBlockDiagonal,
+    NotUnitary,
+    NumericalFailure,
+    RealMatrix,
+)
 from mtfr.certify import (
     _probe_inputs,
     alt1_tfr_tensor,
@@ -496,6 +502,14 @@ class TestQuadraticReduce:
         v, note = quadratic_reduce(np.eye(2), -1j * np.eye(2))
         np.testing.assert_allclose(v, 1j * np.eye(2), atol=1e-14)
         assert not note["real"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_input_is_not_unitary(self, bad):
+        with pytest.raises(NotUnitary):
+            quadratic_reduce(np.full((2, 2), bad), np.eye(2))
+        with pytest.raises(NotUnitary):
+            quadratic_reduce(np.eye(2), np.full((2, 2), bad))
 
     def test_result_unitary(self, rng):
         v1, v2 = haar_unitary(3, rng), haar_unitary(3, rng)

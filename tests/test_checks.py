@@ -113,6 +113,26 @@ class TestBeurlingSweep:
         with pytest.raises(DimensionMismatch, match="finite"):
             beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2), resolution=16)
 
+    @pytest.mark.parametrize(
+        "t, error",
+        [
+            (np.zeros((2, 2)), Singular),
+            (np.array([[1.0, 2.0], [0.5, 1.0]]), Singular),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), DimensionMismatch),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), DimensionMismatch),
+            (np.full((2, 2), -np.inf), DimensionMismatch),
+            (np.eye(2, 3), DimensionMismatch),
+            (np.eye(3), DimensionMismatch),
+            (np.ones(2), DimensionMismatch),
+        ],
+    )
+    def test_bad_point_transform_rejected(self, t, error):
+        def ev(pts):
+            raise AssertionError("the transform is checked before any evaluation")
+
+        with pytest.raises(error):
+            beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2, 4), resolution=16, point_transform=t)
+
     def test_vanishing_first_ball_gives_infinite_ratio(self):
         ev = lambda pts: (np.linalg.norm(pts, axis=1) > 1.5).astype(float)
         rep = beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2, 4), resolution=64)
@@ -355,6 +375,29 @@ class TestNazarov:
         v1, m1, _ = nc_constant(s, t, c=1.0)
         v2, m2, _ = nc_constant(LinearImage(s, rot), LinearImage(t, rot), c=1.0)
         assert v2 == pytest.approx(v1, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1e3])
+def test_one_singularity_gate(scale):
+    # Dilation, nazarov_bound's Im(U) and beurling_sweep's point_transform
+    # share sigma_min <= TOL_INV * max(1, sigma_max)
+    from mtfr.symplectic import TOL_INV, Dilation
+
+    bound = TOL_INV * max(1.0, scale)
+    f = SampledField(np.ones((8, 8), dtype=complex), (4.0, 4.0))
+    box = Box((0.0, 0.0), (1.0, 1.0))
+    ev = lambda pts: np.exp(-np.einsum("ij,ij->i", pts, pts))
+
+    checks = (
+        Dilation,
+        lambda m: nazarov_bound(f, f, box, box, np.eye(2), np.eye(2), m),
+        lambda m: beurling_sweep(ev, ANTIDIAG, 0.0, (1, 2), resolution=8, point_transform=m),
+    )
+    for check in checks:
+        with np.errstate(over="ignore"):  # Nazarov's constant overflows near the gate
+            check(np.diag([scale, 1.01 * bound]))
+        with pytest.raises(Singular):
+            check(np.diag([scale, 0.99 * bound]))
 
 
 class TestLambertW:

@@ -356,7 +356,8 @@ class TestLetters:
         want_values, want_extents = transposed_dilation(f, np.array(l))
         assert got.values.tobytes() == np.ascontiguousarray(want_values).tobytes()
         assert got.extents == want_extents
-        # an owned array in the output's axis order, handed over without a copy
+        # an owned C-contiguous array in the output's axis order: the last
+        # resample pass's result, or the one copy of the axis permutation
         assert got.values.flags.owndata and got.values.flags.c_contiguous
 
     def test_dilation_peak_memory(self, rng):
@@ -371,6 +372,24 @@ class TestLetters:
         # the kernel and the zero-padded line take 2N each, the chirp and
         # the result N each; the copying form peaked at 9.5x
         assert peak <= 8.0 * out.values.nbytes
+
+    @pytest.mark.parametrize(
+        "letter, error",
+        [
+            (Chirp(np.eye(3)), DimensionMismatch),
+            (Chirp(np.eye(1)), DimensionMismatch),
+            (Dilation(np.eye(3)), DimensionMismatch),
+            (Dilation(np.eye(1)), DimensionMismatch),
+            (PartialFourier((2,)), DimensionMismatch),
+            (PartialFourier((0, 5)), DimensionMismatch),
+            (np.eye(2), TypeError),
+            ("F", TypeError),
+        ],
+    )
+    def test_letter_that_does_not_fit_raises(self, rng, letter, error):
+        f = random_field(rng, (8, 8))
+        with pytest.raises(error):
+            apply_letter_grid(f, letter)
 
     def test_dilation_general_2d_unsupported(self, rng):
         f = sample(random_gaussian(2, rng), (32, 32), (T, T))
@@ -716,6 +735,45 @@ class TestPartialStftGrid:
             w1 = [sl.coords(k + a)[m_idx[a]] for a in range(k)]
             want = partial_stft_at(f, g, k, l_idx, x2, w1, w2)
             assert abs(sl.values[l_idx + m_idx] - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("index", [-1, 16, 19, 2.7, 3.0, "3", None])
+    def test_grid_index_out_of_range_raises(self, rng, index):
+        f = random_field(rng, (16, 16))
+        with pytest.raises(DimensionMismatch):
+            partial_stft_slice(f, f, 1, x2_idx=(index,), w2_idx=(0,))
+        with pytest.raises(DimensionMismatch):
+            partial_stft_slice(f, f, 1, x2_idx=(0,), w2_idx=(index,))
+        for x1, x2, w2 in [((index,), (0,), (0,)), ((0,), (index,), (0,)),
+                           ((0,), (0,), (index,))]:
+            with pytest.raises(DimensionMismatch):
+                partial_stft_at(f, f, 1, x1, x2, [0.0], w2)
+
+    @pytest.mark.parametrize("x2, w2", [((), (0,)), ((0,), ()), ((0, 0), (0,))])
+    def test_grid_index_count_must_match(self, rng, x2, w2):
+        f = random_field(rng, (16, 16))
+        with pytest.raises(DimensionMismatch):
+            partial_stft_slice(f, f, 1, x2, w2)
+        with pytest.raises(DimensionMismatch):
+            partial_stft_at(f, f, 1, (0,), x2, [0.0], w2)
+
+    def test_at_point_checks_grid_k_and_x1_count(self, rng):
+        f = random_field(rng, (16,))
+        with pytest.raises(DimensionMismatch):
+            partial_stft_at(f, f, 1, (0, 0), (), [0.0], ())
+        with pytest.raises(DimensionMismatch):
+            partial_stft_at(f, random_field(rng, (32,)), 1, (3,), (), [0.0], ())
+        with pytest.raises(DimensionMismatch):
+            partial_stft_at(f, f, 0, (), (3,), [], (3,))
+
+    def test_grid_index_edges_and_numpy_integers(self, rng):
+        f, g = random_field(rng, (16, 16)), random_field(rng, (16, 16))
+        for i in (0, 15):
+            want = partial_stft_slice(f, g, 1, (i,), (i,)).values
+            got = partial_stft_slice(f, g, 1, (np.int64(i),), (np.int32(i),)).values
+            assert got.tobytes() == want.tobytes()
+            assert partial_stft_at(f, g, 1, (np.int64(i),), (i,), [0.5], (i,)) == (
+                partial_stft_at(f, g, 1, (i,), (i,), [0.5], (i,))
+            )
 
     def test_at_point_matches_oracle_k2(self, rng):
         fg, gg = random_gaussian(2, rng), random_gaussian(2, rng)

@@ -61,7 +61,7 @@ def reference_render(obj, out):
     elif isinstance(obj, (float, np.floating)):
         out.append(reference_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (key, val) in enumerate(obj.items()):
@@ -112,6 +112,23 @@ def test_canonical_json_matches_reference_renderer(obj):
     out = []
     reference_render(obj, out)
     assert canonical_json(obj).encode() == ("".join(out) + "\n").encode()
+
+
+@given(st.text(), st.text())
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_strings_are_json(key, text):
+    obj = {key: [text]}
+    assert json.loads(canonical_json(obj)) == obj
+    if not any(ord(c) < 0x20 for c in key + text):
+        # without a control character, only the backslash and the quote are escaped
+        def quote(s):
+            return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+        assert canonical_json(obj) == "{" + quote(key) + ":[" + quote(text) + "]}\n"
+
+
+def test_canonical_json_escapes_control_characters():
+    assert canonical_json({"w": ["a\nb\x00\x1f"]}) == '{"w":["a\\nb\\u0000\\u001f"]}\n'
 
 
 @pytest.mark.parametrize(

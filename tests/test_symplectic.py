@@ -185,6 +185,21 @@ class TestRotation:
         with pytest.raises(NotUnitary):
             make_rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["everywhere", "one entry"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_is_not_unitary(self, bad, where):
+        u = np.full((2, 2), bad) if where == "everywhere" else np.array([[bad, 0.0], [0.0, 1.0]])
+        imaginary = np.zeros(u.shape, dtype=complex)
+        imaginary.imag = u
+        for v in (u, imaginary):
+            with pytest.raises(NotUnitary):
+                S.assert_unitary(v)
+        with pytest.raises(NotUnitary):
+            make_rotation(u)
+        with pytest.raises(NotUnitary):
+            select_tau_balanced(u)
+
     def test_orthogonality(self, rng):
         m = make_rotation(haar_unitary(3, rng)).entries
         np.testing.assert_allclose(m.T @ m, np.eye(6), atol=1e-12)
