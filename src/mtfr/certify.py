@@ -59,6 +59,7 @@ from .symplectic import (
     _near_singular,
     _scalar_rotation_word,
     _symmetrize_checked,
+    _within,
     assert_unitary,
     factor_to_word,
     invert_word,
@@ -228,7 +229,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     b_tau = tau_u.imag
     p = _symmetrize_checked(np.linalg.solve(b_tau, tau_u.real), TOL_DERIVED, "P = B^-1 A")
     w1, svals, w2t = np.linalg.svd(p[:d, d:])
-    if svals[0] <= 1e-12:
+    if not svals[0] > 1e-12:
         raise RankZero("P12 vanished although U^t U is not block-diagonal")
     k = int(np.sum(svals > RANK_TOL * svals[0]))  # k >= 1: RANK_TOL < 1
     gamma1 = svals[:k]
@@ -443,10 +444,7 @@ def quadratic_reduce(v1: np.ndarray, v2: np.ndarray):
     v2 = assert_unitary(v2, what="quadratic_reduce V2")
     v = v2.conj() @ v1.conj().T
     imag_norm = float(np.linalg.norm(v.imag))
-    note = {
-        "real": imag_norm <= 1e-10 * max(1.0, np.linalg.norm(v)),
-        "imag_norm": imag_norm,
-    }
+    note = {"real": _within(imag_norm, 1e-10, np.linalg.norm(v)), "imag_norm": imag_norm}
     return v, note
 
 

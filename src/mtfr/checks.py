@@ -105,7 +105,7 @@ class LinearImage:
         a = np.asarray(self.matrix, dtype=float)
         if a.shape != (self.base.dim, self.base.dim):
             raise DimensionMismatch("linear map does not match shape dimension")
-        if abs(np.linalg.det(a)) < 1e-14:
+        if not abs(np.linalg.det(a)) >= 1e-14:  # a nan determinant fails
             raise Singular("linear image of a shape needs an invertible map")
         object.__setattr__(self, "matrix", a)
 
@@ -587,13 +587,15 @@ def nazarov_bound(
     f1_field and f2_field are the two transformed copies of f; the left
     side uses the first field's norm (the operators are unitary).  The
     calibration C0 reported alongside makes the bound exactly tight on the
-    given instance.
+    given instance.  L1, L2 and Im(U) must be invertible n x n, n = f1_field.n.
     """
-    l1 = np.asarray(l1, dtype=float)
-    l2 = np.asarray(l2, dtype=float)
-    im_u = np.asarray(im_u, dtype=float)
-    if _near_singular(_singular_values(im_u, "Im(U)")):
-        raise Singular("Im(U) must be invertible for the Nazarov hypothesis")
+    n = f1_field.n
+    l1, l2, im_u = (np.asarray(a, dtype=float) for a in (l1, l2, im_u))
+    for name, a in (("L1", l1), ("L2", l2), ("Im(U)", im_u)):
+        if a.shape != (n, n):
+            raise DimensionMismatch(f"{name} must be {n} x {n}, got {a.shape}")
+        if _near_singular(_singular_values(a, name)):
+            raise Singular(f"{name} must be invertible for the Nazarov hypothesis")
     comp_s = complement_integral(f1_field, s_shape)
     comp_t = complement_integral(f2_field, t_shape)
     lhs = float(

@@ -124,6 +124,15 @@ def apply_partial_fourier(g: GeneralizedGaussian, axes) -> GeneralizedGaussian:
     return apply_word(g, GeneratorWord(g.n, (PartialFourier(axes),)))
 
 
+def _conditioned_svd(p: np.ndarray, what: str) -> np.ndarray:
+    """The singular values of p, largest first; NumericalFailure unless cond(p) <= COND_MAX."""
+    sv = np.linalg.svd(p, compute_uv=False)
+    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
+    if not cond <= COND_MAX:  # an infinite or nan condition fails too
+        raise NumericalFailure(f"{what} condition {cond:.3e} beyond cutoff")
+    return sv
+
+
 def apply_symplectic(g: GeneralizedGaussian, s) -> GeneralizedGaussian:
     """The metaplectic operator of S = ((A, B), (C, D)), up to a phase.
 
@@ -144,10 +153,7 @@ def apply_symplectic(g: GeneralizedGaussian, s) -> GeneralizedGaussian:
     a, bb, c, d = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
     z = 1j * g.m
     p = a + bb @ z
-    sv = np.linalg.svd(p, compute_uv=False)
-    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
-    if not np.isfinite(cond) or cond > COND_MAX:
-        raise NumericalFailure(f"A + BZ condition {cond:.3e} beyond cutoff")
+    sv = _conditioned_svd(p, "A + BZ")
     p_inv = np.linalg.inv(p)
     m = -1j * ((c + d @ z) @ p_inv)
     logamp = (
@@ -209,10 +215,7 @@ def partial_stft_log_modulus(
     m = _blkdiag(f.m, g.m.conj())
     b = np.concatenate([f.b, g.b.conj()])
     mt = m[:k, :k] + m[d : d + k, d : d + k]
-    sv = np.linalg.svd(mt, compute_uv=False)
-    cond = sv[0] / sv[-1]  # what np.linalg.cond computes, from one SVD
-    if not np.isfinite(cond) or cond > COND_MAX:
-        raise NumericalFailure(f"combined quadratic form condition {cond:.3e}")
+    _conditioned_svd(mt, "combined quadratic form")
 
     q = np.zeros(np.broadcast_shapes(x.shape, omega.shape)[:-1] + (2 * d,))
     q[..., k:d] = x[..., k:]

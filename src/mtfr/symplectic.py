@@ -92,10 +92,15 @@ def _singular_values(l: np.ndarray, what: str) -> np.ndarray:
     return sv
 
 
+def _within(residual, tol: float, scale=1.0) -> bool:
+    """residual <= tol max(1, scale) at a finite bound; false on a nan or an overflow."""
+    return bool(residual <= tol * max(scale, 1.0) < math.inf)  # max(nan, 1.0) is nan
+
+
 def _near_singular(sv, slack: float = 1.0) -> bool:
-    """Dilation's singularity gate on singular values sv, largest first:
+    """Dilation's singularity gate on singular values sv, largest first, true on a nan:
     sigma_min <= slack TOL_INV max(1, sigma_max), with sigma_max = ||L||_2."""
-    return sv[-1] <= slack * TOL_INV * max(1.0, sv[0])
+    return not sv[-1] > slack * TOL_INV * max(sv[0], 1.0)
 
 
 def _symmetrize_checked(
@@ -117,7 +122,7 @@ def _symmetrize_checked(
         q_scaled = q / max(np.abs(q.real).max(), np.abs(q.imag).max())
         defect, size = _frobenius(q_scaled - q_scaled.T), _frobenius(q_scaled)
         sym = 0.5 * q + 0.5 * q.T
-    if defect > tol * max(1.0, size):
+    if not _within(defect, tol, size):
         raise error(f"{what}: asymmetry {defect:.3e} exceeds tolerance")
     return sym
 
@@ -325,11 +330,11 @@ class SymplecticMatrix:
                 f"expected shape {(2 * self.n, 2 * self.n)}, got {m.shape}"
             )
         defect = symplectic_defect(m)
-        if defect > TOL_SYMPL:
-            raise NotSymplectic(f"symplectic defect {defect:.3e} exceeds {TOL_SYMPL}")
+        if not _within(defect, TOL_SYMPL):
+            raise NotSymplectic(f"not symplectic: residual {defect:.3e} exceeds {TOL_SYMPL}")
         sign, logdet = np.linalg.slogdet(m)
-        if sign != 1.0 or abs(logdet) > 1e-6 * max(1.0, np.linalg.norm(m)):
-            raise NotSymplectic("determinant sanity check failed (expected +1)")
+        if sign != 1.0 or not _within(abs(logdet), 1e-6, np.linalg.norm(m)):
+            raise NotSymplectic("not symplectic: determinant is not +1")
         object.__setattr__(self, "entries", _freeze(m))
 
     @classmethod
@@ -377,9 +382,10 @@ def assert_unitary(u: np.ndarray, tol: float = TOL_UNIT, what: str = "matrix") -
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"{what} must be square")
+    if not np.isfinite(u).all():  # before the product, which would warn
+        raise NotUnitary(f"{what}: entries must be finite")
     defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]))
-    # written so that a nan defect, or an infinite bound, fails the gate
-    if not defect <= tol * max(1.0, np.linalg.norm(u)) < math.inf:
+    if not _within(defect, tol, np.linalg.norm(u)):
         raise NotUnitary(f"{what}: unitarity defect {defect:.3e}")
     return u
 
@@ -461,9 +467,9 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
     u = assert_unitary(u, what="free_factorize")
     n = u.shape[0]
     a, b = u.real, u.imag
-    smin = np.linalg.svd(b, compute_uv=False)[-1]
-    if smin <= TOL_INV:
-        raise NotFree(f"Im U has smallest singular value {smin:.3e}")
+    sv = np.linalg.svd(b, compute_uv=False)
+    if _near_singular(sv):  # the gate of the letter Dilation(b); ||Im U||_2 <= 1
+        raise NotFree(f"Im U has smallest singular value {sv[-1]:.3e}")
     q_left = np.linalg.solve(b.T, a.T).T  # A B^{-1}
     q_right = np.linalg.solve(b, a)  # B^{-1} A
     q_left = _symmetrize_checked(q_left, TOL_DERIVED, "free_factorize A B^-1")

@@ -16,13 +16,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotSymmetric,
     NotUnitary,
     NumericalFailure,
     RealnessFailure,
     TrailingNotReal,
 )
-from .symplectic import TOL_DERIVED, assert_unitary
+from .symplectic import TOL_DERIVED, _symmetrize_checked, _within, assert_unitary
 
 TOL_BLK = 1e-8  # block-diagonality of U^t U, relative to ||U^t U||_F
 TOL_RECON = 1e-9
@@ -58,7 +57,7 @@ def block_diag_test(u: np.ndarray, d: int, tol: float = TOL_BLK):
     s12 = np.linalg.norm(s[:d, d:])
     s21 = np.linalg.norm(s[d:, :d])
     offdiag = float(np.hypot(s12, s21))
-    return bool(s12 + s21 <= tol * np.linalg.norm(s)), offdiag
+    return _within(s12 + s21, tol, np.linalg.norm(s)), offdiag  # ||S||_F >= sqrt 2
 
 
 def joint_diagonalize_commuting_symmetric(
@@ -90,7 +89,7 @@ def joint_diagonalize_commuting_symmetric(
         start = stop
     off_x = np.linalg.norm(w.T @ x @ w - np.diag(np.diag(w.T @ x @ w)))
     off_y = np.linalg.norm(w.T @ y @ w - np.diag(np.diag(w.T @ y @ w)))
-    if max(off_x, off_y) > 1e-7 * max(1.0, np.linalg.norm(x) + np.linalg.norm(y)):
+    if not _within(max(off_x, off_y), 1e-7, np.linalg.norm(x) + np.linalg.norm(y)):
         raise NumericalFailure(
             f"joint diagonalization stalled (off-diagonal {max(off_x, off_y):.3e})"
         )
@@ -113,7 +112,7 @@ def assert_rebuilds(product: np.ndarray, m: np.ndarray, what: str):
     """The reconstruction gate: raise NumericalFailure, its message what and
     the residual, unless ||product - M||_F <= TOL_RECON max(1, ||M||_F)."""
     residual = np.linalg.norm(product - m)
-    if not residual <= TOL_RECON * max(1.0, np.linalg.norm(m)):
+    if not _within(residual, TOL_RECON, np.linalg.norm(m)):
         raise NumericalFailure(f"{what} {residual:.3e}")
 
 
@@ -130,7 +129,7 @@ def real_factor(u: np.ndarray, v: np.ndarray, what: str) -> np.ndarray:
     """
     w = u @ v.conj().T
     imag = np.linalg.norm(w.imag)
-    if imag > TOL_REAL * max(1.0, np.linalg.norm(w)):
+    if not _within(imag, TOL_REAL, np.linalg.norm(w)):
         raise RealnessFailure(f"{what}: imaginary part {imag:.3e} too large")
     w = np.ascontiguousarray(w.real)
     assert_product(w, v, u, what)
@@ -162,8 +161,7 @@ def odo_svd(u: np.ndarray) -> ODOFactorization:
 def takagi_symmetric_unitary(s: np.ndarray) -> np.ndarray:
     """Unitary V with V^t V = S for symmetric unitary S."""
     s = assert_unitary(s, what="takagi input")
-    if np.linalg.norm(s - s.T) > 1e-10 * max(1.0, np.linalg.norm(s)):
-        raise NotSymmetric("takagi input is not symmetric")
+    _symmetrize_checked(s, 1e-10, "takagi input")
     sigma, w = _takagi(s)
     v = sigma[:, None] * w.T
     assert_product(v.T, v, s, "takagi")
@@ -194,13 +192,13 @@ def sort_by_imag(sigma) -> SortedDiagonal:
     """
     sigma = np.asarray(sigma, dtype=complex)
     n = sigma.size
-    if np.any(np.abs(np.abs(sigma) - 1.0) > TOL_DERIVED):
+    if not np.all(np.abs(np.abs(sigma) - 1.0) <= TOL_DERIVED):  # a nan fails
         raise NotUnitary("diagonal entries are not unit modulus")
     signs = np.ones(n)
     flipped = sigma.copy()
     for j in range(n):
         if abs(sigma[j].imag) <= IMAG_TOL:
-            if abs(abs(sigma[j].real) - 1.0) > TOL_DERIVED:
+            if not _within(abs(abs(sigma[j].real) - 1.0), TOL_DERIVED):
                 raise TrailingNotReal(f"entry {sigma[j]} has zero Im but |Re| != 1")
             if sigma[j].real < 0:
                 signs[j] = -1.0

@@ -64,3 +64,70 @@ def test_unused_import_scan_finds_them():
     )
     assert unused_imports(source) == ["line 2: os", "line 4: Dilation", "line 5: grid"]
     assert unused_imports(source, package_init=True) == ["line 2: os", "line 4: Dilation"]
+
+
+def _tolerance(node) -> bool:
+    """Whether an expression reads a TOL_* name, COND_MAX, tol or a float
+    literal in (0, 1e-6]."""
+    return any(
+        (isinstance(n, ast.Name) and (n.id.startswith("TOL_") or n.id in ("COND_MAX", "tol")))
+        or (isinstance(n, ast.Constant) and type(n.value) is float and 0.0 < n.value <= 1e-6)
+        for n in ast.walk(node)
+    )
+
+
+def _open_comparison(node, negated=False) -> bool:
+    """Whether node holds an ordering comparison against a tolerance that no
+    `not` encloses: such a comparison is False on a nan."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        negated = True
+    if (
+        not negated
+        and isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+        and _tolerance(node)
+    ):
+        return True
+    return any(_open_comparison(child, negated) for child in ast.iter_child_nodes(node))
+
+
+def open_gates(source: str) -> list:
+    """The raising gates that a nan passes, by line.
+
+    A gate is an `if` whose body raises.  It is open when its test compares
+    with <, <=, > or >= against a tolerance outside a `not`: the comparison
+    is then False on a nan, and the raise never runs.  `symplectic._within`
+    and `symplectic._near_singular` are the fail-closed forms.
+    """
+    return [f"line {line}" for line in sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.If)
+        and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        and _open_comparison(node.test)
+    )]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_gate_fails_closed(path):
+    assert open_gates(path.read_text()) == []
+
+
+def test_open_gate_scan_finds_them():
+    source = (
+        "if defect > TOL_SYMPL:\n"  # line 1: open
+        "    raise E\n"
+        "if not defect <= tol * max(scale, 1.0):\n"
+        "    raise E\n"
+        "if not _within(defect, tol, scale):\n"
+        "    raise E\n"
+        "if np.isfinite(c) and c > COND_MAX:\n"  # line 7: open
+        "    raise E\n"
+        "if s[0] <= 1e-12:\n"  # line 9: open
+        "    raise E\n"
+        "if x < 1.5 or w <= 0.0:\n"  # no tolerance
+        "    raise E\n"
+        "if abs(wn - w) <= 1e-8:\n"  # does not raise
+        "    w = wn\n"
+    )
+    assert open_gates(source) == ["line 1", "line 7", "line 9"]

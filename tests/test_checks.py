@@ -340,6 +340,21 @@ class TestNazarov:
             nazarov_bound(f1, f2, Box((0.0,), (1.0,)), Box((0.0,), (1.0,)),
                           np.eye(1), np.eye(1), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize(
+        "which, matrix, error",
+        [("l2", np.full((1, 1), np.nan), DimensionMismatch),
+         ("l1", np.zeros((1, 1)), Singular),
+         ("im_u", np.ones((1, 2)), DimensionMismatch),
+         ("l1", np.eye(2), DimensionMismatch)],
+        ids=["nan-l2", "singular-l1", "im-u-1x2", "l1-2x2"],
+    )
+    def test_every_matrix_is_gated(self, which, matrix, error):
+        # each of L1, L2 and Im(U) is n x n and invertible, n the field's dimension
+        f1, f2 = self._fields(64, 16.0)
+        mats = {"l1": np.eye(1), "l2": np.eye(1), "im_u": np.eye(1), which: matrix}
+        with pytest.raises(error):
+            nazarov_bound(f1, f2, Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), **mats)
+
     def test_complement_change_of_variables(self):
         # int_{comp S} |D_L g|^2 = int_{comp L^-1 S} |g|^2 on fine 1-D grids;
         # the integrand decays fast enough at the box edge for midpoint sums

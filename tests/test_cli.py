@@ -1,6 +1,10 @@
 import ast
+import contextlib
+import copy
+import functools
 import glob
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -68,6 +72,14 @@ class TestFactor:
         path.write_text(canonical_json(matrix_to_obj(np.diag([2.0, 2.0]))))
         assert main(["factor", str(path)]) == 2
         assert "residual" in capsys.readouterr().err
+
+    def test_determinant_failure_is_named(self, tmp_path, capsys):
+        # M^t J M = det(M) J = -J: the residual 2 sqrt 2 is within
+        # 1e-10 ||M||_F^2 = 1e2, so only the determinant check fails
+        path = tmp_path / "det.json"
+        path.write_text(canonical_json(matrix_to_obj(np.diag([1e6, -1e-6]))))
+        assert main(["factor", str(path)]) == 2
+        assert capsys.readouterr().err == "error: not symplectic: determinant is not +1\n"
 
     def test_malformed_json_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -674,6 +686,93 @@ class TestMalformedInput:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
+
+
+GOLDEN_REFERENCE = os.path.join(os.path.dirname(__file__), "golden", "reference")
+# each golden input, and the commands that read a file of its kind
+GOLDEN_READERS = {
+    "in/alt1.json": ("factor", "classify"),
+    "in/alt2.json": ("factor", "classify"),
+    "in/wigner_rihaczek.json": ("factor", "classify"),
+    "alt1/certificate.json": ("counterexample", "verify"),
+    "alt2/certificate.json": ("verify", "counterexample"),
+}
+# values a mutation writes over one entry: extremes of the float range,
+# signed zeros, ordinary numbers, and JSON values of the wrong type
+MUTANTS = st.one_of(
+    st.sampled_from([1e308, -1e308, 1e154, 1e-200, 5e-324, -0.0, 0.0, 10**400,
+                     float("nan"), float("inf")]),
+    st.floats(-4.0, 4.0),
+    st.sampled_from(["x", None, True, [], {}]),
+)
+
+
+@functools.cache
+def _golden(name):
+    with open(os.path.join(GOLDEN_REFERENCE, name)) as fh:
+        return json.load(fh)
+
+
+def _leaf_paths(obj, path=()):
+    """The key path of every scalar in a JSON value."""
+    if isinstance(obj, (dict, list)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _leaf_paths(value, path + (key,))
+    else:
+        yield path
+
+
+@st.composite
+def golden_mutations(draw):
+    """(command, JSON input): a golden input with one to three entries overwritten."""
+    name = draw(st.sampled_from(sorted(GOLDEN_READERS)))
+    obj = copy.deepcopy(_golden(name))
+    paths = list(_leaf_paths(obj))
+    for _ in range(draw(st.integers(1, 3))):
+        *keys, last = draw(st.sampled_from(paths))
+        inner = obj
+        for key in keys:
+            inner = inner[key]
+        inner[last] = draw(MUTANTS)
+    return draw(st.sampled_from(GOLDEN_READERS[name])), obj
+
+
+def _run_in_process(command, obj, directory):
+    """(exit code, stderr lines) of `mtfr command` on obj, run through `main`."""
+    path = os.path.join(directory, "input.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, path])
+    return code, err.getvalue().splitlines()
+
+
+class TestGoldenMutations:
+    """The CLI boundary: a mutated golden input never escapes `main` as an
+    exception, and a refusal is one stderr line."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(golden_mutations())
+    def test_exit_code_and_one_line(self, tmp_path_factory, mutation):
+        command, obj = mutation
+        code, lines = _run_in_process(command, obj, tmp_path_factory.mktemp("mutation"))
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert len(lines) == 1, lines
+
+    @pytest.mark.parametrize("command", ["classify", "factor"])
+    @pytest.mark.parametrize("case", ["alt1-huge-entry", "diag-1e200"])
+    def test_overflowing_norm_is_not_symplectic(self, tmp_path, command, case):
+        # neither matrix is symplectic; both norms of the relative defect
+        # overflow, so it is inf / inf = nan, and the gate fails closed
+        if case == "alt1-huge-entry":
+            obj = copy.deepcopy(_golden("in/alt1.json"))
+            obj["rows"][2][0], obj["rows"][0][0] = -1e308, 0.5
+        else:
+            obj = {"n": 2, "rows": np.diag([1e200, 1e-200, 1.0, 1.0]).tolist()}
+        assert _run_in_process(command, obj, tmp_path) == (
+            2, ["error: not symplectic: residual nan exceeds 1e-10"])
 
 
 class TestPackage:

@@ -200,6 +200,13 @@ class TestRotation:
         with pytest.raises(NotUnitary):
             select_tau_balanced(u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_raises_before_any_warning(self, bad):
+        # finiteness is tested before the u^H u product, which would warn
+        with pytest.raises(NotUnitary, match="entries must be finite"):
+            S.assert_unitary(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_orthogonality(self, rng):
         m = make_rotation(haar_unitary(3, rng)).entries
         np.testing.assert_allclose(m.T @ m, np.eye(6), atol=1e-12)
@@ -214,10 +221,49 @@ class TestRotation:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+class TestGateRule:
+    """`_within` and `_near_singular` decide every tolerance gate, and fail closed."""
+
+    def test_within_bound(self):
+        assert S._within(1.0, 0.5, 2.0) is True
+        assert S._within(1.01, 0.5, 2.0) is False
+        # a scale below 1 counts as 1
+        assert S._within(0.5, 0.5, 0.01) and not S._within(0.51, 0.5, 0.01)
+        assert S._within(np.float64(0.5), 0.5) is True  # a Python bool, not numpy's
+
+    @pytest.mark.parametrize(
+        "residual, tol, scale",
+        [(np.nan, 1e-10, 1.0), (0.0, 1e-10, np.nan), (0.0, 1e-10, np.inf),
+         (1.0, 1e10, 1e300)],  # the last bound overflows
+        ids=["nan-residual", "nan-scale", "infinite-scale", "overflowing-bound"],
+    )
+    def test_within_fails_closed(self, residual, tol, scale):
+        assert S._within(residual, tol, scale) is False
+
+    @pytest.mark.parametrize("sv", [[np.nan], [1.0, np.nan], [np.nan, 1.0]])
+    def test_nan_singular_value_is_singular(self, sv):
+        assert S._near_singular(np.array(sv))
+
+
 class TestSymplecticMatrix:
     def test_rejects_nonsymplectic(self):
         with pytest.raises(NotSymplectic):
             SymplecticMatrix.from_array(np.diag([2.0, 2.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(NotSymplectic):
+            SymplecticMatrix.from_array(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_norms_fail_closed(self):
+        # not symplectic: both norms of the defect overflow, so it is nan
+        with pytest.raises(NotSymplectic, match="residual nan"):
+            SymplecticMatrix.from_array(np.diag([1e200, 1e-200, 1.0, 1.0]))
+        # symplectic, with defect 0, but the determinant's bound
+        # 1e-6 ||M||_F overflows, so that gate cannot pass the matrix
+        with pytest.raises(NotSymplectic, match="determinant"):
+            SymplecticMatrix.from_array(np.diag([1e200, 1e-200, 1e-200, 1e200]))
 
     def test_blocks(self):
         j = SymplecticMatrix.from_array(standard_j(2))

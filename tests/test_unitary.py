@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtfr.certify import alt1_decompose
-from mtfr.errors import NotSymmetric, NotUnitary, RealMatrix
+from mtfr.errors import NotSymmetric, NotUnitary, RealMatrix, RealnessFailure
 from mtfr.unitary import (
     TOL_RECON,
     block_diag_test,
     joint_diagonalize_commuting_symmetric,
     odo_svd,
+    real_factor,
     sort_by_imag,
     takagi_symmetric_unitary,
 )
@@ -195,6 +196,11 @@ class TestSortByImag:
         assert found
         self._check(s, target, 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(1.0, np.nan)])
+    def test_nan_entry_is_not_unit_modulus(self, bad):
+        with pytest.raises(NotUnitary):
+            sort_by_imag([1j, bad])
+
     def test_descending_imag(self, rng):
         phases = rng.uniform(-np.pi, np.pi, size=6)
         sd = sort_by_imag(np.exp(1j * phases))
@@ -202,3 +208,11 @@ class TestSortByImag:
         assert all(a >= b - 1e-14 for a, b in zip(imags, imags[1:]))
         assert np.all(imags[: sd.k] > 0)
         np.testing.assert_allclose(sd.sigma[sd.k :], 1.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_real_factor_nan_is_not_real():
+    # the realness gate fails closed: a nan imaginary part is not small
+    u = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(RealnessFailure):
+        real_factor(u, np.eye(2), "W")
