@@ -186,6 +186,30 @@ def _alt2_omega(l, b_tau, w1, w2, gamma1, pi) -> np.ndarray:
     )
 
 
+def _alt2_words(d: int, tau, p, w1, gamma1, w2, *chirp_signs: str) -> tuple:
+    """word_A, then one word_B per chirp sign, of an Alternative II certificate.
+
+    In letter order, word_A is D(diag(Gamma1, I)) F_{k..d-1} D(W1^t) V_{P11}
+    R_{conj(tau) I} and word_B is F D(W2^t) V_{-P22} R_{tau I}, with V_{+P22}
+    for the sign "+P22".  The words for both signs share every other letter.
+    """
+    k = len(gamma1)
+    word_a = GeneratorWord(d, (
+        Dilation(_blkdiag(np.diag(gamma1), np.eye(d - k))),
+        *([PartialFourier(tuple(range(k, d)))] if k < d else []),
+        Dilation(w1.T),
+        Chirp(p[:d, :d]),
+        *_scalar_rotation_word(np.conj(tau), d),
+    ))
+    fourier_b, dilation_b = PartialFourier(tuple(range(d))), Dilation(w2.T)
+    rotation_b = tuple(_scalar_rotation_word(tau, d))
+    return (word_a, *(
+        GeneratorWord(d, (fourier_b, dilation_b,
+                          Chirp(p[d:, d:] if sign == "+P22" else -p[d:, d:]), *rotation_b))
+        for sign in chirp_signs
+    ))
+
+
 @functools.lru_cache(maxsize=8)
 def _probe_inputs(d: int):
     """The chirp-sign probe's 8 points and Gaussian pair (f, g), drawn once per d
@@ -244,15 +268,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     pi = _pi_permutation(d, k)
     omega = _alt2_omega(pre.l, b_tau, w1, w2, gamma1, pi)
 
-    word_a = GeneratorWord(d, (
-        Dilation(_blkdiag(np.diag(gamma1), np.eye(d - k))),
-        *([PartialFourier(tuple(range(k, d)))] if k < d else []),
-        Dilation(w1.T),
-        Chirp(p[:d, :d]),
-        *_scalar_rotation_word(np.conj(tau), d),
-    ))
-    fourier_b, dilation_b = PartialFourier(tuple(range(d))), Dilation(w2.T)
-    rotation_b = tuple(_scalar_rotation_word(tau, d))
+    word_a, word_b, word_b_plus = _alt2_words(d, tau, p, w1, gamma1, w2, "-P22", "+P22")
     alt2 = AltIIData(
         tau=complex(tau),
         k=k,
@@ -263,7 +279,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
         pi=pi,
         omega=omega,
         word_a=word_a,
-        word_b=GeneratorWord(d, (fourier_b, dilation_b, Chirp(-p[d:, d:]), *rotation_b)),
+        word_b=word_b,
         chirp_sign="-P22",
     )
     minus = Certificate(
@@ -280,7 +296,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
         minus,
         alt2=replace(
             alt2,
-            word_b=GeneratorWord(d, (fourier_b, dilation_b, Chirp(p[d:, d:]), *rotation_b)),
+            word_b=word_b_plus,
             chirp_sign="+P22",
         ),
         warnings=(*minus.warnings, "window chirp sign resolved to +P22"),

@@ -232,16 +232,121 @@ _RULE = (
 )
 
 
-def _ball_nodes(dim: int, rmax: float, resolution: int):
-    """Midpoint nodes of [-rmax, rmax]^dim and the cell volume.
+# nodes per evaluator and weight call: enough that the per-call cost does
+# not show, few enough that a call's temporaries stay small beside the
+# node-length integrands
+_BLOCK = 8192
+# the room a partial sum of squares leaves is measured against R^2 (1 + 2^-40),
+# a margin above the rounding of any order of summation
+_MARGIN = 1.0 + 2.0**-40
 
-    More than MAX_ELEMENTS nodes raise GridTooLarge before anything is allocated.
+
+def _fit(sq: np.ndarray, part: np.ndarray, bound: float):
+    """first, count: for each partial sum, the run of indices j with sq[j] <= bound - part.
+
+    sq holds the squares of a monotone axis, which fall and then rise, so
+    the indices form one run.  A nan bound keeps no index and an inf one
+    every index (inf - inf is nan, which sorts last).
+    """
+    low = int(np.argmin(sq))
+    room = np.where(part <= bound, bound - part, -1.0)
+    first = low - np.searchsorted(sq[:low][::-1], room, side="right")
+    count = low + np.searchsorted(sq[low:], room, side="right") - first
+    return first, count
+
+
+def _run_indices(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The indices first[p] .. first[p] + count[p] - 1 of every run p, run after run."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+
+
+def _trim(axis, head, first, count, r2max: float) -> None:
+    """Shrink each run, in place, until its end nodes pass einsum's r2 <= r2max.
+
+    A node's r2 grows with the square of its last coordinate, so a run
+    whose ends pass passes as a whole.
+    """
+    for end in ("first", "last"):
+        while True:
+            live = np.flatnonzero(count)
+            j = first[live] if end == "first" else first[live] + count[live] - 1
+            tip = np.column_stack([head[live], axis[j]])
+            out = live[~(np.einsum("ij,ij->i", tip, tip) <= r2max)]
+            if not len(out):
+                break
+            count[out] -= 1
+            if end == "first":
+                first[out] += 1
+
+
+def _ball_nodes(dim: int, radii: tuple, resolution: int):
+    """The midpoint nodes of [-R, R]^dim in the closed ball of the largest radius R.
+
+    Returns the node count, the cell volume, one node mask per smaller
+    radius r (r2 <= r^2) and a generator of node blocks (rows, nodes) in the
+    cube's C order.  r2 is einsum's "ij,ij->i", so the masks are those of
+    the full cube's nodes.  A block holds _BLOCK nodes; the last one takes
+    in a remainder below 8, so no block but a lone one holds fewer than 8.
+
+    No array grows with the cube, and no r2 is kept per node.  Prefixes of
+    the leading dim - 1 coordinates grow axis by axis, each keeping the
+    indices that fit in the room it leaves (`_fit`); each ball is then one
+    trimmed run of last-axis indices per prefix (`_trim`).  More than
+    MAX_ELEMENTS cube nodes raise GridTooLarge before anything is allocated.
     """
     if int(resolution) ** int(dim) > MAX_ELEMENTS:
         raise GridTooLarge(f"{resolution}^{dim} nodes exceed {MAX_ELEMENTS}")
+    if dim < 1:
+        raise DimensionMismatch("a ball needs at least one dimension")
+    rmax = radii[-1]
     h = 2.0 * rmax / resolution
     axis = -rmax + h * (np.arange(resolution) + 0.5)
-    return _mesh([axis] * dim).reshape(-1, dim), h**dim
+    with np.errstate(over="ignore", invalid="ignore"):  # as einsum's r2 overflows
+        sq = axis * axis
+        head, part = np.empty((1, 0)), np.zeros(1)
+        for _ in range(dim - 1):
+            first, count = _fit(sq, part, rmax * rmax * _MARGIN)
+            prefix = np.repeat(np.arange(len(part)), count)
+            j = _run_indices(first, count)
+            head = np.column_stack([head[prefix], axis[j]])
+            part = part[prefix] + sq[j]
+        runs = []
+        for r in radii:
+            first, count = _fit(sq, part, r * r * _MARGIN)
+            _trim(axis, head, first, count, r * r)
+            runs.append((first, count))
+    first, count = runs.pop()
+    keep = count > 0
+    head, first, count = head[keep], first[keep], count[keep]
+    masks = []
+    for first_r, count_r in runs:
+        first_r, count_r = first_r[keep], count_r[keep]
+        # each prefix's run splits into nodes before, inside and after the smaller ball
+        before = np.where(count_r > 0, first_r - first, 0)
+        spans = np.column_stack([before, count_r, count - before - count_r])
+        masks.append(np.repeat(np.tile([False, True, False], len(count)), spans.ravel()))
+    ends = np.cumsum(count)
+    n = int(ends[-1]) if len(ends) else 0
+    edges = list(range(0, n, _BLOCK)) + [n]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 8:
+        del edges[-2]
+
+    def blocks():
+        for start, stop in zip(edges, edges[1:]):
+            p0 = int(np.searchsorted(ends, start, side="right"))
+            p1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+            # the block's share of each run it meets: the first and last may be cut
+            skip = start - (ends[p0] - count[p0])
+            c, f = count[p0:p1].copy(), first[p0:p1].copy()
+            c[0] -= skip
+            f[0] += skip
+            c[-1] -= ends[p1 - 1] - stop
+            nodes = np.empty((stop - start, dim))
+            nodes[:, :-1] = np.repeat(head[p0:p1], c, axis=0)
+            nodes[:, -1] = axis[_run_indices(f, c)]
+            yield slice(start, stop), nodes
+
+    return n, h**dim, masks, blocks()
 
 
 def beurling_weight(m: np.ndarray, n_exponent: float):
@@ -299,10 +404,13 @@ def _ball_sums(integrand, masks, cell: float, jac: float = 1.0) -> np.ndarray:
 
     The node axis is the last one; every leading index is a sweep of its
     own, summed exactly as it would be alone: `np.compress` gathers the
-    kept nodes into one contiguous run per sweep.
+    kept nodes into one contiguous run per sweep.  A None mask keeps every
+    node of a contiguous integrand, which is then summed as it is: the
+    same values in the same order as its compressed copy.
     """
     return np.array(
-        [np.sum(np.compress(mask, integrand, axis=-1), axis=-1) * cell * jac
+        [np.sum(integrand if mask is None else np.compress(mask, integrand, axis=-1),
+                axis=-1) * cell * jac
          for mask in masks]
     )
 
@@ -328,38 +436,39 @@ def _verdicts(ratios: np.ndarray) -> np.ndarray:
 
 
 def _truncated_sweeps(evaluator, weights, radii, dim, resolution, point_transform=None):
-    """One (sweep, ratios, verdict) per weight from a single evaluator call.
+    """One (sweep, ratios, verdict) per weight from one pass over the nodes.
 
-    The evaluator runs once, on the midpoint nodes of [-R, R]^dim inside
-    the ball of the largest radius R; each weight then takes the same
-    masked sums and ratio rule.
+    The evaluator and the weights run block by block (`_ball_nodes`) on the
+    midpoint nodes of [-R, R]^dim inside the ball of the largest radius R,
+    so they must act node by node.  What outlives a block is one
+    node-length integrand per weight and one mask per smaller radius; each
+    weight then takes the same masked sums and ratio rule.
     """
     radii = _increasing_radii(radii)
+    jac = 1.0
     if point_transform is not None:
         t = np.asarray(point_transform, dtype=float)
         if t.shape != (dim, dim):
             raise DimensionMismatch(f"point_transform must be {dim} x {dim}, got {t.shape}")
         if _near_singular(_singular_values(t, "point_transform")):
             raise Singular("point_transform must be invertible")
-    nodes, cell = _ball_nodes(dim, radii[-1], resolution)
-    r2 = np.einsum("ij,ij->i", nodes, nodes)
-    # only nodes of the largest ball enter a sum; the sums keep their order
-    inside = r2 <= radii[-1] * radii[-1]
-    nodes, r2 = np.compress(inside, nodes, axis=0), np.compress(inside, r2)
-    masks = _ball_masks(r2, radii)
-    pts, jac = nodes, 1.0
-    if point_transform is not None:
-        pts = nodes @ t.T
         jac = abs(np.linalg.det(t))
-    modulus = np.asarray(evaluator(pts), dtype=float)
+    n, cell, masks, blocks = _ball_nodes(dim, radii, resolution)
+    # one allocation for every weight's integrand: freed, this block is big
+    # enough that glibc's malloc raises its mmap and trim thresholds above
+    # it, so the next commands in a process reuse pages instead of faulting
+    # them in again (with one array per weight, `check hardy` took ~600
+    # page faults a run in a `cli_session` period, and none with this)
+    integrands = np.empty((len(weights), n))
+    for rows, nodes in blocks:
+        pts = nodes if point_transform is None else nodes @ t.T
+        modulus = np.asarray(evaluator(pts), dtype=float)
+        for weight, integrand in zip(weights, integrands):
+            np.multiply(np.asarray(weight(pts), dtype=float), modulus, out=integrand[rows])
     sweeps = []
-    for weight in weights:
-        # the weight's array is this call's own: multiplied in place and
-        # freed before the next weight runs, which keeps the peak memory down
-        integrand = np.asarray(weight(pts), dtype=float)
-        integrand *= modulus
-        values = _ball_sums(integrand, masks, cell, jac)
-        del integrand
+    for integrand in integrands:
+        # every node lies in the largest ball: its sum needs no mask
+        values = _ball_sums(integrand, masks + [None], cell, jac)
         ratios = _ratios(values)
         sweep = tuple(zip(radii, values.tolist()))
         sweeps.append((sweep, tuple(ratios.tolist()), str(_verdicts(ratios))))

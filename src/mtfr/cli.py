@@ -160,8 +160,9 @@ def _nearest_grid_modulus(field):
     """Evaluator of |field| at the grid point nearest each node.
 
     Each node becomes one flat C-order index, clipped to the grid axis by
-    axis, into |values| taken once over the whole field.
+    axis, into |values|, taken once over the whole field for every call.
     """
+    modulus = np.abs(field.values).ravel()
 
     def evaluator(pts):
         flat = np.zeros(len(pts), dtype=np.intp)
@@ -173,7 +174,7 @@ def _nearest_grid_modulus(field):
             np.clip(j, 0, npts - 1, out=j)
             flat *= npts
             flat += j
-        return np.abs(field.values).ravel().take(flat)
+        return modulus.take(flat)
 
     return evaluator
 

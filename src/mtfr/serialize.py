@@ -17,7 +17,14 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from .certify import AltIData, AltIIData, Certificate, _alt2_omega, _pi_permutation
+from .certify import (
+    AltIData,
+    AltIIData,
+    Certificate,
+    _alt2_omega,
+    _alt2_words,
+    _pi_permutation,
+)
 from .errors import DimensionMismatch, GridTooLarge, MtfrError, Singular
 from .grid import MAX_ELEMENTS, SampledField
 from .gaussian import GeneralizedGaussian
@@ -29,9 +36,10 @@ from .symplectic import (
     PreIwasawa,
     SymplecticMatrix,
     _blkdiag,
+    _within,
     assert_unitary,
 )
-from .unitary import assert_product, assert_rebuilds
+from .unitary import TOL_RECON, assert_product, assert_rebuilds
 
 FIELD_MAGIC = b"MTFR"
 FIELD_VERSION = 1
@@ -141,10 +149,14 @@ def _malformed(what: str):
         raise MtfrError(f"malformed {what}: {exc}") from exc
 
 
+def _half_or_size(rows: int) -> int:
+    """The "n" a matrix object carries: half the row count when it is even."""
+    return rows // 2 if rows % 2 == 0 else rows
+
+
 def matrix_to_obj(m) -> dict:
     m = np.asarray(m, dtype=float)
-    n = m.shape[0] // 2 if m.shape[0] % 2 == 0 else m.shape[0]
-    return {"n": n, "rows": m.tolist()}
+    return {"n": _half_or_size(m.shape[0]), "rows": m.tolist()}
 
 
 def _numbers(value, shape, what: str) -> np.ndarray:
@@ -166,11 +178,19 @@ def _numbers(value, shape, what: str) -> np.ndarray:
 
 
 def matrix_from_obj(obj, shape=None, what="matrix") -> np.ndarray:
-    """Real matrix in the given shape (square when None); bad input raises `MtfrError`."""
+    """Real matrix in the given shape (square when None); bad input raises `MtfrError`.
+
+    An "n", when present, must be the JSON integer `matrix_to_obj` writes
+    for the rows.
+    """
     with _malformed(what):
         rows = obj["rows"]
         shape = shape or (len(rows),) * 2
-    return _numbers(rows, shape, what)
+    m = _numbers(rows, shape, what)
+    if "n" in obj and _json_int(obj["n"], f"{what} n") != _half_or_size(shape[0]):
+        raise DimensionMismatch(f"{what} has {shape[0]} rows, so its n must be "
+                                f"{_half_or_size(shape[0])}")
+    return m
 
 
 def complex_matrix_to_obj(m) -> dict:
@@ -222,6 +242,23 @@ def word_from_obj(n: int, obj) -> GeneratorWord:
         else:
             raise DimensionMismatch(f"unknown letter kind {kind!r}")
     return GeneratorWord(n, tuple(letters))
+
+
+def _require_word(got: GeneratorWord, want: GeneratorWord, what: str, free=None):
+    """Raise `MtfrError` unless got has want's letters: the same kinds and
+    Fourier axes, and each matrix within TOL_RECON max(1, ||want's||_F),
+    but the matrix of the letter at index free, which may be any."""
+
+    def same(i, a, b):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, PartialFourier):
+            return a.axes == b.axes
+        x, y = (a.q, b.q) if isinstance(a, Chirp) else (a.l, b.l)
+        return i == free or _within(np.linalg.norm(x - y), TOL_RECON, np.linalg.norm(y))
+
+    if len(got) != len(want) or not all(map(same, range(len(got)), got.letters, want.letters)):
+        raise MtfrError(f"{what} is not the word that the certificate's factors give")
 
 
 def gaussian_to_obj(g: GeneralizedGaussian) -> dict:
@@ -303,7 +340,10 @@ def certificate_from_obj(obj) -> Certificate:
     Within TOL_RECON, word_bold and the pre-Iwasawa factors rebuild
     bold_matrix, W diag(V1, V2) with V1, V2 unitary rebuilds U, and
     L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi rebuilds Omega, with Pi the
-    block permutation for (d, k) and Im(tau U) P = Re(tau U).
+    block permutation for (d, k) and Im(tau U) P = Re(tau U); word_A and
+    word_B have the letters that P, W1, W2, Gamma1, tau and the chirp sign
+    give (`_alt2_words`), each matrix within TOL_RECON but word_A's leading
+    Gamma1 dilation.
     """
     with _malformed("certificate"):
         inter = obj["intermediates"]
@@ -368,6 +408,13 @@ def certificate_from_obj(obj) -> Certificate:
                 "L Im(tau U) diag(W1, W2) diag(Gamma1, I) Pi is off Omega by",
             )
             assert_product(tau_u.imag, alt2.p, tau_u.real, "Im(tau U) P = Re(tau U)")
+            word_a, word_b = _alt2_words(
+                d, alt2.tau, alt2.p, alt2.w1, alt2.gamma1, alt2.w2, chirp_sign)
+            # word_A's leading Dilation(diag(Gamma1) + I) is left free: with
+            # Gamma1 and Omega rescaled together the file still reads, and it
+            # is the identity (`verify`, exit 4) that finds the odd scale
+            _require_word(alt2.word_a, word_a, "word_A", free=0)
+            _require_word(alt2.word_b, word_b, "word_B")
         else:
             raise MtfrError(f"unknown certificate alternative {alternative!r}")
         return Certificate(

@@ -165,6 +165,18 @@ def symplectic_defect(m: np.ndarray) -> float:
     return np.linalg.norm(m.T @ j @ m - j) / max(1.0, np.linalg.norm(m) ** 2)
 
 
+def _entrywise_defect(m: np.ndarray) -> float:
+    """max over entries of |M^t J M - J| / max(1, |M|^t |J| |M|).
+
+    Each entry's residual is measured against the size its own products
+    reach, so one large entry cannot hide the error of another the way it
+    does in the norm of the relative defect.
+    """
+    j = standard_j(m.shape[0] // 2)
+    a = np.abs(m)
+    return float(np.max(np.abs(m.T @ j @ m - j) / np.maximum(a.T @ np.abs(j) @ a, 1.0)))
+
+
 # ---------------------------------------------------------------------------
 # generator letters
 
@@ -335,6 +347,10 @@ class SymplecticMatrix:
         sign, logdet = np.linalg.slogdet(m)
         if sign != 1.0 or not _within(abs(logdet), 1e-6, np.linalg.norm(m)):
             raise NotSymplectic("not symplectic: determinant is not +1")
+        defect = _entrywise_defect(m)
+        if not _within(defect, TOL_SYMPL):
+            raise NotSymplectic(
+                f"not symplectic: entrywise residual {defect:.3e} exceeds {TOL_SYMPL}")
         object.__setattr__(self, "entries", _freeze(m))
 
     @classmethod

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -546,9 +548,13 @@ def reference_ball_sums(integrand, r2, radii, cell, jac=1.0):
 
 def reference_truncated_sweeps(evaluator, weights, radii, dim, resolution,
                                point_transform=None):
-    """_truncated_sweeps with boolean-mask gathers."""
+    """_truncated_sweeps on the full cube of nodes with boolean-mask gathers."""
     radii = C._increasing_radii(radii)
-    nodes, cell = C._ball_nodes(dim, radii[-1], resolution)
+    rmax = radii[-1]
+    h = 2.0 * rmax / resolution
+    axis = -rmax + h * (np.arange(resolution) + 0.5)
+    nodes = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    cell = h**dim
     r2 = np.einsum("ij,ij->i", nodes, nodes)
     inside = r2 <= radii[-1] * radii[-1]
     nodes, r2 = nodes[inside], r2[inside]
@@ -640,6 +646,64 @@ class TestSweepEngineBitwise:
         got = C._truncated_sweeps(ev, weights, radii, dim, resolution, transform)
         want = reference_truncated_sweeps(ev, ref_weights, radii, dim, resolution, transform)
         assert repr(got) == repr(want)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sweep_cases(), st.sampled_from([8, 9, 13, 64]))
+    def test_small_blocks_match_mask_reference(self, case, block):
+        # many blocks, down to the 8 nodes below which beurling_weight
+        # would switch to einsum, with a remainder folded into the last one
+        dim, resolution, radii, seed, transform = case
+        ev = _smooth_evaluator(seed, dim)
+        m = _matrix(seed, dim, 0.3)
+        weights = (C.beurling_weight(m, 1.0), C.gelfand_shilov_weight(2.5, 0.8, dim // 2, "x"))
+        ref_weights = (reference_beurling_weight(m, 1.0),) + weights[1:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "_BLOCK", block)
+            got = C._truncated_sweeps(ev, weights, radii, dim, resolution, transform)
+        want = reference_truncated_sweeps(ev, ref_weights, radii, dim, resolution, transform)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("dim, resolutions", [
+        (1, range(1, 40)), (2, range(1, 40)), (3, range(1, 17)), (4, range(1, 11)),
+        (5, range(1, 7)),
+    ])
+    def test_ball_nodes_match_the_cube(self, dim, resolutions):
+        # radii 1 - 2/res put lattice nodes on the sphere (3^2 + 3^2 + 3^2 +
+        # 3^2 = 6^2 at dim 4, res 6), where the rounding of r2 decides
+        for resolution in resolutions:
+            for radii in ((1.0,), (0.3, 1.0 - 2.0 / resolution, 1.0), (0.5, 2.5, 3.0)):
+                radii = tuple(r for r in radii if r > 0.0)
+                rmax = radii[-1]
+                h = 2.0 * rmax / resolution
+                axis = -rmax + h * (np.arange(resolution) + 0.5)
+                cube = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1)
+                cube = cube.reshape(-1, dim)
+                r2 = np.einsum("ij,ij->i", cube, cube)
+                inside = r2 <= rmax * rmax
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(C, "_BLOCK", 8)
+                    n, cell, masks, blocks = C._ball_nodes(dim, radii, resolution)
+                    blocks = list(blocks)
+                assert n == np.count_nonzero(inside) and cell == h**dim
+                assert [b[0].start for b in blocks] == list(range(0, n, 8))[:len(blocks)]
+                assert all(8 <= len(b[1]) < 16 for b in blocks) or len(blocks) <= 1
+                nodes = np.concatenate([b[1] for b in blocks]) if blocks else cube[:0]
+                assert nodes.tobytes() == cube[inside].tobytes()
+                want = [(r2 <= r * r)[inside] for r in radii[:-1]]
+                assert [m.tobytes() for m in masks] == [w.tobytes() for w in want]
+
+    def test_default_gs_sweep_peak_memory(self):
+        # node-length arrays only for the integrands and masks; the nodes,
+        # the evaluator and the weights live one block at a time
+        ev = lambda pts: np.exp(-np.pi * np.einsum("ij,ij->i", pts, pts))
+        tracemalloc.start()
+        try:
+            gelfand_shilov_sweep(ev, 2.0, 1.5, 1.5, (1, 2, 4, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None)

@@ -774,6 +774,32 @@ class TestGoldenMutations:
         assert _run_in_process(command, obj, tmp_path) == (
             2, ["error: not symplectic: residual nan exceeds 1e-10"])
 
+    @pytest.mark.parametrize("command", ["classify", "factor"])
+    def test_entry_hidden_by_the_norm_is_not_symplectic(self, tmp_path, command):
+        # ||M||_F^2 = 1e308 takes the relative defect down to 1e-154, but
+        # entry by entry against |M|^t |J| |M| the residual is 1
+        obj = copy.deepcopy(_golden("in/alt2.json"))
+        obj["rows"][3][1] = 1e154
+        code, lines = _run_in_process(command, obj, tmp_path)
+        assert (code, len(lines)) == (2, 1)
+        assert lines[0].startswith("error: not symplectic: entrywise residual 1.000e+00")
+
+    @pytest.mark.parametrize("n", [10**400, 4, 1, 0])
+    def test_contradictory_n_is_refused(self, tmp_path, n):
+        obj = copy.deepcopy(_golden("in/alt2.json"))
+        obj["n"] = n
+        assert _run_in_process("factor", obj, tmp_path) == (
+            2, ["error: matrix has 4 rows, so its n must be 2"])
+
+    @pytest.mark.parametrize("value", [0.5, 1e308])
+    def test_tampered_word_b_is_refused(self, tmp_path, value):
+        # at the parent, 0.5 failed the identity (exit 4) and 1e308 overflowed (exit 3)
+        obj = copy.deepcopy(_golden("alt2/certificate.json"))
+        obj["word_B"][2]["q"][0][0] = value
+        assert _run_in_process("verify", obj, tmp_path) == (2, [
+            "error: malformed certificate: word_B is not the word that the "
+            "certificate's factors give"])
+
 
 class TestPackage:
     THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

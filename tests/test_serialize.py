@@ -483,6 +483,24 @@ def test_certificate_factors_checked_against_bold(alternative, keys, value, matc
         certificate_from_obj(_edited_certificate(alternative, keys, value))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_certificate_words_follow_the_chirp_sign(d):
+    # a +P22 label needs +P22 in word_B's chirp letter, and a word_A letter
+    # off its factors is refused as well
+    obj = json.loads(_certificate_text(d, "II", 0))
+    obj["intermediates"]["chirp_sign"] = "+P22"
+    with pytest.raises(MtfrError, match="word_B is not the word"):
+        certificate_from_obj(obj)
+    chirp = obj["word_B"][2]
+    assert chirp["kind"] == "chirp"
+    chirp["q"] = (-np.array(chirp["q"])).tolist()
+    assert certificate_from_obj(obj).alt2.chirp_sign == "+P22"
+    p11 = next(letter for letter in obj["word_A"] if letter["kind"] == "chirp")
+    p11["q"][0][0] += 0.5
+    with pytest.raises(MtfrError, match="word_A is not the word"):
+        certificate_from_obj(obj)
+
+
 GAUSSIAN_1 = {"n": 1, "M_re": [[1.0]], "M_im": [[0.0]], "b_re": [0.0], "b_im": [0.0],
               "logamp": 0.0}
 
