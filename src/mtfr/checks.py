@@ -232,9 +232,9 @@ _RULE = (
 )
 
 
-# nodes per evaluator and weight call: enough that the per-call cost does
-# not show, few enough that a call's temporaries stay small beside the
-# node-length integrands
+# nodes per evaluator and weight call (and per block of Hardy radii):
+# enough that the per-call cost does not show, few enough that a call's
+# temporaries stay small beside the node-length integrands
 _BLOCK = 8192
 # the room a partial sum of squares leaves is measured against R^2 (1 + 2^-40),
 # a margin above the rounding of any order of summation
@@ -556,17 +556,48 @@ def hardy_fit(points: np.ndarray, values: np.ndarray, omega=None) -> HardyFit:
                     residual=resid)
 
 
+def _norm_order_sum(terms):
+    """The sum of terms in the order np.linalg.norm's add.reduce adds a row of them.
+
+    Below 8 terms that is axis order; 8, the most axes a field can have
+    (8 points each at least, MAX_ELEMENTS in all), are summed as a
+    pairwise tree.
+    """
+    if len(terms) == 8:
+        t = terms
+        return ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def hardy_fit_field(
     field: SampledField, omega=None, rmin: float = 1.5, rmax: float = 4.0
 ) -> HardyFit:
-    """Hardy fit on all grid points of a field inside an annulus."""
-    pts = field.mesh().reshape(-1, field.n)
-    vals = np.abs(field.values).ravel()
-    r = np.linalg.norm(pts, axis=1)
-    keep = (r >= rmin) & (r <= rmax)
-    if not np.any(keep):
+    """Hardy fit on all grid points of a field inside an annulus.
+
+    A node's radius is the root of its squared coordinates summed as
+    np.linalg.norm sums them (`_norm_order_sum`), so the annulus keeps the
+    nodes the norm of the field's mesh would keep.  The radii are taken
+    _BLOCK nodes at a time, in C order; only the kept nodes' coordinates
+    and |values| are gathered.
+    """
+    coords = [field.coords(a) for a in range(field.n)]
+    squares = [c * c for c in coords]
+    kept = []
+    for start in range(0, field.values.size, _BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _BLOCK, field.values.size)),
+                                 field.points)
+        r = np.sqrt(_norm_order_sum([sq[i] for sq, i in zip(squares, index)]))
+        kept.append(np.flatnonzero((r >= rmin) & (r <= rmax)) + start)
+    kept = np.concatenate(kept)
+    if not len(kept):
         raise DegenerateFit(f"no grid point lies in the annulus {rmin} <= r <= {rmax}")
-    return hardy_fit(np.compress(keep, pts, axis=0), np.compress(keep, vals), omega)
+    pts = np.empty((len(kept), field.n))
+    for a, i in enumerate(np.unravel_index(kept, field.points)):
+        pts[:, a] = coords[a][i]
+    return hardy_fit(pts, np.abs(field.values.reshape(-1)[kept]), omega)
 
 
 # ---------------------------------------------------------------------------

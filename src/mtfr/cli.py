@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -161,13 +162,16 @@ def _nearest_grid_modulus(field):
 
     Each node becomes one flat C-order index, clipped to the grid axis by
     axis, into |values|, taken once over the whole field for every call.
+    The evaluator holds |values|, the point counts and the spacings, not
+    the field, so a caller that drops the field keeps one copy of it.
     """
     modulus = np.abs(field.values).ravel()
+    axes = [(npts, field.spacing(a)) for a, npts in enumerate(field.points)]
 
     def evaluator(pts):
         flat = np.zeros(len(pts), dtype=np.intp)
-        for a, npts in enumerate(field.points):
-            j = pts[:, a] / field.spacing(a)
+        for a, (npts, spacing) in enumerate(axes):
+            j = pts[:, a] / spacing
             np.rint(j, out=j)
             j = j.astype(np.intp)
             j += npts // 2
@@ -216,18 +220,19 @@ def cmd_check(args) -> int:
     if field.n % 2:
         # both sweeps split the field's axes into (x, omega) halves
         raise DimensionMismatch("phase-space dimension must be even")
+    n, evaluator = field.n, _nearest_grid_modulus(field)
+    del field  # the evaluator's |values| is the one copy the sweep needs
     if args.kind == "beurling":
-        d = field.n // 2
-        m = np.zeros((field.n, field.n))
+        d = n // 2
+        m = np.zeros((n, n))
         m[:d, d:] = 0.5 * np.eye(d)
         m[d:, :d] = 0.5 * np.eye(d)
         report = beurling_sweep(
-            _nearest_grid_modulus(field), m, args.n_exponent, args.radii, dim=field.n,
-            resolution=args.resolution,
+            evaluator, m, args.n_exponent, args.radii, dim=n, resolution=args.resolution,
         )
     else:
         report = gelfand_shilov_sweep(
-            _nearest_grid_modulus(field), args.p, args.alpha, args.beta, args.radii, dim=field.n,
+            evaluator, args.p, args.alpha, args.beta, args.radii, dim=n,
             resolution=args.resolution,
         )
 
@@ -303,6 +308,13 @@ def _finite(value, low=-math.inf):
     return value
 
 
+def _box(text):
+    """A finite positive --box whose sample range [-box, box] has a finite width."""
+    box = _finite(float(text), 0.0)
+    _finite(2.0 * box)
+    return box
+
+
 def _grid_spec(spec):
     points, extent = spec.split("@")
     return _finite(int(points), 0), _finite(float(extent), 0.0)
@@ -312,6 +324,7 @@ _COUNT = _flag(lambda text: _finite(int(text), 0), "a positive integer")
 _SEED = _flag(lambda text: _finite(int(text), -1), "a non-negative integer")
 _FLOAT = _flag(lambda text: _finite(float(text)), "a finite number")
 _POSITIVE = _flag(lambda text: _finite(float(text), 0.0), "a finite positive number")
+_BOX = _flag(_box, "a finite positive half-width whose double is finite")
 _GRID = _flag(_grid_spec, "a grid spec points@extent such as 256@16")
 _RADII = _flag(
     lambda text: tuple(_finite(float(r), 0.0) for r in text.split(",")),
@@ -391,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Gaussian JSON inputs f and g; default random")
     p.add_argument("--points", type=_COUNT, default=100)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--box", type=_POSITIVE, default=3.0, help="sample box half-width")
+    p.add_argument("--box", type=_BOX, default=3.0, help="sample box half-width")
     p.add_argument("--tol", type=_POSITIVE, default=TOL_IDENTITY)
     p.add_argument("--out", default=None)
 
@@ -415,12 +428,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a library warning as the commands print their own: one line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Run one command; every failure becomes an exit code and one stderr line.
 
     numpy's floating-point warnings are silenced, so an input that
     overflows prints nothing before its error line: the finite checks on
-    every result still reject it.
+    every result still reject it.  Any other warning the library issues
+    is printed as one ``warning: <message>`` line.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -428,7 +447,9 @@ def main(argv=None) -> int:
         # looked up by name on each call, so a rebound cmd_* (a test's
         # monkeypatch, the benchmark's tracer) runs under the shared parser
         command = globals()[f"cmd_{args.command}"]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+              warnings.catch_warnings()):
+            warnings.showwarning = _show_warning
             return command(args)
     except _ASSERTION_ERRORS as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)

@@ -687,7 +687,8 @@ def mass_outside(field: SampledField, region) -> float:
     for a in range(field.n):
         x = field.coords(a)
         inside = inside & _along((x >= lows[a]) & (x <= highs[a]), a, field.n)
-    dens = np.abs(field.values.ravel()) ** 2
+    dens = np.abs(field.values.ravel())
+    np.square(dens, out=dens)
     total = float(np.sum(dens))
     if total == 0.0:
         return 0.0

@@ -488,8 +488,11 @@ def read_field(path) -> SampledField:
             raise DimensionMismatch(
                 f"field payload is {payload} bytes; its header needs {16 * count}"
             )
-        # a read-only view of the payload bytes, which SampledField copies once
-        values = np.frombuffer(fh.read(payload), dtype="<c16").reshape(points)
+        # the payload lands in the array the field takes over: no bytes object
+        # and no second copy is alive beside it
+        values = np.empty(points, dtype="<c16")
+        if fh.readinto(values.reshape(-1).view(np.uint8)) != payload:
+            raise DimensionMismatch(f"field payload ended before its {payload} bytes")
     return SampledField(values, tuple(extents))
 
 

@@ -779,6 +779,23 @@ class TestSweepEngineBitwise:
         got = hardy_fit_field(v, omega, rmin, rmax)
         assert repr(got) == repr(reference_hardy_fit_field(v, omega, rmin, rmax))
 
+    @pytest.mark.parametrize("points, extents", [
+        ((2**14,), (16.0,)),  # two blocks of nodes on one axis
+        ((16, 32, 32), (6.0, 8.0, 5.0)),
+    ])
+    def test_hardy_fit_field_matches_mask_reference_off_two_axes(self, rng, points, extents):
+        field = sample(random_gaussian(len(points), rng), points, extents)
+        got = hardy_fit_field(field, rmin=0.5, rmax=2.0)
+        assert repr(got) == repr(reference_hardy_fit_field(field, rmin=0.5, rmax=2.0))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_norm_order_sum_matches_norm(self, rng, n):
+        # up to 8 axes, the most a field can have; scales far apart, so
+        # that another order of summation would round differently
+        pts = rng.normal(size=(5000, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        got = np.sqrt(C._norm_order_sum([pts[:, a] * pts[:, a] for a in range(n)]))
+        assert got.tobytes() == np.linalg.norm(pts, axis=1).tobytes()
+
     def test_hardy_fit_matches_mask_reference(self, rng):
         pts = rng.normal(scale=2.0, size=(3000, 4))
         vals = np.exp(-np.pi * (pts**2).sum(axis=1)) * (rng.uniform(size=3000) > 0.3)

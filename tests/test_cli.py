@@ -11,6 +11,7 @@ import pkgutil
 import shlex
 import struct
 import textwrap
+import tracemalloc
 import types
 
 import numpy as np
@@ -207,6 +208,16 @@ class TestVerify:
             code = main(["verify", cert, "--points", "5", "--box", "1e200"])
         assert code == 4
         assert capsys.readouterr().out.startswith("FAIL max relative error nan at lambda")
+
+    def test_box_whose_range_overflows_exit_2(self, alt2_matrix, tmp_path, capsys):
+        # the sample range 2 * box is inf: refused before any point is drawn
+        cert = self._cert(alt2_matrix, tmp_path)
+        capsys.readouterr()
+        assert main(["verify", cert, "--box", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --box: ")
+        assert captured.err.count("\n") == 1
 
     def test_zero_points_exit_2(self, alt2_matrix, tmp_path):
         cert = self._cert(alt2_matrix, tmp_path)
@@ -411,6 +422,57 @@ class TestCounterexample:
         captured = capsys.readouterr()
         assert "coarse" in captured.err
         assert code in (0, 4)  # coarse grids may exceed the mass budget
+
+
+    def test_library_warning_is_one_line(self, alt1_matrix, tmp_path, capsys):
+        # the chirp's phase step overflows (a ChirpAliasingWarning), then its
+        # values do: every line is a one-line warning or the one error
+        cert_dir = tmp_path / "c4"
+        main(["classify", alt1_matrix, "--out", str(cert_dir)])
+        capsys.readouterr()
+        code = main(["counterexample", str(cert_dir / "certificate.json"),
+                     "--grid", "8@1e300"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert "warning: chirp phase advances inf rad between adjacent samples" in lines
+        assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+        assert sum(line.startswith("error: ") for line in lines) == 1
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak of one in-process `main(argv)`, after one warm-up run."""
+    assert main(argv) == 0  # per-size tables and other caches are built here
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFieldMemory:
+    """A field command holds one copy of its field (1 MB at the default 256@16)."""
+
+    def test_default_gs_peak(self, tmp_path):
+        # the modulus, two node-length integrands and the masks, but not the
+        # field: it is dropped before the sweep
+        assert _traced_peak(["check", "gs", "--out", str(tmp_path)]) <= 5.5e6
+
+    def test_default_hardy_peak(self, tmp_path):
+        # the field, the annulus's nodes and the fit, but no mesh of the field
+        assert _traced_peak(["check", "hardy", "--out", str(tmp_path)]) <= 3.0e6
+
+    def test_truncated_payload_exit_2(self, tmp_path, capsys):
+        f = sample(standard_gaussian(2), (16, 16), (8.0, 8.0))
+        write_field(f, tmp_path / "f.bin")
+        data = (tmp_path / "f.bin").read_bytes()
+        (tmp_path / "cut.bin").write_bytes(data[:-16])
+        assert main(["check", "hardy", "--field", str(tmp_path / "cut.bin")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: field payload is {16 * 255} bytes; its header needs {16 * 256}\n"
+        )
 
 
 class TestMalformedInput:
