@@ -70,6 +70,7 @@ from .symplectic import (
 )
 from .unitary import (
     TOL_BLK,
+    assert_rebuilds,
     block_diag_test,
     odo_svd,
     real_factor,
@@ -170,6 +171,15 @@ def alt1_decompose(u: np.ndarray, d: int):
     return real_factor(u, _blkdiag(v1, v2), "alt1 orthogonal factor W"), v1, v2
 
 
+def _assert_rebuilds_bold(pre: PreIwasawa, word_bold: GeneratorWord, bold: SymplecticMatrix):
+    """word_bold, once it and V_Q D_L R_U each rebuild M within TOL_RECON
+    (else NumericalFailure): the gates of a certificate where `certify`
+    makes it and where `serialize.certificate_from_obj` reads it."""
+    assert_rebuilds(word_bold.matrix(), bold.entries, "word_bold is off bold_matrix by")
+    assert_rebuilds(pre.reconstruct(), bold.entries, "pre_iwasawa is off bold_matrix by")
+    return word_bold
+
+
 def _pi_permutation(d: int, k: int) -> np.ndarray:
     """Block permutation sending (omega1, x2, x1, omega2) to (x1, x2, omega1, omega2)."""
     return np.eye(2 * d)[np.r_[d : d + k, k:d, :k, d + k : 2 * d]]
@@ -242,7 +252,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
     warnings_list = []
     if verdict != "II":
         raise NotBlockDiagonal("alt2_certificate requires Alternative II input")
-    ratio = offdiag / max(np.linalg.norm(pre.u.T @ pre.u), 1e-300)
+    ratio = offdiag / np.sqrt(2 * d)  # ||U^t U||_F of the 2d x 2d unitary U
     if ratio <= TOL_BLK * BORDERLINE_FACTOR:
         warnings_list.append(
             f"borderline classification: off-diagonal ratio {ratio:.3e}"
@@ -288,7 +298,7 @@ def alt2_certificate(bold: SymplecticMatrix) -> Certificate:
         offdiag_norm=offdiag,
         pre=pre,
         bold=bold,
-        word_bold=factor_to_word(bold, tau=tau),
+        word_bold=_assert_rebuilds_bold(pre, factor_to_word(bold, tau=tau), bold),
         alt2=alt2,
         warnings=tuple(warnings_list),
     )
@@ -328,7 +338,7 @@ def certify(bold: SymplecticMatrix) -> Certificate:
         offdiag_norm=offdiag,
         pre=pre,
         bold=bold,
-        word_bold=factor_to_word(bold),
+        word_bold=_assert_rebuilds_bold(pre, factor_to_word(bold), bold),
         alt1=AltIData(w=w, v1=v1, v2=v2),
     )
 

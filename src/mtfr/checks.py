@@ -105,7 +105,10 @@ class LinearImage:
         a = np.asarray(self.matrix, dtype=float)
         if a.shape != (self.base.dim, self.base.dim):
             raise DimensionMismatch("linear map does not match shape dimension")
-        if not abs(np.linalg.det(a)) >= 1e-14:  # a nan determinant fails
+        # numerically singular, sigma_min <= eps sigma_max: scale-free, so a
+        # map and its inverse are judged alike (README, Tolerances)
+        sv = _singular_values(a, "linear map")
+        if not sv[-1] > np.finfo(float).eps * sv[0]:
             raise Singular("linear image of a shape needs an invertible map")
         object.__setattr__(self, "matrix", a)
 

@@ -23,6 +23,7 @@ from .certify import (
     Certificate,
     _alt2_omega,
     _alt2_words,
+    _assert_rebuilds_bold,
     _pi_permutation,
 )
 from .errors import DimensionMismatch, GridTooLarge, MtfrError, Singular
@@ -364,8 +365,7 @@ def certificate_from_obj(obj) -> Certificate:
         bold = matrix_from_obj(inter["bold_matrix"], (4 * d, 4 * d), "bold_matrix")
         bold = SymplecticMatrix.from_array(bold)
         word_bold = word_from_obj(2 * d, inter["word_bold"])
-        assert_rebuilds(word_bold.matrix(), bold.entries, "word_bold is off bold_matrix by")
-        assert_rebuilds(pre.reconstruct(), bold.entries, "pre_iwasawa is off bold_matrix by")
+        _assert_rebuilds_bold(pre, word_bold, bold)
         alternative = obj["alternative"]
         alt1 = alt2 = None
         if alternative == "I":

@@ -27,7 +27,6 @@ from .errors import (
     NotSymmetric,
     NotSymplectic,
     NotUnitary,
-    NumericalFailure,
     Singular,
 )
 
@@ -35,7 +34,7 @@ TOL_SYMPL = 1e-10
 TOL_SYM = 1e-12
 TOL_UNIT = 1e-10
 TOL_INV = 1e-8
-TOL_DERIVED = 1e-8  # symmetry or unitarity of a factor computed from checked input
+TOL_DERIVED = 1e-8  # symmetry or unit modulus of a quantity computed from checked input
 
 __all__ = [
     "Chirp",
@@ -434,23 +433,21 @@ class PreIwasawa:
         return self.q.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        m = make_chirp(self.q).entries @ make_dilation(self.l).entries
-        return m @ make_rotation(self.u).entries
-
-
-def _spd_sqrt(s: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(s)
-    if w[0] <= 0.0:
-        raise NumericalFailure("symmetric square root: matrix not positive definite")
-    return (v * np.sqrt(w)) @ v.T
+        """V_Q D_L R_U; Q and L pass their letters' gates and U `assert_unitary`."""
+        n = self.n
+        m = letter_matrix(Chirp(self.q), n) @ letter_matrix(Dilation(self.l), n)
+        return m @ _rotation_matrix(assert_unitary(self.u, what="pre_iwasawa U"))
 
 
 def pre_iwasawa(m: SymplecticMatrix) -> PreIwasawa:
     """Unique factorization M = V_Q D_L R_U with L = L^t > 0.
 
-    Closed formulas: with blocks ((A, B), (C, D)),
-    L = (A A^t + B B^t)^{1/2}, Q = (C A^t + D B^t)(A A^t + B B^t)^{-1},
-    U = L^{-1}(A + i B).
+    With blocks ((A, B), (C, D)), L U is the polar decomposition of A + i B
+    (Higham, SIAM J. Sci. Stat. Comput. 7, 1986), taken from one SVD
+    A + i B = W Sigma V^*: U = W V^* and L = W Sigma W^*, which is
+    (A A^t + B B^t)^{1/2}, real for symplectic M, and is stored as the
+    symmetrized real part; Q = (C A^t + D B^t)(A A^t + B B^t)^{-1}.  U is
+    unitary to rounding, so no gate here judges it.
 
     A matrix is immutable, so its factors are computed on the first call
     and every later call returns the same object; a call that raises
@@ -459,13 +456,11 @@ def pre_iwasawa(m: SymplecticMatrix) -> PreIwasawa:
     pre = m.__dict__.get("_pre_iwasawa")
     if pre is None:
         a, b, c, d = m.a, m.b, m.c, m.d
+        w, sigma, vh = np.linalg.svd(a + 1j * b)
+        l = ((w * sigma) @ w.conj().T).real
         s = a @ a.T + b @ b.T
-        l = _spd_sqrt(s)
         q = np.linalg.solve(s.T, (c @ a.T + d @ b.T).T).T
-        q = 0.5 * (q + q.T)
-        u = np.linalg.solve(l, a + 1j * b)
-        u = assert_unitary(u, tol=TOL_DERIVED, what="pre_iwasawa U factor")
-        pre = PreIwasawa(q, l, u)
+        pre = PreIwasawa(0.5 * (q + q.T), 0.5 * (l + l.T), w @ vh)
         object.__setattr__(m, "_pre_iwasawa", pre)
     return pre
 

@@ -15,6 +15,7 @@ from mtfr.symplectic import (
     GeneratorWord,
     PartialFourier,
     SymplecticMatrix,
+    make_dilation,
     make_rotation,
     random_symplectic,
 )
@@ -42,6 +43,21 @@ def alt2_bold(d, rng):
     inputs: a random 4-letter symplectic word times a Haar rotation."""
     word_seed = int(rng.integers(2**31))
     return random_symplectic(2 * d, 4, seed=word_seed) @ make_rotation(haar_unitary(2 * d, rng))
+
+
+def ill_conditioned_bold(d, alternative, s, rng):
+    """M = D_L R_U with L = O diag(geomspace(1/s, s)) O^t, O Haar orthogonal,
+    so cond(M) = s^4; U is Haar for Alternative II and W diag(V1, V2), W Haar
+    orthogonal and Vj Haar unitary, for Alternative I."""
+    o = haar_orthogonal(2 * d, rng)
+    l = (o * np.geomspace(1.0 / s, s, 2 * d)) @ o.T
+    if alternative == "II":
+        u = haar_unitary(2 * d, rng)
+    else:
+        v = np.zeros((2 * d, 2 * d), dtype=complex)
+        v[:d, :d], v[d:, d:] = haar_unitary(d, rng), haar_unitary(d, rng)
+        u = haar_orthogonal(2 * d, rng) @ v
+    return make_dilation(l) @ make_rotation(u)
 
 
 def random_spd(n, rng, shift=0.5):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -131,3 +132,40 @@ def test_open_gate_scan_finds_them():
         "    w = wn\n"
     )
     assert open_gates(source) == ["line 1", "line 7", "line 9"]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def tolerance_names(source: str) -> list:
+    """The module-level TOL_*, *_TOL and COND_MAX names a module assigns."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names += [t.id for t in targets if isinstance(t, ast.Name)
+                  and re.fullmatch(r"TOL_[A-Z_]+|[A-Z_]+_TOL|COND_MAX", t.id)]
+    return names
+
+
+def test_readme_names_every_tolerance():
+    # each gate appears as `module.NAME` in README's Tolerances section
+    text = README.read_text()
+    start = text.index("\n## Tolerances\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    missing = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+               for name in tolerance_names(path.read_text())
+               if f"`{path.stem}.{name}`" not in section]
+    assert missing == []
+
+
+def test_tolerance_scan_finds_them():
+    source = (
+        "TOL_A = 1e-8\n"
+        "B_TOL: float = 0.2\n"
+        "COND_MAX = 1e12\n"
+        "TOLERANCE = 1.0\n"  # neither form
+        "def f():\n"
+        "    TOL_LOCAL = 1.0\n"  # not module-level
+    )
+    assert tolerance_names(source) == ["TOL_A", "B_TOL", "COND_MAX"]

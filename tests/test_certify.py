@@ -17,6 +17,7 @@ from mtfr.errors import (
     RealMatrix,
 )
 from mtfr.certify import (
+    TOL_IDENTITY,
     _probe_inputs,
     alt1_tfr_tensor,
     alt2_certificate,
@@ -43,7 +44,7 @@ from mtfr.symplectic import (
     random_symplectic,
 )
 
-from conftest import alt2_bold, haar_orthogonal, haar_unitary, random_spd
+from conftest import alt2_bold, haar_orthogonal, haar_unitary, ill_conditioned_bold, random_spd
 
 
 def canonical_alt2_input():
@@ -335,6 +336,50 @@ class TestVerifyIdentity:
         assert verify_identity(bad, f, g, pts) > 1e-4
 
 
+class TestIllConditioned:
+    """cond(M) = 8.1e5 (s = 30) and 1e8 (s = 100): the U that pre_iwasawa
+    makes is unitary to rounding, so no later unitarity gate refuses it.
+
+    The identity is gated at s = 30 only: at s = 100 the oracle's own
+    rounding reaches 1e-7 to 1e-6 on this family, too near the gate to pin.
+    At cond(M) = 8.1e9 (s = 300) most inputs are beyond the oracle's reach,
+    and certify refuses them as certificate_from_obj would.
+    """
+
+    @pytest.mark.parametrize("alternative", ["I", "II"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_certified_implies_reads_back(self, d, alternative):
+        rng = np.random.default_rng([d, len(alternative), 300])
+        certified = 0
+        for _ in range(20):
+            bold = ill_conditioned_bold(d, alternative, 300.0, rng)
+            try:
+                cert = certify(bold)
+            except NumericalFailure:
+                continue
+            certified += 1
+            back = certificate_from_obj(json.loads(canonical_json(certificate_to_obj(cert))))
+            assert back.alternative == cert.alternative == alternative
+        assert 0 < certified < 20  # both branches ran
+
+    @pytest.mark.parametrize("s", [30.0, 100.0])
+    @pytest.mark.parametrize("alternative", ["I", "II"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_certifies_and_reads_back(self, d, alternative, s):
+        rng = np.random.default_rng([d, len(alternative), int(s)])
+        for _ in range(10):
+            cert = certify(ill_conditioned_bold(d, alternative, s, rng))
+            assert cert.alternative == alternative
+            u = cert.pre.u
+            assert np.linalg.norm(u.conj().T @ u - np.eye(2 * d)) <= 1e-13
+            back = certificate_from_obj(json.loads(canonical_json(certificate_to_obj(cert))))
+            assert back.alternative == alternative
+            if alternative == "II" and s == 30.0:
+                f, g = random_gaussian(d, rng), random_gaussian(d, rng)
+                pts = rng.uniform(-1.5, 1.5, size=(16, 2 * d))
+                assert verify_identity(back, f, g, pts) <= TOL_IDENTITY
+
+
 def pinned_certify_cases():
     """(bold, pair) by name, 12 seeded inputs: for d = 1..3, three generic
     Alternative II inputs (`alt2_bold`) with a Gaussian pair and points,
@@ -359,51 +404,51 @@ def pinned_certify_cases():
 # sha256 of each certificate's canonical JSON, and repr of verify_identity
 PINNED_CERTIFICATES = {
     "alt1-d1": (
-        "05d8b78326031954d9e1fea8e8b1d7a1665617197433e5fb10556e3adfd8b5b6",
+        "9f1543d1a6c1f871226b996b78caf8e43832101e1470aa98464603342eb3583a",
         None,
     ),
     "alt1-d2": (
-        "e292b28a79ed2469ef5af4e5d04b930ffcfd854663e5fe87888923faffbaf45a",
+        "aaaa343c612082a7a8aa538bffc260401e09938c1fc4aeb42d1a9355221aa17c",
         None,
     ),
     "alt1-d3": (
-        "d0d7fe94a850db290c3f48f9647b81961dc2a7705bcb732c482073c6b6f854d2",
+        "76d7af06d155155c31b9df795e25fe3667181591ed44b595b8507f53f51917c5",
         None,
     ),
     "alt2-d1-0": (
-        "bd8c7d6842dabb71c7065aeb8347cd7a8f183a67280a8c4a3b4e851253783244",
-        "7.105427357600977e-15",
+        "41565517d78224e92f7b0ffdfd5f317875f775209422810f6043a92675d67e6f",
+        "1.4210854715201903e-14",
     ),
     "alt2-d1-1": (
-        "f5e0801af2b0a80e8969953b804ef5c0225e423d878444f800a6c882419eb2ce",
+        "dd2b07cb6bcdcbd299c9c6b05b11a6e0e40bcede8edf31a3e6c525c81547b15b",
         "2.8421709430403604e-14",
     ),
     "alt2-d1-2": (
-        "1f1f178d124f06ba5b797f3d9dd4c11721a4e894799c01f246f814eec2b35932",
-        "4.26325641456051e-14",
+        "3aba05b8106f15d6608c52ed8d367240d387d819f411afe45948a193f4028cb2",
+        "4.9737991503205776e-14",
     ),
     "alt2-d2-0": (
-        "80a2199f7b748b17efab61a29cc59294150f26c8aed58f402cad8c070c1b0492",
-        "6.821210263294635e-13",
+        "8928e8dd5e647b605f7b353f554ba6d3ef0c0d87987b473c5e6c104b67f4b7aa",
+        "1.1937117960762558e-12",
     ),
     "alt2-d2-1": (
-        "59ae7d2acc4ce52767a3b171301a40e3167726a8ccbc1550e7f041c83fba219c",
-        "7.10542735760075e-14",
+        "364d53a195998547cb1c2c7f7ef8c34ca4d2a618151eec6c206e93701359e225",
+        "2.842170943039997e-13",
     ),
     "alt2-d2-2": (
-        "cbac7642e1daa129741ec59562f9d4604ace67a09176b7d915a668fcb2c887fa",
-        "6.821210263294635e-13",
+        "242f63a7fbad00c53104b30d1cccd22324749446ed0f26069b4e1ad87606c133",
+        "4.3200998334120775e-12",
     ),
     "alt2-d3-0": (
-        "50811a1235b1ee1e6616cebac996d0a10c7aa7a47f6795494cc772f9a283da5b",
-        "5.68434188608064e-14",
+        "c65a8c1ec40d7099e35bb6d1390f95c4e282e0b5affa1490927eca8f03573b32",
+        "8.526512829120839e-14",
     ),
     "alt2-d3-1": (
-        "d99ab6f93eccaee4f5c6ccb87e269303f91bf7bcb2f8ef8c3ca26719e86b54c7",
-        "7.10542735760075e-14",
+        "6ae8499a4eb5217adc2dfa7df6875beba5d980b2556a8695b8b5b4134fbc832c",
+        "1.4210854715200994e-13",
     ),
     "alt2-d3-2": (
-        "8d522f4eb2555a69e013a5426d3c504fb21e2a773ddde5a823e1edfd07b8ebaa",
+        "33b68a80f4a582f14917dee6423b38a0766026cbc16ba8742600306f029af58f",
         "3.4106051316478993e-13",
     ),
 }

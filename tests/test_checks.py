@@ -310,6 +310,29 @@ class TestShapes:
         assert contains(img, np.array([[0.5, 0.5]]))[0]
         assert not contains(img, np.array([[1.5, 0.0]]))[0]
 
+    @pytest.mark.parametrize(
+        "matrix, det",
+        [(1e-15 * np.eye(2), 1e-30), (1e15 * np.eye(2), 1e30), (np.diag([1.0, 1e-9]), 1e-9)],
+        ids=["1e-15", "1e15", "cond-1e9"],
+    )
+    def test_linear_image_judges_a_map_and_its_inverse_alike(self, matrix, det):
+        # the gate is scale-free and refuses only numerically singular maps
+        img = LinearImage(Box((0.0, 0.0), (1.0, 1.0)), matrix)
+        assert volume(img) == pytest.approx(4.0 * det)
+
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [([[1.0, 1.0], [1.0, 1.0]], Singular),
+         (np.zeros((2, 2)), Singular),
+         (np.diag([1.0, 1e-16]), Singular),
+         (np.full((2, 2), np.nan), DimensionMismatch)],
+        ids=["rank-one", "zero", "cond-1e16", "nan"],
+    )
+    def test_linear_image_refuses_singular_maps(self, matrix, error):
+        with np.errstate(all="raise"):  # the zero map divides nothing by zero
+            with pytest.raises(error):
+                LinearImage(Box((0.0, 0.0), (1.0, 1.0)), matrix)
+
 
 class TestNazarov:
     def _fields(self, npts=512, extent=32.0):
@@ -356,6 +379,25 @@ class TestNazarov:
         mats = {"l1": np.eye(1), "l2": np.eye(1), "im_u": np.eye(1), which: matrix}
         with pytest.raises(error):
             nazarov_bound(f1, f2, Box((0.0,), (1.0,)), Box((0.0,), (1.0,)), **mats)
+
+    def test_large_l1_passes_both_gates(self):
+        # L1 = 1e8 I passes nazarov_bound's gate, and so L1^-1 S passes LinearImage's
+        f = SampledField(np.ones((8, 8), dtype=complex), (4.0, 4.0))
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        rep = nazarov_bound(f, f, box, box, 1e8 * np.eye(2), np.eye(2), np.eye(2))
+        assert rep.details["vol_s"] == pytest.approx(4e-16)
+        assert rep.rhs >= rep.lhs
+
+    def test_product_of_gated_factors_passes(self):
+        # L2 = Im(U) = diag(1, 2e-8) each pass nazarov_bound's gate; the map
+        # Im(U)^-1 L2^-1 = diag(1, 2.5e15) that T is pulled back by is far
+        # from singular, though its condition number is the product of theirs
+        f = SampledField(np.ones((8, 8), dtype=complex), (4.0, 4.0))
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        m = np.diag([1.0, 2e-8])
+        rep = nazarov_bound(f, f, box, box, 1e8 * np.eye(2), m, m)
+        assert rep.details["vol_t"] == pytest.approx(1e16)
+        assert rep.rhs >= rep.lhs
 
     def test_complement_change_of_variables(self):
         # int_{comp S} |D_L g|^2 = int_{comp L^-1 S} |g|^2 on fine 1-D grids;

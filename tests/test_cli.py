@@ -27,7 +27,7 @@ from mtfr.grid import SampledField, sample, sample_function
 from mtfr.serialize import canonical_json, certificate_from_obj, matrix_to_obj, write_field
 from mtfr.symplectic import make_rotation, standard_j
 
-from conftest import representation_bold, run_python, tau_wigner_matrix
+from conftest import ill_conditioned_bold, representation_bold, run_python, tau_wigner_matrix
 
 
 @pytest.fixture
@@ -136,6 +136,25 @@ class TestClassify:
             assert main(["classify", str(path)]) == code
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("assertion failed: borderline input: retained singular value")
+
+    def test_ill_conditioned_exit_3_or_reads_back(self, tmp_path, capsys):
+        # cond(M) = 8.1e9: certify refuses the first input, whose word_bold
+        # misses M by more than TOL_RECON, where the reader would; the third
+        # certifies, and verify reads the certificate that classify wrote
+        rng = np.random.default_rng([1, 2, 300])
+        paths = []
+        for i in range(3):
+            paths.append(tmp_path / f"m{i}.json")
+            bold = ill_conditioned_bold(1, "II", 300.0, rng)
+            paths[-1].write_text(canonical_json(matrix_to_obj(bold.entries)))
+        capsys.readouterr()
+        assert main(["classify", str(paths[0])]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("assertion failed: word_bold is off bold_matrix by")
+        out = tmp_path / "m2"
+        assert main(["classify", str(paths[2]), "--out", str(out)]) == 0
+        assert main(["verify", str(out / "certificate.json")]) == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
     def test_deterministic_bytes(self, alt1_matrix, alt2_matrix, tmp_path, capsys):
         runs = []
@@ -320,6 +339,13 @@ class TestCheck:
     def test_nazarov_singular_imu_exit_2(self, capsys):
         assert main(["check", "nazarov", "--imu", "0"]) == 2
         assert "hypothesis" in capsys.readouterr().err
+
+    def test_nazarov_large_imu_exit_0(self, capsys):
+        # Im(U) = 1e15 passes the singularity gate, and so does its inverse
+        assert main(["check", "nazarov", "--imu", "1e15"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["condition"] == "nazarov"
 
     def test_nazarov_builds_no_field(self, monkeypatch, capsys):
         import mtfr.cli as cli

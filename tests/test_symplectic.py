@@ -327,11 +327,11 @@ class TestPreIwasawa:
     def test_failed_call_caches_nothing(self, monkeypatch):
         m = random_symplectic(1, 4, seed=3)
 
-        def refuse(s):
+        def refuse(*args, **kwargs):
             raise NumericalFailure("refused")
 
         with monkeypatch.context() as patch:
-            patch.setattr(S, "_spd_sqrt", refuse)
+            patch.setattr(S.np.linalg, "svd", refuse)  # pre_iwasawa's one SVD
             with pytest.raises(NumericalFailure):
                 pre_iwasawa(m)
         assert "_pre_iwasawa" not in m.__dict__
