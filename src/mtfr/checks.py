@@ -745,7 +745,8 @@ def nazarov_bound(
         np.sum(np.abs(f1_field.values) ** 2) * f1_field.cell_volume()
     )
     s_img = LinearImage(s_shape, np.linalg.inv(l1))
-    t_img = LinearImage(t_shape, np.linalg.inv(im_u) @ np.linalg.inv(l2))
+    # Im(U)^-1 L2^-1 T as two images: each map is judged as its factor was
+    t_img = LinearImage(LinearImage(t_shape, np.linalg.inv(l2)), np.linalg.inv(im_u))
     nc, m, details = nc_constant(s_img, t_img, c=c)
     rhs = nc * (comp_s + comp_t)
     total = comp_s + comp_t

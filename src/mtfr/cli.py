@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 input/parameter error, 3 internal assertion
 failure, 4 verification failure.  The parser and the codecs check input
 and raise `MtfrError`; commands only raise, and `main` alone maps an
 error to its exit code and one stderr line.  Structured output is
-canonical JSON (17 significant digits, byte-identical across reruns);
-sweeps also write CSV, fields write the MTFR binary format.  Each `check`
-kind has its own subparser, which takes only the flags that kind reads.
+canonical JSON (each float its shortest round-trip repr, byte-identical
+across reruns); sweeps also write CSV, fields write the MTFR binary
+format.  Each `check` kind has its own subparser, which takes only the
+flags that kind reads.
 MTFR_THREADS caps the BLAS/OpenMP thread pools; ``import mtfr`` applies
 it, before numpy loads.  It also sizes the grid's FFT pool (`mtfr.grid`).
 A value that is not a positive integer is an input error of every
@@ -49,7 +50,6 @@ from .errors import (
     NumericalFailure,
     RadiusExceedsGrid,
     RankZero,
-    RealnessFailure,
 )
 from .gaussian import apply_partial_fourier, random_gaussian, standard_gaussian
 from .grid import MAX_ELEMENTS, field_l2, mass_outside, partial_stft_slice, sample
@@ -70,7 +70,7 @@ from .serialize import (
 from .symplectic import SymplecticMatrix, factor_to_word, pre_iwasawa
 
 # library failures of a numerical assertion, not of the input: exit 3
-_ASSERTION_ERRORS = (NumericalFailure, RankZero, RealnessFailure, AssertionError)
+_ASSERTION_ERRORS = (NumericalFailure, RankZero, AssertionError)
 
 
 def _emit(obj, out_dir, name, to_stdout=True, render=canonical_json):

@@ -41,10 +41,6 @@ class NotBlockDiagonal(MtfrError):
     pass
 
 
-class RealnessFailure(MtfrError):
-    """A matrix that must be real at exact arithmetic kept a large imaginary part."""
-
-
 class RankZero(MtfrError):
     pass
 

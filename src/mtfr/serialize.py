@@ -1,7 +1,8 @@
 """JSON, CSV, and binary wire formats.
 
-JSON output is rendered by a small canonical writer with floats fixed to
-17 significant digits, so identical inputs produce byte-identical files.
+JSON output is the json module's compact text with every float written as
+its shortest round-trip repr, so identical inputs produce byte-identical
+files and a file reads back to its own bytes.
 Fields travel as little-endian binary: magic "MTFR", version u32, n u32,
 per-axis (points u64, extent f64), then interleaved (re, im) f64.  Files
 are written to a temporary name and renamed into place.
@@ -10,10 +11,10 @@ are written to a temporary name and renamed into place.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import struct
-from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -65,66 +66,11 @@ __all__ = [
 ]
 
 
-_NON_FINITE = "JSON output cannot carry NaN or infinity"
-
-
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(_NON_FINITE)
-    return format(float(x), ".17g")
-
-
-def _render(obj, out: list):
-    # a certificate is mostly plain floats in rows, then dicts and lists:
-    # those types are tested first (no type is both a container and a
-    # scalar); numpy scalars and subclasses take the isinstance tests
-    kind = type(obj)
-    if kind is float:
-        out.append(_fmt_float(obj))
-    elif (kind is list or kind is tuple) and all(type(val) is float for val in obj):
-        # one format call per row; only nan and inf put an "n" in a %.17g form
-        row = ("[" + ",".join(["%.17g"] * len(obj)) + "]") % tuple(obj)
-        if "n" in row:
-            raise ValueError(_NON_FINITE)
-        out.append(row)
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(encode_basestring(str(key)))
-            out.append(":")
-            _render(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _render(val, out)
-        out.append("]")
-    elif isinstance(obj, str):
-        out.append(encode_basestring(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
-
-
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: insertion order, 17 significant digits, and
-    strings quoted as the json module quotes them (control characters escaped)."""
-    out: list = []
-    _render(obj, out)
-    return "".join(out) + "\n"
+    """Deterministic JSON text: insertion order, every float as its shortest
+    round-trip repr, and strings quoted as the json module quotes them
+    (control characters escaped); NaN or infinity raises ValueError."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def json_float(value, what):
@@ -178,6 +124,14 @@ def _numbers(value, shape, what: str) -> np.ndarray:
     raise MtfrError(f"{what} entries must be finite")
 
 
+def _complex(re, im, shape, what_re: str, what_im: str) -> np.ndarray:
+    """The complex array with parts `_numbers(re)` and `_numbers(im)`, filled
+    part by part: the sum re + 1j * im would turn a -0.0 real part into 0.0."""
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = _numbers(re, shape, what_re), _numbers(im, shape, what_im)
+    return out
+
+
 def matrix_from_obj(obj, shape=None, what="matrix") -> np.ndarray:
     """Real matrix in the given shape (square when None); bad input raises `MtfrError`.
 
@@ -208,7 +162,7 @@ def complex_matrix_from_obj(obj, shape=None, what="complex matrix") -> np.ndarra
     with _malformed(what):
         re, im = obj["re"], obj["im"]
         shape = shape or (len(re),) * 2
-    return _numbers(re, shape, what) + 1j * _numbers(im, shape, what)
+    return _complex(re, im, shape, what, what)
 
 
 def word_to_obj(word: GeneratorWord) -> list:
@@ -277,8 +231,8 @@ def gaussian_from_obj(obj) -> GeneralizedGaussian:
     """Inverse of `gaussian_to_obj`; parts that do not fit the integer n raise `MtfrError`."""
     with _malformed("Gaussian"):
         n = _json_int(obj["n"], "n")
-        m = _numbers(obj["M_re"], (n, n), "M_re") + 1j * _numbers(obj["M_im"], (n, n), "M_im")
-        b = _numbers(obj["b_re"], (n,), "b_re") + 1j * _numbers(obj["b_im"], (n,), "b_im")
+        m = _complex(obj["M_re"], obj["M_im"], (n, n), "M_re", "M_im")
+        b = _complex(obj["b_re"], obj["b_im"], (n,), "b_re", "b_im")
         return GeneralizedGaussian(m, b, _numbers(obj["logamp"], (), "logamp"))
 
 
@@ -498,7 +452,7 @@ def read_field(path) -> SampledField:
 
 def sweep_to_csv(report) -> str:
     """CSV text with columns R, value, ratio (ratio empty on the first row)."""
-    ratios = [_fmt_float(x) if math.isfinite(x) else json_float(x, "ratio") for x in report.ratios]
-    lines = [f"{_fmt_float(r)},{_fmt_float(v)},{ratio}"
+    ratios = [repr(float(x)) if math.isfinite(x) else json_float(x, "ratio") for x in report.ratios]
+    lines = [f"{float(r)!r},{float(v)!r},{ratio}"
              for (r, v), ratio in zip(report.sweep, ["", *ratios])]
     return "\n".join(["R,value,ratio", *lines]) + "\n"

@@ -404,51 +404,51 @@ def pinned_certify_cases():
 # sha256 of each certificate's canonical JSON, and repr of verify_identity
 PINNED_CERTIFICATES = {
     "alt1-d1": (
-        "9f1543d1a6c1f871226b996b78caf8e43832101e1470aa98464603342eb3583a",
+        "0e435fa212706f8f919abf7e211de6d4580a56607cfd7316801ed720395a95e9",
         None,
     ),
     "alt1-d2": (
-        "aaaa343c612082a7a8aa538bffc260401e09938c1fc4aeb42d1a9355221aa17c",
+        "ca4dff8fa0f754f9e4b2eae7da9c6b460e9496b511cf38c7afd0130aab2e3492",
         None,
     ),
     "alt1-d3": (
-        "76d7af06d155155c31b9df795e25fe3667181591ed44b595b8507f53f51917c5",
+        "8f23af83c7835d110de750bbbd7f2ffcff646e6fa02784a1eb2df2a02e55e186",
         None,
     ),
     "alt2-d1-0": (
-        "41565517d78224e92f7b0ffdfd5f317875f775209422810f6043a92675d67e6f",
+        "5c7750a49c5f6f03da0a0d9431ac7038548d576394e14b58cecdbc74f856b86a",
         "1.4210854715201903e-14",
     ),
     "alt2-d1-1": (
-        "dd2b07cb6bcdcbd299c9c6b05b11a6e0e40bcede8edf31a3e6c525c81547b15b",
+        "8d83a9b6b085c35ea2b03deccc1d2c79a6c5f93dd37e643107d2e041bbe1ab21",
         "2.8421709430403604e-14",
     ),
     "alt2-d1-2": (
-        "3aba05b8106f15d6608c52ed8d367240d387d819f411afe45948a193f4028cb2",
+        "574dd93226fcb31f77775efeb6480dacf1945f88d1bcf6546fd4d173168f8a97",
         "4.9737991503205776e-14",
     ),
     "alt2-d2-0": (
-        "8928e8dd5e647b605f7b353f554ba6d3ef0c0d87987b473c5e6c104b67f4b7aa",
+        "70091c16ec144552f778da37bd7f520b8d62d47e63ebb9a507c3a1796c0d3e37",
         "1.1937117960762558e-12",
     ),
     "alt2-d2-1": (
-        "364d53a195998547cb1c2c7f7ef8c34ca4d2a618151eec6c206e93701359e225",
+        "e9e11da2ddf3ffe70792dac7fb7e6a9e6175e255b65d89da91048f55f52f99ca",
         "2.842170943039997e-13",
     ),
     "alt2-d2-2": (
-        "242f63a7fbad00c53104b30d1cccd22324749446ed0f26069b4e1ad87606c133",
+        "485dc9d4d75401196b32184df6693ef09912ff595cdef8f0d58694d81d97ab7a",
         "4.3200998334120775e-12",
     ),
     "alt2-d3-0": (
-        "c65a8c1ec40d7099e35bb6d1390f95c4e282e0b5affa1490927eca8f03573b32",
+        "595ff08680c6b063d88295678babb9837f4c57533f3bc1b7fa48db62a001df0b",
         "8.526512829120839e-14",
     ),
     "alt2-d3-1": (
-        "6ae8499a4eb5217adc2dfa7df6875beba5d980b2556a8695b8b5b4134fbc832c",
+        "c2aa7a6d3d0b75fcd5082f15e2d184368b176a884751eb01cdf304689438cdaa",
         "1.4210854715200994e-13",
     ),
     "alt2-d3-2": (
-        "33b68a80f4a582f14917dee6423b38a0766026cbc16ba8742600306f029af58f",
+        "49137fe9d93b9b1b0bb1ae84ac9695e9ce891f4235fe2fcb648917566f1768c1",
         "3.4106051316478993e-13",
     ),
 }

@@ -399,6 +399,19 @@ class TestNazarov:
         assert rep.details["vol_t"] == pytest.approx(1e16)
         assert rep.rhs >= rep.lhs
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_product_past_eps_of_gated_factors_passes(self):
+        # L2 = Im(U) = diag(1, 1.1e-8) each pass nazarov_bound's gate, but
+        # their product's sigma_min / sigma_max, 1.2e-16, is under eps: T is
+        # pulled back by L2^-1, then by Im(U)^-1, each map judged as its factor
+        f = SampledField(np.ones((8, 8), dtype=complex), (4.0, 4.0))
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        m = np.diag([1.0, 1.1e-8])
+        rep = nazarov_bound(f, f, box, box, 1e3 * np.eye(2), m, m)
+        assert rep.details["vol_t"] == pytest.approx(4.0 / 1.1e-8**2)
+        assert rep.nc == np.inf
+        assert rep.rhs >= rep.lhs
+
     def test_complement_change_of_variables(self):
         # int_{comp S} |D_L g|^2 = int_{comp L^-1 S} |g|^2 on fine 1-D grids;
         # the integrand decays fast enough at the box edge for midpoint sums

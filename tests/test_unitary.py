@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtfr.certify import alt1_decompose
-from mtfr.errors import NotSymmetric, NotUnitary, RealMatrix, RealnessFailure
+from mtfr.errors import NotSymmetric, NotUnitary, NumericalFailure, RealMatrix
 from mtfr.unitary import (
     TOL_RECON,
     block_diag_test,
@@ -211,8 +211,8 @@ class TestSortByImag:
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_real_factor_nan_is_not_real():
-    # the realness gate fails closed: a nan imaginary part is not small
+def test_real_factor_nan_fails_the_product_gate():
+    # the product gate fails closed: a nan residual is not small
     u = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(RealnessFailure):
+    with pytest.raises(NumericalFailure, match="reconstruction residual"):
         real_factor(u, np.eye(2), "W")
