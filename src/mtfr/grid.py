@@ -2,9 +2,12 @@
 
 Fields are sampled on tensor grids t_j = -T/2 + j T/N per axis (N a power
 of two).  Fourier letters use the centered FFT calibrated to the
-continuous transform (spacing factor and half-period phase ramps), so the
-discrete operator approximates the continuous unitary rather than the raw
-DFT.  Whether a letter fits a field is the rule of a word,
+continuous transform, so the discrete operator approximates the
+continuous unitary rather than the raw DFT.  The calibration is done in
+the write that feeds the FFT: the input takes (-1)^j T/N and is rolled by
+N/2, which stands for the output's (-1)^j ramp since N/2 is even; the
+half-period phase e^{-i pi N/2} is exactly 1 for N >= 8, so no pass
+follows an FFT.  Whether a letter fits a field is the rule of a word,
 `symplectic._check_fits`.  1-D dilations act by band-limited (spectral)
 resampling, evaluated as a Bluestein chirp-z transform of the centered
 spectrum in O(N log N) per line; in higher dimension only monomial
@@ -13,19 +16,23 @@ its diagonal entry, then the axes are permuted once, and everything else
 is left to the Gaussian oracle path.  A chirp's phase x.Qx is summed term
 by term over the per-axis coordinates, never over a stacked mesh.  The
 tables that depend on a point count N alone (the (-1)^j ramp, the
-Bluestein and circular squares, the calibration phase) are built once per
-N up to 4096 points and kept read-only, so a letter costs about its
-arithmetic.  The partial STFT is one batched FFT over the window shifted
-to every grid point, run in place on a single integrand buffer, block by
-block of leading rows so that each block is built, transformed and
-calibrated while it is in cache; its values are proven finite by a bound
-on the inputs rather than by a scan.  The blocks are independent: with at
-least 2 blocks per thread they run on the module's one thread pool, of
-MTFR_THREADS threads (the usable CPUs when unset), built on first use and
-dropped in a forked child; fewer run inline, so small transforms start no
-thread.  Either way every value keeps its bits.  A slice is the transform
-of the fields restricted to one (x2, omega2) cross-section.  Every tensor
-field f (x) conj(g) comes from `tfr_grid`, under the same size guard.
+Bluestein and circular squares) are built once per N up to 4096 points
+and kept read-only, so a letter costs about its arithmetic.  The partial
+STFT is one batched FFT over the window shifted to every grid point, run
+in place on a single integrand buffer, block by block of leading rows so
+that each block is built and transformed while it is in cache.  The
+window's shifts over the trailing t axes are materialized once as a slab,
+already rolled, holding only the N rows of the first t axis and the zero
+rows a block reads beyond them; a block's product reads contiguous runs
+of it, one multiply per half of the first t axis.  Its values are proven
+finite by a bound on the inputs rather than by a scan.  The blocks are
+independent: with at least 2 blocks per thread they run on the module's
+one thread pool, of MTFR_THREADS threads (the usable CPUs when unset),
+built on first use and dropped in a forked child; fewer run inline, so
+small transforms start no thread.  Either way every value keeps its bits.
+A slice is the transform of the fields restricted to one (x2, omega2)
+cross-section.  Every tensor field f (x) conj(g) comes from `tfr_grid`,
+under the same size guard.
 """
 
 from __future__ import annotations
@@ -50,10 +57,13 @@ from .gaussian import GeneralizedGaussian, evaluate
 from .symplectic import Chirp, GeneratorWord, PartialFourier, _check_fits
 
 MAX_ELEMENTS = 2**26
-# partial_stft_grid builds, transforms and calibrates its integrand in
-# blocks of leading x1 rows of at most this many bytes (at least one row),
-# so that each block is still in a core's L2 cache for every pass
+# partial_stft_grid builds and transforms its integrand in blocks of
+# leading x1 rows of at most this many bytes (at least one row), so that
+# each block is still in a core's L2 cache for every pass
 _BLOCK_BYTES = 2**19
+# the ufunc buffer size, in elements, under which partial_stft_grid runs its
+# blocks: the least numpy accepts
+_UFUNC_BUFSIZE = 16
 # a bound on every |value| at or below this proves the values finite, with
 # 2^24 to spare for the rounding of the norms and of the FFTs
 _FINITE_BOUND = 2.0**1000
@@ -212,8 +222,6 @@ class _SizeConstants:
 
     def __init__(self, npts: int):
         self.npts = npts
-        # e^{-i pi N / 2}, the calibration phase of a centered FFT
-        self.phase = np.exp(-0.5j * np.pi * npts)
 
     @cached_property
     def ramp(self) -> np.ndarray:
@@ -256,42 +264,51 @@ def _along(vector: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return vector.reshape(shape)
 
 
-def _ramp(npts: int, axis: int, ndim: int) -> np.ndarray:
-    """The (-1)^j sign ramp along one axis, shaped to broadcast over ndim axes."""
-    return _along(_size_constants(npts).ramp, axis, ndim)
+def _input_factor(npts: int, extent: float) -> np.ndarray:
+    """(-1)^j T/N for j in [0, N): the factor a centered FFT's input takes.
 
-
-def _calibration(npts: int, axis: int, ndim: int, extent: float):
-    """The output (-1)^j ramp times the calibration phase of a centered FFT.
-
-    Returns the factor, shaped to broadcast over ndim axes, and the new
-    extent of the axis.
+    It reads the same from either end of a roll by N/2, since N/2 is even.
     """
-    consts = _size_constants(npts)
-    factor = consts.ramp * (extent / npts * consts.phase)
-    return _along(factor, axis, ndim), npts / extent
+    return _size_constants(npts).ramp * (extent / npts)
 
 
-def _fft_axis_inplace(buf: np.ndarray, axis: int, extent: float):
-    """Centered FFT of buf along one axis, in place.
+def _split(shape: tuple, axes) -> tuple:
+    """shape with each of axes split into its two halves, (2, N/2)."""
+    out = ()
+    for a, npts in enumerate(shape):
+        out += (2, npts // 2) if a in axes else (npts,)
+    return out
 
-    buf must already carry the input (-1)^j ramp of that axis; the FFT
-    writes into buf and the calibration factor is multiplied in.  Returns
-    the new extent of the axis.
+
+def _swapped(arr: np.ndarray, axes) -> np.ndarray:
+    """arr rolled by N/2 along each of axes, as one view of shape _split(arr.shape, axes).
+
+    Each axis is split into its two halves, which change places.
     """
-    np.fft.fft(buf, axis=axis, out=buf)
-    factor, new_extent = _calibration(buf.shape[axis], axis, buf.ndim, extent)
-    buf *= factor
-    return new_extent
+    index = ()
+    for a in range(arr.ndim):
+        index += (slice(None, None, -1), slice(None)) if a in axes else (slice(None),)
+    return arr.reshape(_split(arr.shape, axes))[index]
 
 
 def _centered_fft_axis(values: np.ndarray, axis: int, extent: float):
     """Continuous-FT approximation along one axis.
 
-    Returns (values, new extent); the input is left untouched.
+    The input times (-1)^j T/N, rolled by N/2, is written into a new buffer
+    and the FFT runs there in place, with no pass after it: the roll stands
+    for the output's (-1)^j ramp, and the half-period phase e^{-i pi N/2}
+    is exactly 1 for N >= 8.  Returns (values, new extent); the input is
+    left untouched.
     """
-    buf = values * _ramp(values.shape[axis], axis, values.ndim)
-    return buf, _fft_axis_inplace(buf, axis, extent)
+    npts = values.shape[axis]
+    buf = np.empty(_split(values.shape, (axis,)), dtype=complex)
+    factor = _input_factor(npts, extent).reshape(
+        (2, npts // 2) + (1,) * (values.ndim - 1 - axis)
+    )
+    np.multiply(_swapped(values, (axis,)), factor, out=buf)
+    buf = buf.reshape(values.shape)
+    np.fft.fft(buf, axis=axis, out=buf)
+    return buf, npts / extent
 
 
 def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
@@ -319,10 +336,18 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
     np.fft.fft(kernel, out=kernel)
     last = values.ndim - 1
     moved = values if axis == last else np.moveaxis(values, axis, -1)
-    buf = np.zeros(moved.shape[:-1] + (2 * npts,), dtype=complex)
+    lead = moved.shape[:-1]
+    # the zero-padded lines in quarters of N/2: the first two take the
+    # centered FFT's input, as in _centered_fft_axis
+    buf = np.zeros(lead + (4, npts // 2), dtype=complex)
+    np.multiply(
+        _swapped(moved, (last,)),
+        _input_factor(npts, extent).reshape(2, npts // 2),
+        out=buf[..., :2, :],
+    )
+    buf = buf.reshape(lead + (2 * npts,))
     head = buf[..., :npts]
-    np.multiply(moved, _size_constants(npts).ramp, out=head)
-    _fft_axis_inplace(head, last, extent)  # the centered spectrum
+    np.fft.fft(head, out=head)  # the centered spectrum
     head *= chirp
     np.fft.fft(buf, out=buf)
     buf *= kernel
@@ -466,18 +491,32 @@ def _check_stft_args(f: SampledField, g: SampledField, k: int):
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}")
 
 
-def _shift_views(gc: np.ndarray, k: int) -> np.ndarray:
-    """Every grid shift of the window gc over its first k axes, without a copy.
+def _window_slab(gc: np.ndarray, k: int, pad: int) -> np.ndarray:
+    """Every shift of the window gc over its trailing k - 1 t axes, materialized.
 
-    Returns a view indexed (l, rest of gc's axes, t) with
-    view[l, ..., t] = gc[t - l + N/2, ...], zero outside the grid: with gc
-    padded by N/2 zeros per side, the window at shift l starts at padded
-    index N - l, so reversing the window-start axes lists every shift.
+    Returns an array indexed (l', r, j', rest of gc's axes), where l' and j'
+    are a shift and a point of the t axes 1..k-1 and r a row of t axis 0:
+    slab[l', pad + r, j', ...] = gc[r, u - l' + N/2, ...] with
+    u = (j' + N/2) mod N, zero outside the grid, so every j' axis is already
+    rolled by N/2.  Only the N rows of axis 0 are held, with pad zero rows
+    on either side; for k = 1 the slab is gc between its pad rows.
     """
-    shape_k = gc.shape[:k]
-    pad = [(npts // 2, npts // 2) for npts in shape_k] + [(0, 0)] * (gc.ndim - k)
-    view = sliding_window_view(np.pad(gc, pad), shape_k, axis=tuple(range(k)))
-    return view[(slice(None, 0, -1),) * k]
+    npts = gc.shape[:k]
+    d = gc.ndim
+    padded = np.pad(
+        gc, [(pad, pad)] + [(n // 2, n // 2) for n in npts[1:]] + [(0, 0)] * (d - k)
+    )
+    # the window at shift l starts at padded index N - l, so reversing the
+    # window-start axes lists every shift
+    view = sliding_window_view(padded, npts[1:], axis=tuple(range(1, k)))
+    view = view[(slice(None),) + (slice(None, 0, -1),) * (k - 1)]
+    view = np.moveaxis(
+        view, [*range(1, k), 0, *range(d, d + k - 1)], range(2 * k - 1)
+    )
+    rolled = tuple(range(k, 2 * k - 1))
+    slab = np.empty(_split(view.shape, rolled), dtype=complex)
+    np.copyto(slab, _swapped(view, rolled))
+    return slab.reshape(view.shape)
 
 
 def _thread_count() -> int:
@@ -531,12 +570,13 @@ def _run_blocks(run_block, starts):
             _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="mtfr-stft"))
         pool = _pool[1]
 
-    # numpy's error state is a context variable, which a worker thread does
-    # not inherit: the workers take the caller's
-    errstate = np.geterr()
+    # numpy's error state and ufunc buffer size are a context variable,
+    # which a worker thread does not inherit: the workers take the caller's
+    errstate, bufsize = np.geterr(), np.getbufsize()
 
     def run_share(share):
         with np.errstate(**errstate):
+            np.setbufsize(bufsize)
             for lo in share:
                 run_block(lo)
 
@@ -568,62 +608,104 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     axes, since the window is evaluated at the space point -omega2; omega1
     lives on the FFT-dual grid.  The integrand over every (x1, x2, t,
     omega2) is written once into a C-contiguous buffer and every t axis is
-    transformed in place, so the peak memory is about one output.  The
+    transformed in place, so the peak memory is about one output.  Each t
+    axis is calibrated in that write, as in _centered_fft_axis: f takes
+    (-1)^t T/N per t axis and both factors are rolled by N/2, so no pass
+    follows an FFT.
+
+    The window's shifts over the trailing t axes come from `_window_slab`,
+    and a shift x1_0 of the first t axis reads each half of that axis as
+    one run of the slab's rows, so a product reads contiguous runs.  The
     buffer is worked through in blocks of leading x1 rows of at most
-    _BLOCK_BYTES: each block gets its product, then per t axis its FFT and
-    its output-ramp times calibration multiply, while it is in cache.  The
+    _BLOCK_BYTES: each block gets its product, one multiply per half of the
+    first t axis, then per t axis its FFT, while it is in cache.  The slab
+    holds as many zero rows beyond the grid on either side as the rows of
+    a block less one (at most N/2), which covers every row a block reads
+    for some of its shifts; the part of a half that every shift of the
+    block moves off the grid is f times zero, as in the full product.  The
     blocks share no data but the inputs, so they run on the thread pool of
     `_run_blocks`.  Every value goes through the same operations in the
-    same order as in whole-buffer passes, so no bit changes.  The FFT's (-1)^j input ramps
-    go on f before the product: they are signs, so no bit changes either.
+    same order as in whole-buffer passes, so no bit depends on the blocks
+    or the threads.
 
-    Every value and every FFT intermediate is at most ||f|| ||g|| times
-    the calibration factors above 1 (Cauchy-Schwarz over each row of the
-    integrand); when that bound is at most _FINITE_BOUND the result skips
-    the constructor's finiteness scan, and otherwise it is scanned.
+    Every value and every FFT intermediate is at most ||f|| max(1, ||g||)
+    times the factors T/N above 1 (Cauchy-Schwarz over each row of the
+    integrand; f times its factors is the one intermediate without g);
+    when that bound is at most _FINITE_BOUND the result skips the
+    constructor's finiteness scan, and otherwise it is scanned.
     """
     _check_stft_args(f, g, k)
     d = f.n
     size = int(np.prod(f.points)) ** 2
     if size > MAX_ELEMENTS:
         raise GridTooLarge(f"output would hold {size} elements")
+    npts = f.points[:k]
     gc = np.conj(g.values)
     for a in range(k, d):  # the window is read at -omega2
         gc = np.take(gc, -np.arange(gc.shape[a]) % gc.shape[a], axis=a)
-    fr = f.values
-    for a in range(k):
-        fr = fr * _ramp(fr.shape[a], a, d)
-    # windows (x1, omega2, t) and f (t, x2) broadcast to (x1, x2, t, omega2)
-    windows = np.expand_dims(
-        np.moveaxis(_shift_views(gc, k), range(k, d), range(2 * k, d + k)),
-        tuple(range(k, d)),
+    # f (t, x2) as (x2, t), times its factors and rolled along every t axis
+    fr = np.moveaxis(f.values, range(k), range(d - k, d))
+    t_axes = tuple(range(d - k, d))
+    factor = _along(_input_factor(npts[0], f.extents[0]), d - k, d)
+    for a in range(1, k):
+        factor = factor * _along(_input_factor(npts[a], f.extents[a]), d - k + a, d)
+    fr_rolled = np.empty(_split(fr.shape, t_axes), dtype=complex)
+    np.multiply(
+        _swapped(fr, t_axes), factor.reshape(_split(factor.shape, t_axes)), out=fr_rolled
     )
-    fr = np.expand_dims(
-        np.moveaxis(fr, range(k), range(d - k, d)),
-        tuple(range(k)) + tuple(range(d + k, 2 * d)),
-    )
-    buf = np.empty(np.broadcast_shapes(windows.shape, fr.shape), dtype=complex)
-    cals = [
-        _calibration(buf.shape[d + a], d + a, buf.ndim, t)
-        for a, t in enumerate(f.extents[:k])
-    ]
+    fr_rolled = fr_rolled.reshape(fr.shape)
+    # buffer axes (x1, x2, t, omega2); f broadcasts over x1 and omega2
+    fr_rolled = np.expand_dims(fr_rolled, tuple(range(k)) + tuple(range(d + k, 2 * d)))
+    buf = np.empty(npts + f.points[k:] + npts + f.points[k:], dtype=complex)
     rows = max(1, _BLOCK_BYTES // buf[0].nbytes)
+    half = npts[0] // 2
+    pad = min(rows - 1, half)
+    # windows[s, x1', x2, m, t', omega2] = slab row s + m, the x2 axes broadcast
+    windows = sliding_window_view(_window_slab(gc, k, pad), half, axis=k - 1)
+    windows = np.expand_dims(
+        np.moveaxis(windows, [k - 1, windows.ndim - 1], [0, k]), tuple(range(k, d))
+    )
+    at_t = (slice(None),) * d  # the index prefix up to the first t axis
 
     def run_block(lo):
-        block = buf[lo : lo + rows]
-        np.multiply(windows[lo : lo + rows], fr, out=block)
-        for a, (factor, _) in enumerate(cals):
+        hi = min(lo + rows, npts[0])
+        block = buf[lo:hi]
+        # the first t axis at j reads the window at t = j + N/2 (mod N), that
+        # is padded slab row j + N + pad - x1 in the first half and
+        # j + pad - x1 in the second; j in [first, second) is off the grid
+        # for every x1 of the block
+        first, second = min(half, hi - 1), max(half, lo)
+        for j0, j1, base, window in (
+            (0, first, half + pad + first, slice(half - first, None)),
+            (second, 2 * half, pad + second, slice(None, 2 * half - second)),
+        ):
+            if j0 < j1:
+                starts = slice(base - lo, base - hi if base >= hi else None, -1)
+                np.multiply(
+                    windows[(starts,) + at_t[1:] + (window,)],
+                    fr_rolled[at_t + (slice(j0, j1),)],
+                    out=block[at_t + (slice(j0, j1),)],
+                )
+        if first < second:
+            off = at_t + (slice(first, second),)
+            np.multiply(fr_rolled[off], 0j, out=block[off])
+        for a in range(k):
             np.fft.fft(block, axis=d + a, out=block)
-            block *= factor
 
-    _run_blocks(run_block, range(0, buf.shape[0], rows))
-    extents = f.extents + tuple(t for _, t in cals) + f.extents[k:]
+    with np.errstate():
+        # no operand of the kernel's ufuncs is cast, so they need no buffer:
+        # at numpy's default size a multiply with a strided operand takes
+        # 128 KiB per such operand and per thread
+        np.setbufsize(_UFUNC_BUFSIZE)
+        _run_blocks(run_block, range(0, npts[0], rows))
+    extents = f.extents + tuple(n / t for n, t in zip(npts, f.extents)) + f.extents[k:]
     # the bound of the docstring; a norm that overflows (to inf, or to nan
     # against a zero norm) fails the test silently
     with np.errstate(over="ignore", invalid="ignore"):
+        norm_f, norm_g = (np.sqrt(np.vdot(v, v).real) for v in (f.values, g.values))
         bound = np.prod(
-            [np.sqrt(np.vdot(v, v).real) for v in (f.values, g.values)]
-            + [max(1.0, t / npts) for t, npts in zip(f.extents[:k], f.points[:k])]
+            [norm_f, max(1.0, norm_g)]
+            + [max(1.0, t / n) for t, n in zip(f.extents[:k], npts)]
         )
     if bound <= _FINITE_BOUND:
         return _bounded_field(buf, extents)

@@ -427,6 +427,42 @@ class TestNazarov:
         assert before > 1e-5  # the comparison is not vacuous
         assert after == pytest.approx(before, abs=1e-6)
 
+    @staticmethod
+    def _field_256sq():
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        return SampledField(values, (16.0, 16.0))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            Box((0.5, -1.0), (3.0, 2.0)),
+            Ball((0.0, 1.0), 4.0),
+            LinearImage(Box((0.0, 0.0), (2.0, 1.0)), np.array([[1.0, 0.4], [-0.3, 1.2]])),
+        ],
+        ids=["box", "ball", "linear-image"],
+    )
+    def test_complement_matches_mesh_form(self, shape):
+        # the whole mesh at once, as before the sum was taken in blocks
+        f = self._field_256sq()
+        inside = contains(shape, f.mesh().reshape(-1, 2))
+        want = float(np.sum(np.abs(f.values.ravel()[~inside]) ** 2) * f.cell_volume())
+        got = complement_integral(f, shape)
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_complement_peak_memory(self):
+        # the mesh form traced 3.15 MB for this 1.05 MB field
+        f = self._field_256sq()
+        shape = LinearImage(Box((0.0, 0.0), (2.0, 1.0)), np.array([[1.0, 0.4], [-0.3, 1.2]]))
+        complement_integral(f, shape)
+        tracemalloc.start()
+        try:
+            complement_integral(f, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * f.values.nbytes
+
     def test_complement_factor_monotone_in_sets(self):
         # the complement-integral factor shrinks as S, T grow; the nc factor
         # is reported separately and carries no such guarantee

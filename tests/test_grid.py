@@ -30,9 +30,7 @@ import mtfr.grid
 from mtfr.grid import (
     MAX_ELEMENTS,
     SampledField,
-    _fft_axis_inplace,
     _monomial_decompose,
-    _ramp,
     _resample_axis,
     apply_letter_grid,
     apply_word_grid,
@@ -75,17 +73,20 @@ def dense_resample_axis(values, axis, extent, scale):
 
 
 def reference_resample_axis(values, axis, extent, scale):
-    """The chirp-z dilation pass with allocating FFTs, returning a moved-axis view."""
+    """The chirp-z dilation pass with allocating FFTs, returning a moved-axis view.
+
+    The centered spectrum is the FFT of the line times (-1)^j T/N, rolled
+    by N/2.
+    """
     npts = values.shape[axis]
-    spec = values * _ramp(npts, axis, values.ndim)
-    _fft_axis_inplace(spec, axis, extent)
+    line = np.roll(np.moveaxis(values, axis, -1), npts // 2, axis=-1)
+    spec = np.fft.fft(line * ((-1.0) ** np.arange(npts) * (extent / npts)))
     alpha = np.pi / (npts * scale)
     p = np.arange(npts) - npts // 2
     chirp = np.exp(1j * alpha * p**2)
     m = np.fft.fftfreq(2 * npts, 1.0 / (2 * npts))
     kernel = np.fft.fft(np.exp(-1j * alpha * m**2))
-    moved = np.moveaxis(spec, axis, -1)
-    conv = np.fft.ifft(np.fft.fft(moved * chirp, n=2 * npts) * kernel)
+    conv = np.fft.ifft(np.fft.fft(spec * chirp, n=2 * npts) * kernel)
     out = conv[..., :npts] * (chirp / (extent * np.sqrt(abs(scale))))
     return np.moveaxis(out, -1, axis)
 
@@ -105,8 +106,8 @@ def transposed_dilation(field, l):
 def copying_stft_slice(f, g, k, x2_idx=(), w2_idx=()):
     """Reference for the partial STFT kernel: the copying formula.
 
-    It forms windows * fs, then per t axis multiplies a copy by the (-1)^j
-    ramp, runs an out-of-place FFT and multiplies by the ramp and phase.
+    It forms windows * (fs (-1)^t T/N per t axis), rolls the product by N/2
+    along every t axis and runs one out-of-place FFT per t axis.
     """
     tail = tuple(slice(i, i + 1) for i in x2_idx)
     neg = tuple(slice(-i % n, -i % n + 1) for i, n in zip(w2_idx, f.points[k:]))
@@ -114,14 +115,17 @@ def copying_stft_slice(f, g, k, x2_idx=(), w2_idx=()):
     gs = g.values[(Ellipsis,) + neg].reshape(f.points[:k])
     padded = np.pad(np.conj(gs), [(n // 2, n // 2) for n in f.points[:k]])
     windows = sliding_window_view(padded, f.points[:k])[(slice(None, 0, -1),) * k]
-    out = windows * fs
+    factor = np.ones(())
     for a in range(k):
-        npts, axis = f.points[a], k + a
-        shape = [1] * 2 * k
-        shape[axis] = npts
-        ramp = ((-1.0) ** np.arange(npts)).reshape(shape)
-        out = np.fft.fft(out * ramp, axis=axis)
-        out *= ramp * (f.extents[a] / npts * np.exp(-0.5j * np.pi * npts))
+        npts = f.points[a]
+        shape = [1] * k
+        shape[a] = npts
+        factor = factor * ((-1.0) ** np.arange(npts) * (f.extents[a] / npts)).reshape(shape)
+    out = windows * (fs * factor)
+    t_axes = tuple(range(k, 2 * k))
+    out = np.roll(out, [n // 2 for n in f.points[:k]], axis=t_axes)
+    for axis in t_axes:
+        out = np.fft.fft(out, axis=axis)
     return out
 
 
@@ -274,6 +278,34 @@ class TestLetters:
         out = apply_letter_grid(phi_field, PartialFourier((0,)))
         assert out.extents == (T,)
         np.testing.assert_allclose(out.values, phi_field.values, atol=1e-12)
+
+    @pytest.mark.parametrize("npts", [256, 1024, 4096])
+    def test_fourier_calibration_is_exact(self, npts):
+        # at extent sqrt(N) the spacing T/N is a power of two, so the letter
+        # adds nothing to the FFT's own round-off
+        phi = sample(standard_gaussian(1), (npts,), (np.sqrt(npts),))
+        fourier = PartialFourier((0,))
+        out = apply_letter_grid(phi, fourier)
+        assert np.abs(out.values - phi.values).max() <= 1e-15
+        for _ in range(3):
+            out = apply_letter_grid(out, fourier)
+        assert np.abs(out.values - phi.values).max() <= 1e-15 * np.abs(phi.values).max()
+
+    @pytest.mark.parametrize(
+        "points,axes", [((64,), (0,)), ((16, 32), (0, 1)), ((8, 16, 8), (0, 2))]
+    )
+    def test_fourier_bitwise_equals_rolled_formula(self, rng, points, axes):
+        # per axis: the values times (-1)^j T/N, rolled by N/2, then one FFT
+        f = random_field(rng, points)
+        want = f.values
+        for a in axes:
+            npts = points[a]
+            shape = [1] * len(points)
+            shape[a] = npts
+            factor = ((-1.0) ** np.arange(npts) * (f.extents[a] / npts)).reshape(shape)
+            want = np.fft.fft(np.roll(want, npts // 2, axis=a) * factor, axis=a)
+        got = apply_letter_grid(f, PartialFourier(axes))
+        assert got.values.tobytes() == want.tobytes()
 
     def test_chirp_preserves_modulus(self, phi_field):
         out = apply_letter_grid(phi_field, Chirp(np.array([[0.7]])))
@@ -460,26 +492,26 @@ def pinned_letter_cases():
 # differently needs them recorded again, from the code before a change
 PINNED_LETTER_SHA256 = {
     "chirp-8": "592493e63071e0f4b84a77e005795a7a21601d431a39e1469e8dc4be4ebc8cf3",
-    "dilation+8": "8b7c2f14d7f71a35e0818ff91378e5778da160c06516cb18a1c8e471546ff2cc",
-    "dilation-8": "31354d1afa800685ae16e9383e046bffdfb91dffc65a43711bf95c0547aa0ce3",
-    "fourier-8": "cb0e0782340a01546955f28cbd27da1dd81a70d0613f5005f289aec7b93dcbcb",
+    "dilation+8": "cd3894670cbb6d4a77eb272e8837d07bbc46ff569e67a7495fdc6091a7a466ab",
+    "dilation-8": "543f6f9fcda86707c0478fe77c6c202db7c9b463d4ccd930e2f0d93793ae8883",
+    "fourier-8": "d5a70949d1067ce8092e4da3e180d3c86e5fc31c90817426ee64fe444aee645f",
     "chirp-256": "e6787d19c7446bf3384a3287554aea90d28862847597016308af2a97b14a3444",
-    "dilation+256": "e1d5061af852e8af53879e2e07ebab851c1032d991ce257b5625b0732757ab14",
-    "dilation-256": "de4074c09cd848720bb13878e63b393b5fc16d14b9cf23c42319ef56c43332c5",
-    "fourier-256": "134e10fcf31df81e8a00f1366bd96d1bc1215907857899107f0e1892aa4b9e49",
+    "dilation+256": "8cd8dc4d75c7270f03017335142a839df387bff6ab68645e95c9748f761f9455",
+    "dilation-256": "f1e51a42cf3932d8298689702f304d6e5349693e699ab02bdae62712124000ca",
+    "fourier-256": "13646b52d6069696954c956b5adefa02593764ec0c2857e685ee3bea3e26f8d4",
     "chirp-1024": "ec0183aea481edbd840a65f683e7977c32b68e5f4ff827dd7f8fa221650f4444",
-    "dilation+1024": "826ae3da9a0cc28c5d3c688a9ba2d389bdc94ff8818f859a712e9636a4b16744",
-    "dilation-1024": "34f256f41152a06ebdb9db2ba839cedfa832a3e0cb0e0377f31f4a914f73e51e",
-    "fourier-1024": "e55c795979d825ffde9044578bc9983654f7e4f19ae0d963577cfb66dc5d8770",
+    "dilation+1024": "bc8778f3adf64fbe48320dcae0d3b0bc5d51cb84f8844db80f94e88c2a18a093",
+    "dilation-1024": "28178423b940103a9527896acb1a29a35d31a68643aeacdca47957b96d6b7948",
+    "fourier-1024": "739e22a847bd4218bcfa799b0e4d066bbdc94519e141a6ab14d3844862f0b1a3",
     "chirp-16x32": "584e919d710866b4a544d3c52e19628327e81a33fe7211fe8f595d40f8a1bb40",
     "chirp-8x16x8": "40ea00337e4ee907cbee1df4f4471ac1d355f0cfc46a3822ced5bd442e22ad8a",
     "chirp-8x8x16x8": "8bf5c854593202ffa33905c6b3c469a402cbc6943b07f94070ef3e7f5f1a2207",
-    "dilation-32x16": "51494b239d8aa1e6422b3d44deb0782c9925b53686ef7581e40ab05fd96dcef5",
-    "dilation-16x32": "5446dd0e0ff504f2a88a63b9d9ad9d8b624e20021d72ab765228956e0c0480b1",
-    "dilation-8x16x32": "fbf856afedc64bf901a62aef0ae13100789601c33b66ea952fad8547988ebdb3",
-    "fourier-16x32": "02d86f3d44e5ce5b6baa39959fe8a61faae317a1a1a540a6ef02e78988ed2479",
-    "fourier-8x16x8-02": "a5dd076741cde9ac49012f7596e0b228f70ef5a3a77975df690cb36d8c37945a",
-    "fourier-8x16x8-012": "14df184ff1db726c02020a1cee161f740e379b23d102fb461666857c3ea1ecde",
+    "dilation-32x16": "6707156994e38cfbe1db26423d6a25ec9fc8a0744c228b33c7c3e96c94a7ed38",
+    "dilation-16x32": "46da95a163814eb03f2613b5fee224592f8277ac75faafc5e1cb8be5ac84ef18",
+    "dilation-8x16x32": "46f6ee9ac9b72b30f21024fa7a7560fcc9f0180235c04ea863284dedb2a55e7e",
+    "fourier-16x32": "457f1f1dd906db161978583a793b3c007fc0548566007e19b8b229529c254c9c",
+    "fourier-8x16x8-02": "e3ba177201cc02f72d29fda24f7cfb2e99c580b7caeaabc9c4fa10f64b8f3502",
+    "fourier-8x16x8-012": "b1d8b7829af9c4ea63f65d917938dfc4966c9f0f846744164b3d89e12ff425ed",
 }
 
 
@@ -530,7 +562,9 @@ class TestSizeConstants:
             np.testing.assert_array_equal(consts.squares, (j - npts // 2) ** 2)
             m = np.concatenate([np.arange(npts), np.arange(-npts, 0)])
             np.testing.assert_array_equal(consts.circular, m**2)
-            assert consts.phase == np.exp(-0.5j * np.pi * npts)
+            # a centered FFT takes the ramp on its input, indexed from either
+            # end of the roll by N/2 that stands for its output ramp
+            np.testing.assert_array_equal(np.roll(consts.ramp, npts // 2), consts.ramp)
 
 
 class TestPartialStftGrid:
@@ -628,6 +662,19 @@ class TestPartialStftGrid:
             tracemalloc.stop()
         assert peak <= 1.05 * v.values.nbytes
 
+    def test_pooled_grid_peak_memory_is_the_result(self, rng, monkeypatch):
+        # the workers run with the kernel's ufunc buffer size, not numpy's
+        # default, which takes 128 KiB per strided operand and per thread
+        monkeypatch.setenv("MTFR_THREADS", "2")
+        f, g = random_field(rng, (32, 32), 16.0), random_field(rng, (32, 32), 16.0)
+        tracemalloc.start()
+        try:
+            v = partial_stft_grid(f, g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * v.values.nbytes
+
     @settings(max_examples=60, deadline=None)
     @given(stft_block_cases(), st.integers(0, 2**16))
     def test_blocked_grid_bitwise_equals_copying_formula(self, case, seed):
@@ -651,11 +698,13 @@ class TestPartialStftGrid:
             (np.full(16, 1e200 + 0j), np.full(16, 1e200 + 0j), 8.0),
             (spike(1e300), spike(1e10), 8.0),
             (spike(1e154), spike(1e154), 160.0),  # finite norms
+            (spike(1e154), spike(1e-10), 1.6e156),  # ||f|| ||g|| T/N = 1e299
         ],
-        ids=["full-fields", "one-product", "calibrated-transform"],
+        ids=["full-fields", "one-product", "calibrated-transform", "calibrated-input"],
     )
     def test_overflowing_values_raise(self, f_values, g_values, extent):
-        # products, or a transform times T/N = 10, that leave the doubles
+        # products, a transform times T/N = 10, or f times T/N = 1e155, that
+        # leave the doubles
         f, g = SampledField(f_values, (extent,)), SampledField(g_values, (extent,))
         with pytest.raises(DimensionMismatch, match="field values must be finite"):
             partial_stft_grid(f, g, 1)
