@@ -13,11 +13,15 @@ resampling, evaluated as a Bluestein chirp-z transform of the centered
 spectrum in O(N log N) per line; in higher dimension only monomial
 matrices (permutation x diagonal) are supported: each axis is resampled by
 its diagonal entry, then the axes are permuted once, and everything else
-is left to the Gaussian oracle path.  A chirp's phase x.Qx is summed term
-by term over the per-axis coordinates, never over a stacked mesh.  The
-tables that depend on a point count N alone (the (-1)^j ramp, the
-Bluestein and circular squares) are built once per N up to 4096 points
-and kept read-only, so a letter costs about its arithmetic.  The partial
+is left to the Gaussian oracle path.  A diagonal entry of exactly +1 or -1
+is an index map, the exact value of the band-limited interpolant: +1
+leaves its axis as it is and -1 reverses it about the center, j ->
+(N - j) mod N.  A chirp's phase x.Qx is summed term by term over the
+per-axis coordinates, never over a stacked mesh, and its factor is the
+cos and sin of that real phase.  The tables that depend on a point count
+N alone (the (-1)^j ramp, the Bluestein and circular squares) are built
+once per N up to 4096 points and kept read-only, so a letter costs about
+its arithmetic.  The partial
 STFT is one batched FFT over the window shifted to every grid point, run
 in place on a single integrand buffer, block by block of leading rows so
 that each block is built and transformed while it is in cache.  The
@@ -32,7 +36,10 @@ built on first use and dropped in a forked child; fewer run inline, so
 small transforms start no thread.  Either way every value keeps its bits.
 A slice is the transform of the fields restricted to one (x2, omega2)
 cross-section.  Every tensor field f (x) conj(g) comes from `tfr_grid`,
-under the same size guard.
+under the same size guard, proven finite by max|f| max|g| when that bound
+allows.  `mass_outside` sums |v|^2 over the box's complement directly,
+slab by slab: the box is one index interval per axis, and each slab of
+the complement is a view reduced in one pass, with no |v|^2 array or mask.
 """
 
 from __future__ import annotations
@@ -359,6 +366,20 @@ def _resample_axis(values: np.ndarray, axis: int, extent: float, scale: float):
     return out
 
 
+def _reflect_axis(values: np.ndarray, axis: int) -> np.ndarray:
+    """values at -x along one axis: index j -> (N - j) mod N, a new C-contiguous array.
+
+    -x_j is the node x_{N-j}, and x_0 = -T/2 is its own image modulo the
+    period T, so this is the band-limited interpolant at -x exactly: the
+    dilation by -1, which _resample_axis reproduces only to rounding.
+    """
+    out = np.empty(values.shape, dtype=complex)
+    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    dst[0] = src[0]
+    dst[1:] = src[:0:-1]
+    return out
+
+
 def _monomial_decompose(l: np.ndarray):
     """L = P . diag(d) with P a permutation; raises UnsupportedDilation."""
     n = l.shape[0]
@@ -412,8 +433,14 @@ def apply_letter_grid(field: SampledField, letter) -> SampledField:
     if isinstance(letter, Chirp):
         _chirp_alias_check(letter.q, field)
         coords = [_along(field.coords(a), a, field.n) for a in range(field.n)]
-        factor = 1j * np.pi * _quadratic_form(coords, letter.q, field.points)
-        np.exp(factor, out=factor)
+        phase = _quadratic_form(coords, letter.q, field.points)
+        phase *= np.pi
+        # e^{i phase} as the cos and sin of the real phase, written into the
+        # halves of one complex buffer: cheaper than the complex exp of
+        # i phase, and its bits on every pinned case
+        factor = np.empty(field.points, dtype=complex)
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
         return SampledField(np.multiply(field.values, factor, out=factor), field.extents)
     if isinstance(letter, PartialFourier):
         values = field.values
@@ -430,7 +457,10 @@ def apply_letter_grid(field: SampledField, letter) -> SampledField:
         source[row] = col
     values = field.values
     for ax in range(field.n):
-        values = _resample_axis(values, ax, field.extents[ax], diag[ax])
+        if diag[ax] == -1.0:
+            values = _reflect_axis(values, ax)
+        elif diag[ax] != 1.0:
+            values = _resample_axis(values, ax, field.extents[ax], diag[ax])
     if source != list(range(field.n)):
         values = np.ascontiguousarray(np.transpose(values, source))
     return SampledField(values, tuple(field.extents[s] for s in source))
@@ -740,12 +770,34 @@ def tfr_grid(word: GeneratorWord, f: SampledField, g: SampledField) -> SampledFi
     if total > MAX_ELEMENTS:
         raise GridTooLarge(f"tensor would hold {total} elements")
     big = np.multiply.outer(f.values, np.conj(g.values))
-    field = SampledField(big, tuple(f.extents) + tuple(g.extents))
+    extents = tuple(f.extents) + tuple(g.extents)
+    # each |f_i g_j| <= max|f| max|g|, so a bound at most _FINITE_BOUND proves
+    # the tensor finite; one that overflows (to inf, or to nan against a
+    # zero field) fails the test silently and the tensor is scanned
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.abs(f.values).max() * np.abs(g.values).max()
+    if bound <= _FINITE_BOUND:
+        field = _bounded_field(big, extents)
+    else:
+        field = SampledField(big, extents)
     return apply_word_grid(field, word)
 
 
 # ---------------------------------------------------------------------------
 # masses
+
+
+def _squared_norm(v: np.ndarray) -> float:
+    """sum |v|^2 of a complex array whose last axis is contiguous, copying nothing.
+
+    A C-contiguous array takes one BLAS dot; any other is one einsum
+    reduction over its float view (vdot would copy it first).
+    """
+    if v.flags.c_contiguous:
+        return float(np.vdot(v, v).real)
+    r = v.view(np.float64)
+    axes = list(range(r.ndim))
+    return float(np.einsum(r, axes, r, axes, []))
 
 
 def mass_outside(field: SampledField, region) -> float:
@@ -754,6 +806,13 @@ def mass_outside(field: SampledField, region) -> float:
     Each bound is a scalar for every axis or one value per axis, and none
     is NaN (else DimensionMismatch); a box with a low above its high is
     empty, so all of the mass lies outside it.
+
+    The coordinates are monotone, so the box's nodes on axis a are one
+    index interval [lo_a, hi_a).  The outside is summed directly, never as
+    the total less the inside (a counterexample's outside is 1e-29 of its
+    total or less): it is the union over a of the slabs inside the box on
+    the axes before a and outside it on axis a, and each slab is a view
+    whose squared norm is one reduction, with no |v|^2 array or mask.
     """
     lows, highs = (np.asarray(v, dtype=float) for v in region)
     for bound in (lows, highs):
@@ -764,14 +823,20 @@ def mass_outside(field: SampledField, region) -> float:
         if np.isnan(bound).any():
             raise DimensionMismatch("region bounds must not be NaN")
     lows, highs = (np.broadcast_to(v, (field.n,)) for v in (lows, highs))
-    # the box is separable: one mask per axis, broadcast to the grid shape
-    inside = np.ones((1,) * field.n, dtype=bool)
+    # a C-contiguous array (a copy only for another layout), so that every
+    # slab's last axis is contiguous
+    values = np.ascontiguousarray(field.values)
+    outside = 0.0
+    box = ()  # the box's index intervals on the axes before a
     for a in range(field.n):
         x = field.coords(a)
-        inside = inside & _along((x >= lows[a]) & (x <= highs[a]), a, field.n)
-    dens = np.abs(field.values.ravel())
-    np.square(dens, out=dens)
-    total = float(np.sum(dens))
+        lo = int(np.searchsorted(x, lows[a], side="left"))
+        # an empty interval (hi = lo) puts all of axis a outside
+        hi = max(lo, int(np.searchsorted(x, highs[a], side="right")))
+        for part in (slice(0, lo), slice(hi, None)):
+            outside += _squared_norm(values[box + (part,)])
+        box += (slice(lo, hi),)
+    total = outside + _squared_norm(values[box])
     if total == 0.0:
         return 0.0
-    return float(np.sum(dens[~inside.ravel()]) / total)
+    return outside / total

@@ -405,6 +405,56 @@ class TestLetters:
         # the result N each; the copying form peaked at 9.5x
         assert peak <= 8.0 * out.values.nbytes
 
+    @pytest.mark.parametrize("points", [(8,), (256,), (8, 16, 8)])
+    def test_minus_identity_is_index_reversal(self, rng, points):
+        # -x_j is the node x_{N-j}, and x_0 is its own image modulo the period
+        f = random_field(rng, points)
+        want = f.values
+        for a, npts in enumerate(points):
+            want = np.take(want, -np.arange(npts) % npts, axis=a)
+        got = apply_letter_grid(f, Dilation(-np.eye(len(points))))
+        assert got.values.tobytes() == want.tobytes()
+        assert got.extents == f.extents
+
+    @pytest.mark.parametrize("points", [(8,), (256,), (16, 32)])
+    def test_identity_returns_the_input(self, rng, points):
+        f = random_field(rng, points)
+        got = apply_letter_grid(f, Dilation(np.eye(len(points))))
+        assert got.values.tobytes() == f.values.tobytes()
+        assert got.extents == f.extents
+
+    def test_quarter_turn_is_flip_and_transpose(self, rng):
+        # L = [[0, -1], [1, 0]]: result(x0, x1) = f(L^-1 x) = f(x1, -x0)
+        f = SampledField(
+            rng.standard_normal((32, 16)) + 1j * rng.standard_normal((32, 16)), (8.0, 4.0)
+        )
+        got = apply_letter_grid(f, Dilation(np.array([[0.0, -1.0], [1.0, 0.0]])))
+        want = np.take(f.values, -np.arange(16) % 16, axis=1).T
+        assert got.values.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert got.extents == (4.0, 8.0)
+        assert got.values.flags.owndata and got.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("npts", [256, 1024])
+    def test_fourier_twice_is_parity(self, npts):
+        # at extent sqrt(N) the centered FFT adds no rounding of its own
+        # calibration, and the parity letter is exact
+        phi = sample(standard_gaussian(1), (npts,), (np.sqrt(npts),))
+        fourier = PartialFourier((0,))
+        twice = apply_letter_grid(apply_letter_grid(phi, fourier), fourier)
+        parity = apply_letter_grid(phi, Dilation(np.array([[-1.0]])))
+        assert np.abs(twice.values - parity.values).max() <= 1e-15
+
+    @pytest.mark.parametrize("points", [(8,), (64,), (32, 16), (8, 16, 8)])
+    def test_chirp_z_at_minus_one_is_the_reflection(self, rng, points):
+        # the chirp-z pass reproduces the exact reflection to rounding, which
+        # grows with N (about 2e-14 at N = 256) on values of peak modulus 1
+        v = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+        v /= np.abs(v).max()
+        for a, npts in enumerate(points):
+            flip = np.take(v, -np.arange(npts) % npts, axis=a)
+            ref = reference_resample_axis(v, a, 8.0, -1.0)
+            assert np.abs(ref - flip).max() <= 1e-14
+
     @pytest.mark.parametrize(
         "letter, error",
         [
@@ -978,6 +1028,39 @@ class TestTfrGrid:
         rel = np.abs(np.abs(out.values[idx]) - np.abs(oracle.values[idx]))
         assert np.max(rel / np.abs(oracle.values[idx])) < 1e-6
 
+    def test_bounded_tensor_is_the_outer_product(self, rng, monkeypatch):
+        calls = []
+        unscanned = mtfr.grid._bounded_field
+        monkeypatch.setattr(
+            mtfr.grid, "_bounded_field", lambda *a: calls.append(1) or unscanned(*a)
+        )
+        f, g = random_field(rng, (64,)), random_field(rng, (32,), 4.0)
+        out = tfr_grid(GeneratorWord(2, ()), f, g)
+        assert calls == [1]
+        want = np.multiply.outer(f.values, np.conj(g.values))
+        assert out.values.tobytes() == want.tobytes()
+        assert out.extents == (8.0, 4.0)
+        assert not out.values.flags.writeable
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "f_entry,g_entry,finite",
+        [(1e200, 1e200, False), (1e300, 1e10, False), (1e154, 1e154, True)],
+    )
+    def test_tensor_beyond_the_bound_takes_the_scan(self, monkeypatch, f_entry, g_entry, finite):
+        # max|f| max|g| above 2^1000 proves nothing: a product that leaves the
+        # doubles raises through the constructor's scan, and 1e308 passes it
+        calls = []
+        monkeypatch.setattr(mtfr.grid, "_bounded_field", lambda *a: calls.append(1))
+        f, g = SampledField(spike(f_entry), (8.0,)), SampledField(spike(g_entry), (8.0,))
+        if finite:
+            out = tfr_grid(GeneratorWord(2, ()), f, g)
+            assert out.values.max() == f_entry * g_entry
+        else:
+            with pytest.raises(DimensionMismatch, match="field values must be finite"):
+                tfr_grid(GeneratorWord(2, ()), f, g)
+        assert calls == []
+
 
 def mesh_mass_outside(field, region):
     """Reference for `mass_outside`: the box mask over the full coordinate mesh."""
@@ -992,21 +1075,63 @@ def mesh_mass_outside(field, region):
 
 
 class TestMassOutside:
+    @staticmethod
+    def boxes(rng, points, spacing):
+        """Bounds on grid nodes (where >= and <= decide), between nodes, and a scalar box."""
+        return [
+            (np.full(len(points), -2 * spacing), np.full(len(points), 3 * spacing)),
+            (rng.uniform(-3.0, 0.0, len(points)), rng.uniform(0.0, 3.0, len(points))),
+            (-1.0, 1.0),
+        ]
+
     @pytest.mark.parametrize("points", [(64,), (32, 16), (8, 16, 8)])
-    def test_matches_mesh_reference_bitwise(self, rng, points):
+    def test_matches_mesh_reference_on_exact_sums(self, rng, points):
+        # |v| and |v|^2 are small integers (hypot(3k, 4k) = 5k exactly), so
+        # every order of summation is exact and equal bits pin the node set
+        spacing = 0.25
+        values = rng.integers(-3, 4, points) * rng.choice([1, -1j, 3 + 4j], points)
+        f = SampledField(values, tuple(spacing * p for p in points))
+        for box in self.boxes(rng, points, spacing):
+            assert mass_outside(f, box) == mesh_mass_outside(f, box)
+
+    @pytest.mark.parametrize("points", [(64,), (32, 16), (8, 16, 8)])
+    def test_matches_mesh_reference(self, rng, points):
         spacing = 0.25
         f = SampledField(
             rng.standard_normal(points) + 1j * rng.standard_normal(points),
             tuple(spacing * p for p in points),
         )
-        # bounds on grid nodes (where >= and <= decide), between nodes, and a scalar box
+        for box in self.boxes(rng, points, spacing):
+            want = mesh_mass_outside(f, box)
+            assert abs(mass_outside(f, box) - want) <= 1e-14 * want
+
+    def test_tiny_outside_mass(self, rng):
+        # a counterexample's mass outside is about 1e-29 of its total: the
+        # total less the inside would lose all of it
+        f = random_field(rng, (256, 256), 16.0)
+        box = ([-2.0, -2.0], [2.0, 2.0])
+        x = f.coords(0)
+        inside = np.multiply.outer(np.abs(x) <= 2.0, np.abs(x) <= 2.0)
+        values = f.values.copy()
+        scale = np.sqrt(
+            1e-30 * np.sum(np.abs(values[inside]) ** 2) / np.sum(np.abs(values[~inside]) ** 2)
+        )
+        values[~inside] *= scale
+        got = mass_outside(SampledField(values, f.extents), box)
+        assert abs(got - 1e-30) <= 1e-12 * 1e-30
+
+    @pytest.mark.parametrize("points", [(16,), (16, 8), (8, 16, 8)])
+    def test_empty_box_is_exactly_one(self, rng, points):
+        f = random_field(rng, points)
+        n = len(points)
+        between = f.spacing(0) / 4  # a box between two nodes of axis 0
         boxes = [
-            (np.full(len(points), -2 * spacing), np.full(len(points), 3 * spacing)),
-            (rng.uniform(-3.0, 0.0, len(points)), rng.uniform(0.0, 3.0, len(points))),
-            (-1.0, 1.0),
+            (1.0, -1.0),
+            ([between] + [-1.0] * (n - 1), [2 * between] + [1.0] * (n - 1)),
+            ([-1.0] * (n - 1) + [1.0], [1.0] * (n - 1) + [-1.0]),
         ]
         for box in boxes:
-            assert mass_outside(f, box) == mesh_mass_outside(f, box)
+            assert mass_outside(f, box) == 1.0
 
     def test_peak_memory(self, rng):
         f = random_field(rng, (512, 512), 16.0)
