@@ -21,7 +21,9 @@ per-axis coordinates, never over a stacked mesh, and its factor is the
 cos and sin of that real phase.  The tables that depend on a point count
 N alone (the (-1)^j ramp, the Bluestein and circular squares) are built
 once per N up to 4096 points and kept read-only, so a letter costs about
-its arithmetic.  The partial
+its arithmetic.  A word passes its values from letter to letter unchecked
+and builds one field at its end, so its grid is checked and its values
+scanned once.  The partial
 STFT is one batched FFT over the window shifted to every grid point, run
 in place on a single integrand buffer, block by block of leading rows so
 that each block is built and transformed while it is in cache.  The
@@ -49,6 +51,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -301,19 +304,20 @@ def _swapped(arr: np.ndarray, axes) -> np.ndarray:
 def _centered_fft_axis(values: np.ndarray, axis: int, extent: float):
     """Continuous-FT approximation along one axis.
 
-    The input times (-1)^j T/N, rolled by N/2, is written into a new buffer
-    and the FFT runs there in place, with no pass after it: the roll stands
-    for the output's (-1)^j ramp, and the half-period phase e^{-i pi N/2}
-    is exactly 1 for N >= 8.  Returns (values, new extent); the input is
-    left untouched.
+    The input times (-1)^j T/N, rolled by N/2, is written through a split
+    view into a new buffer and the FFT runs there in place, with no pass
+    after it: the roll stands for the output's (-1)^j ramp, and the
+    half-period phase e^{-i pi N/2} is exactly 1 for N >= 8.  Returns
+    (values, new extent), values the buffer itself, which owns its data;
+    the input is left untouched.
     """
     npts = values.shape[axis]
-    buf = np.empty(_split(values.shape, (axis,)), dtype=complex)
+    buf = np.empty(values.shape, dtype=complex)
     factor = _input_factor(npts, extent).reshape(
         (2, npts // 2) + (1,) * (values.ndim - 1 - axis)
     )
-    np.multiply(_swapped(values, (axis,)), factor, out=buf)
-    buf = buf.reshape(values.shape)
+    split = buf.reshape(_split(values.shape, (axis,)))
+    np.multiply(_swapped(values, (axis,)), factor, out=split)
     np.fft.fft(buf, axis=axis, out=buf)
     return buf, npts / extent
 
@@ -414,11 +418,11 @@ def _quadratic_form(coords, q: np.ndarray, shape) -> np.ndarray:
     return quad
 
 
-def _chirp_alias_check(q: np.ndarray, field: SampledField):
+def _chirp_alias_check(q: np.ndarray, points: tuple, extents: tuple):
     bound = 0.0
-    for a in range(field.n):
-        reach = sum(abs(q[a, b]) * field.extents[b] / 2.0 for b in range(field.n))
-        bound = max(bound, 2.0 * np.pi * reach * field.spacing(a))
+    for a, npts in enumerate(points):
+        reach = sum(abs(q[a, b]) * t / 2.0 for b, t in enumerate(extents))
+        bound = max(bound, 2.0 * np.pi * reach * extents[a] / npts)
     if bound > np.pi:
         warnings.warn(
             f"chirp phase advances {bound:.2f} rad between adjacent samples",
@@ -427,51 +431,88 @@ def _chirp_alias_check(q: np.ndarray, field: SampledField):
         )
 
 
+class _Stage(NamedTuple):
+    """A word's values between two letters and their extents, neither checked.
+
+    apply_word_grid passes one from letter to letter; it never leaves the
+    word.
+    """
+
+    values: np.ndarray
+    extents: tuple
+
+
 def apply_letter_grid(field: SampledField, letter) -> SampledField:
-    """Discrete approximation of one metaplectic generator that fits the field."""
-    _check_fits(letter, field.n)
+    """Discrete approximation of one metaplectic generator that fits the field.
+
+    Given a word's unchecked `_Stage` instead of a field, it returns the
+    next stage; every letter's output owns its data.
+    """
+    values, extents = field.values, field.extents
+    n = values.ndim
+    _check_fits(letter, n)
     if isinstance(letter, Chirp):
-        _chirp_alias_check(letter.q, field)
-        coords = [_along(field.coords(a), a, field.n) for a in range(field.n)]
-        phase = _quadratic_form(coords, letter.q, field.points)
+        _chirp_alias_check(letter.q, values.shape, extents)
+        coords = [_along(_coords(values.shape[a], extents[a]), a, n) for a in range(n)]
+        phase = _quadratic_form(coords, letter.q, values.shape)
         phase *= np.pi
         # e^{i phase} as the cos and sin of the real phase, written into the
         # halves of one complex buffer: cheaper than the complex exp of
         # i phase, and its bits on every pinned case
-        factor = np.empty(field.points, dtype=complex)
+        factor = np.empty(values.shape, dtype=complex)
         np.cos(phase, out=factor.real)
         np.sin(phase, out=factor.imag)
-        return SampledField(np.multiply(field.values, factor, out=factor), field.extents)
-    if isinstance(letter, PartialFourier):
-        values = field.values
-        extents = list(field.extents)
+        values = np.multiply(values, factor, out=factor)
+    elif isinstance(letter, PartialFourier):
+        extents = list(extents)
         for ax in letter.axes:
             values, extents[ax] = _centered_fft_axis(values, ax, extents[ax])
-        return SampledField(values, tuple(extents))
-    # a dilation L = P diag(d): f1 is each axis resampled by its entry of d,
-    # and result(x) = f1(P^t x): axis a of the output reads axis source[a]
-    # of f1, where source[a] is the column with its nonzero in row a
-    rows, diag = _monomial_decompose(letter.l)
-    source = [0] * field.n
-    for col, row in enumerate(rows):
-        source[row] = col
-    values = field.values
-    for ax in range(field.n):
-        if diag[ax] == -1.0:
-            values = _reflect_axis(values, ax)
-        elif diag[ax] != 1.0:
-            values = _resample_axis(values, ax, field.extents[ax], diag[ax])
-    if source != list(range(field.n)):
-        values = np.ascontiguousarray(np.transpose(values, source))
-    return SampledField(values, tuple(field.extents[s] for s in source))
+            # N / T overflows to inf for a tiny T, which a word's next
+            # Fourier letter on this axis would turn into 0 and the one
+            # after it divide by
+            if not extents[ax] < np.inf:
+                raise DimensionMismatch("extents must be finite and positive")
+        extents = tuple(extents)
+    else:
+        # a dilation L = P diag(d): f1 is each axis resampled by its entry of
+        # d, and result(x) = f1(P^t x): axis a of the output reads axis
+        # source[a] of f1, where source[a] is the column with its nonzero in
+        # row a
+        rows, diag = _monomial_decompose(letter.l)
+        source = [0] * n
+        for col, row in enumerate(rows):
+            source[row] = col
+        for ax in range(n):
+            if diag[ax] == -1.0:
+                values = _reflect_axis(values, ax)
+            elif diag[ax] != 1.0:
+                values = _resample_axis(values, ax, extents[ax], diag[ax])
+        if source != list(range(n)):
+            values = np.ascontiguousarray(np.transpose(values, source))
+        extents = tuple(extents[s] for s in source)
+    if isinstance(field, _Stage):
+        return _Stage(values, extents)
+    return SampledField(values, extents)
 
 
 def apply_word_grid(field: SampledField, word: GeneratorWord) -> SampledField:
+    """The word's letters applied to field, last letter first, each by apply_letter_grid.
+
+    The letters pass their values on unchecked, and the word's result is
+    one SampledField: the grid is checked and the values scanned once.  No
+    letter turns a non-finite value finite (a chirp, an FFT, a Bluestein
+    pass and an index map all carry it through), so a value that overflows
+    in any letter still raises DimensionMismatch.  The empty word returns
+    field itself.
+    """
     if word.n != field.n:
         raise DimensionMismatch("word dimension does not match field")
+    if not word.letters:
+        return field
+    stage = _Stage(field.values, field.extents)
     for letter in reversed(word.letters):
-        field = apply_letter_grid(field, letter)
-    return field
+        stage = apply_letter_grid(stage, letter)
+    return SampledField(stage.values, stage.extents)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +773,9 @@ def partial_stft_grid(f: SampledField, g: SampledField, k: int) -> SampledField:
     # the bound of the docstring; a norm that overflows (to inf, or to nan
     # against a zero norm) fails the test silently
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_f, norm_g = (np.sqrt(np.vdot(v, v).real) for v in (f.values, g.values))
+        norm_f, norm_g = (
+            np.sqrt(_squared_norm(np.ascontiguousarray(v))) for v in (f.values, g.values)
+        )
         bound = np.prod(
             [norm_f, max(1.0, norm_g)]
             + [max(1.0, t / n) for t, n in zip(f.extents[:k], npts)]
@@ -790,11 +833,10 @@ def tfr_grid(word: GeneratorWord, f: SampledField, g: SampledField) -> SampledFi
 def _squared_norm(v: np.ndarray) -> float:
     """sum |v|^2 of a complex array whose last axis is contiguous, copying nothing.
 
-    A C-contiguous array takes one BLAS dot; any other is one einsum
-    reduction over its float view (vdot would copy it first).
+    One einsum reduction over its float view, whatever its layout, and no
+    BLAS call: with OpenBLAS at its default thread count, a dot of a 1 MB
+    array sometimes took milliseconds where its median was 20 us.
     """
-    if v.flags.c_contiguous:
-        return float(np.vdot(v, v).real)
     r = v.view(np.float64)
     axes = list(range(r.ndim))
     return float(np.einsum(r, axes, r, axes, []))

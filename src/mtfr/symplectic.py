@@ -232,6 +232,20 @@ class PartialFourier:
         object.__setattr__(self, "axes", axes)
 
 
+def _gated(cls, matrix: np.ndarray):
+    """The Chirp or Dilation cls(matrix), without the gate of its constructor.
+
+    As grid._bounded_field does for a field, this is for a matrix that has
+    just passed that gate: a Chirp's must be exactly symmetric, so that the
+    constructor's symmetrization would keep every bit, and a Dilation's
+    must have singular values the caller has just read with _near_singular,
+    or known exactly (a +-1 parity).
+    """
+    letter = object.__new__(cls)
+    object.__setattr__(letter, "q" if cls is Chirp else "l", _freeze(matrix))
+    return letter
+
+
 def _check_fits(letter, n: int) -> None:
     """Raise unless letter is a generator letter that acts on R^n: a chirp or
     dilation n x n, every Fourier axis below n."""
@@ -307,19 +321,21 @@ def invert_word(word: GeneratorWord) -> GeneratorWord:
 
     The inverse of a partial Fourier letter is the same letter followed by
     the parity reflection on its axes, since F^2 is the parity operator.
+    A chirp's stored Q is exactly symmetric, and so is -Q; the parity's
+    singular values are all exactly 1.  Neither letter is gated again, but
+    each inverse dilation is.
     """
     out = []
     for letter in reversed(word.letters):
         if isinstance(letter, Chirp):
-            out.append(Chirp(-letter.q))
+            out.append(_gated(Chirp, -letter.q))
         elif isinstance(letter, Dilation):
             out.append(Dilation(np.linalg.inv(letter.l)))
         else:
             sign = np.ones(word.n)
-            for ax in letter.axes:
-                sign[ax] = -1.0
+            sign[list(letter.axes)] = -1.0
             out.append(letter)
-            out.append(Dilation(np.diag(sign)))
+            out.append(_gated(Dilation, np.diag(sign)))
     return GeneratorWord(word.n, tuple(out))
 
 
@@ -473,7 +489,9 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
     """Four-letter word for R_U when Im U is invertible (a *free* rotation).
 
     R_U = V_{A B^{-1}} D_B J V_{B^{-1} A} with A = Re U, B = Im U; both chirp
-    blocks are symmetric for unitary U.
+    blocks are symmetric for unitary U.  Each letter is built from the
+    matrix its own gate has just passed here: D_B from the singular values
+    of the NotFree gate, each chirp from its exact symmetrization.
     """
     u = assert_unitary(u, what="free_factorize")
     n = u.shape[0]
@@ -486,10 +504,10 @@ def free_factorize(u: np.ndarray) -> GeneratorWord:
     q_left = _symmetrize_checked(q_left, TOL_DERIVED, "free_factorize A B^-1")
     q_right = _symmetrize_checked(q_right, TOL_DERIVED, "free_factorize B^-1 A")
     letters = (
-        Chirp(q_left),
-        Dilation(b),
+        _gated(Chirp, q_left),
+        _gated(Dilation, b),
         PartialFourier(tuple(range(n))),
-        Chirp(q_right),
+        _gated(Chirp, q_right),
     )
     return GeneratorWord(n, letters)
 
@@ -524,18 +542,21 @@ def select_tau_balanced(u: np.ndarray) -> complex:
 
 
 def _scalar_rotation_word(tau: complex, n: int) -> list:
-    """Letters for R_{tau I} with |tau| = 1; empty when tau = 1."""
+    """Letters for R_{tau I} with |tau| = 1; empty when tau = 1.
+
+    The chirps' c I is exactly symmetric, so only the dilation is gated.
+    """
     a, b = float(np.real(tau)), float(np.imag(tau))
     if abs(b) <= 1e-12:
         if a > 0:
             return []
         return [Dilation(-np.eye(n))]
-    c = a / b
+    chirp = _gated(Chirp, a / b * np.eye(n))
     return [
-        Chirp(c * np.eye(n)),
+        chirp,
         Dilation(b * np.eye(n)),
         PartialFourier(tuple(range(n))),
-        Chirp(c * np.eye(n)),
+        chirp,
     ]
 
 

@@ -12,7 +12,9 @@ each file's sha256; a binary field is also summarized by its header,
 sum |v|^2 and max |v|.  The reference in tests/golden/ holds the manifest
 and every text file (the fields are summarized, not committed).  A
 comparison takes strings and integers exactly and other numbers within
-rel_tol 1e-12, abs_tol 1e-15, so another BLAS build's last bits pass;
+rel_tol 1e-12, so another BLAS build's last bits pass, or within abs_tol
+1e-15 but no more than one unit in the last printed digit of both
+(2.842e-14 and 2.843e-14 are equal, 8.468e-29 and 9.258e-32 are not);
 the sha256 values are the byte audit and are compared only on request.
 
     PYTHONPATH=src python tests/golden_session.py                  # print the manifest
@@ -33,6 +35,7 @@ import re
 import shutil
 import sys
 import tempfile
+from decimal import Decimal
 
 import numpy as np
 
@@ -122,15 +125,26 @@ def run_session(workdir) -> dict:
     return {"steps": steps, "files": dict(sorted(files.items()))}
 
 
+def _last_digit(number: str) -> Decimal:
+    """One unit in the last printed digit of number: 1E-17 for 2.842e-14."""
+    return Decimal(1).scaleb(Decimal(number).as_tuple().exponent)
+
+
 def _same_number(a: str, b: str, rel_tol, abs_tol) -> bool:
+    """Integers exactly; other numbers within rel_tol, or within abs_tol but
+    no more than one unit in the last printed digit of both, so that a tiny
+    number is not forgiven for being tiny."""
     if a.lstrip("+-").isdigit() and b.lstrip("+-").isdigit():
         return int(a) == int(b)
-    return math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=abs_tol)
+    gap = abs(Decimal(a) - Decimal(b))
+    if gap <= min(Decimal(abs_tol), _last_digit(a), _last_digit(b)):
+        return True
+    return math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=0.0)
 
 
 def text_differences(what, ref: str, new: str, rel_tol=REL_TOL, abs_tol=ABS_TOL) -> list:
     """Differences between two texts: integers and the text between numbers
-    exactly, every other number within the tolerances."""
+    exactly, every other number as `_same_number` allows."""
     if NUMBER.sub("#", ref) != NUMBER.sub("#", new):
         return [f"{what}: text differs\n  reference: {ref!r}\n  run:       {new!r}"]
     return [

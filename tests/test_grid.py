@@ -586,6 +586,83 @@ class TestPinnedBits:
         assert set(pinned_letter_cases()) == set(PINNED_LETTER_SHA256)
 
 
+class TestWordStages:
+    """A word runs every letter through apply_letter_grid and builds one field."""
+
+    WORD = GeneratorWord(2, (
+        Chirp(np.array([[0.3, -0.2], [-0.2, 0.5]])),
+        PartialFourier((0, 1)),
+        Dilation(np.array([[0.0, 1.3], [-1.0, 0.0]])),
+        PartialFourier((1,)),
+        Dilation(np.diag([0.8, 1.0])),
+    ))
+
+    def test_one_field_per_word(self, rng, monkeypatch):
+        f = random_field(rng, (16, 32))
+        want = f
+        for letter in reversed(self.WORD.letters):
+            want = apply_letter_grid(want, letter)
+        letters, fields = [], []
+        public = mtfr.grid.apply_letter_grid
+        post_init = SampledField.__post_init__
+
+        def counting_letter(field, letter):
+            letters.append(letter)
+            return public(field, letter)
+
+        def counting_post_init(field):
+            fields.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(mtfr.grid, "apply_letter_grid", counting_letter)
+        monkeypatch.setattr(SampledField, "__post_init__", counting_post_init)
+        out = apply_word_grid(f, self.WORD)
+        assert letters == list(reversed(self.WORD.letters))
+        assert len(fields) == 1 and fields[0] is out
+        assert out.extents == want.extents
+        assert out.values.tobytes() == want.values.tobytes()
+
+    def test_empty_word_returns_the_field(self, rng):
+        f = random_field(rng, (16, 8))
+        assert apply_word_grid(f, GeneratorWord(2, ())) is f
+
+    def test_middle_fourier_overflow_raises(self):
+        # (-1)^j 1e307 T/N with T = N: the Fourier letter sums 256 terms of
+        # 1e307 into one value, which overflows
+        f = SampledField(np.full(256, 1e307, dtype=complex), (256.0,))
+        chirp = Chirp(np.array([[1e-4]]))
+        apply_letter_grid(f, chirp)  # the outer letters alone keep it finite
+        word = GeneratorWord(1, (chirp, PartialFourier((0,)), chirp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DimensionMismatch, match="finite"):
+                apply_letter_grid(f, PartialFourier((0,)))
+            with pytest.raises(DimensionMismatch, match="finite"):
+                apply_word_grid(f, word)
+
+    def test_overflowing_extent_raises_at_its_letter(self):
+        # N / T overflows to inf for T = 5e-324; a later letter would divide by 0
+        f = SampledField(np.ones(8, dtype=complex), (5e-324,))
+        word = GeneratorWord(1, (PartialFourier((0,)),) * 3)
+        with pytest.raises(DimensionMismatch, match="extents"):
+            apply_word_grid(f, word)
+
+    def test_fourier_letter_owns_its_buffer(self, rng, monkeypatch):
+        buffers = []
+        fft_axis = mtfr.grid._centered_fft_axis
+
+        def recording(values, axis, extent):
+            out = fft_axis(values, axis, extent)
+            buffers.append(out[0])
+            return out
+
+        monkeypatch.setattr(mtfr.grid, "_centered_fft_axis", recording)
+        out = apply_letter_grid(random_field(rng, (256, 256)), PartialFourier((0, 1)))
+        assert len(buffers) == 2
+        assert buffers[-1].flags.owndata
+        assert out.values is buffers[-1]
+
+
 class TestSizeConstants:
     def test_cache_is_keyed_on_size_and_bounded(self, rng, monkeypatch):
         monkeypatch.setattr(mtfr.grid, "_constants", {})

@@ -558,3 +558,79 @@ class TestInvertWord:
         np.testing.assert_allclose(
             inv.matrix(), np.linalg.inv(word.matrix()), atol=1e-14
         )
+
+
+def assert_same_letters(got, want):
+    """Letter by letter: one type, and every bit of the stored matrix or axes."""
+    assert [type(x) for x in got] == [type(x) for x in want]
+    for a, b in zip(got, want):
+        if isinstance(a, PartialFourier):
+            assert a.axes == b.axes
+            continue
+        ma, mb = (a.q, b.q) if isinstance(a, Chirp) else (a.l, b.l)
+        assert ma.dtype == mb.dtype and ma.shape == mb.shape
+        assert ma.tobytes() == mb.tobytes()
+        assert not ma.flags.writeable
+
+
+def constructed_free_letters(u):
+    """free_factorize's letters, each built by its public constructor."""
+    a, b = u.real, u.imag
+    return [
+        Chirp(np.linalg.solve(b.T, a.T).T),
+        Dilation(b),
+        PartialFourier(tuple(range(u.shape[0]))),
+        Chirp(np.linalg.solve(b, a)),
+    ]
+
+
+def constructed_scalar_letters(tau, n):
+    a, b = tau.real, tau.imag
+    return [Chirp(a / b * np.eye(n)), Dilation(b * np.eye(n)),
+            PartialFourier(tuple(range(n))), Chirp(a / b * np.eye(n))]
+
+
+class TestLettersOfGatedMatrices:
+    """Letters built from matrices that have just passed their gate equal, bit
+    for bit, the letters of the public constructors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_free_factorize(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            u = haar_unitary(n, rng)
+            assert_same_letters(free_factorize(u).letters, constructed_free_letters(u))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rotation_word(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(10):
+            u = haar_unitary(n, rng)
+            for tau in (select_tau_balanced(u), np.exp(0.7j)):
+                want = constructed_free_letters(tau * u)
+                if tau != 1.0:
+                    want += constructed_scalar_letters(np.conj(tau), n)
+                assert_same_letters(rotation_word(u, tau), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_invert_word(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(10):
+            word = random_word(n, 8, rng)
+            want = []
+            for letter in reversed(word.letters):
+                if isinstance(letter, Chirp):
+                    want.append(Chirp(-letter.q))
+                elif isinstance(letter, Dilation):
+                    want.append(Dilation(np.linalg.inv(letter.l)))
+                else:
+                    sign = np.ones(n)
+                    sign[list(letter.axes)] = -1.0
+                    want += [letter, Dilation(np.diag(sign))]
+            assert_same_letters(invert_word(word).letters, want)
+
+    def test_not_free_still_raises_for_the_dilation(self):
+        # Im U = diag(1, 1e-9): the dilation's gate, read by NotFree
+        u = np.diag([1j, np.exp(1e-9j)])
+        with pytest.raises(NotFree):
+            free_factorize(u)
